@@ -48,6 +48,13 @@ def _check_eps(value: float) -> float:
     return value
 
 
+def _check_batch(args) -> None:
+    if args.reps < 1:
+        raise UsageError("--reps must be >= 1")
+    if args.workers < 1:
+        raise UsageError("--workers must be >= 1")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -161,6 +168,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_consensus(args) -> int:
+    _check_batch(args)
     g = _resolve_graph(args)
     eps = _check_eps(args.eps)
     seed = _resolve_seed(args)
@@ -170,6 +178,7 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_coexistence(args) -> int:
+    _check_batch(args)
     g = _resolve_graph(args)
     if g.n_edges != g.n_vertices - 1 or any(g.degree(v) > 2 for v in range(g.n_vertices)):
         raise UsageError("coexistence experiment runs on a path graph")
@@ -182,7 +191,14 @@ def _cmd_coexistence(args) -> int:
     return 0
 
 
+def _snapshot_name(eps: float) -> str:
+    return f"snapshot_{eps:g}.pgm"
+
+
 def _cmd_sweep(args) -> int:
+    _check_batch(args)
+    if args.snapshot and args.out is None:
+        raise UsageError("--snapshot requires --out")
     if args.graph_file:
         raise UsageError("sweep runs on a generated torus (--graph torus:WxH)")
     if not args.graph or not args.graph.startswith("torus:"):
@@ -200,6 +216,10 @@ def _cmd_sweep(args) -> int:
         raise UsageError("empty --eps-grid")
     for eps in grid:
         _check_eps(eps)
+    if len(set(grid)) != len(grid):
+        raise UsageError(f"duplicate threshold in --eps-grid {args.eps_grid!r}")
+    if args.snapshot and len({_snapshot_name(eps) for eps in grid}) != len(grid):
+        raise UsageError(f"thresholds in --eps-grid {args.eps_grid!r} share a snapshot file name")
     seed = _resolve_seed(args)
     report, snapshots = experiments.sweep_experiment(
         width, height, grid, args.t_max, args.reps, seed, workers=args.workers
@@ -207,12 +227,8 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     _emit_report(report, out)
     if args.snapshot:
-        if out is None:
-            raise UsageError("--snapshot requires --out")
         for eps, config in snapshots.items():
-            experiments.write_snapshot(
-                config, width, height, out / f"snapshot_{eps:g}.pgm"
-            )
+            experiments.write_snapshot(config, width, height, out / _snapshot_name(eps))
     return 0
 
 

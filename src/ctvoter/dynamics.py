@@ -28,7 +28,8 @@ class SimParams:
 
     Stop conditions compose: the run halts at the first of absorption, t_max,
     or max_events. Leaving both t_max and max_events as None means run to
-    absorption (with the default event-count safety valve).
+    absorption (with the default event-count safety valve); t_max = inf does
+    the same.
     """
 
     epsilon: float
@@ -39,7 +40,8 @@ class SimParams:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon out of range [0, 1]")
-        if self.t_max is not None and self.t_max < 0:
+        # written so that NaN fails too; inf is allowed and means no limit
+        if self.t_max is not None and not self.t_max >= 0:
             raise ValueError("t_max must be >= 0")
         if self.max_events is not None and self.max_events < 0:
             raise ValueError("max_events must be >= 0")

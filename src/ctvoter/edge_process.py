@@ -72,23 +72,29 @@ class EdgeCensus:
 
 
 def census(weights, eps: float) -> EdgeCensus:
+    """Count weights per type with the binning of classify_edge, vectorised.
+
+    Every step is one correctly rounded IEEE-754 operation per weight, the
+    same as in classify_edge, so both agree on every input. Rejects eps <= 0,
+    a non-finite weight, and a type above ceil_recip(eps).
+    """
     j_cap = ceil_recip(eps)
-    counts = [0] * (j_cap + 1)
-    boundary = 0
-    for w in weights:
-        c = classify_edge(float(w), eps)
-        if c == BOUNDARY:
-            boundary += 1
-        else:
-            counts[c] += 1
-    return EdgeCensus(tuple(counts), boundary)
+    a = np.abs(np.asarray(weights, dtype=np.float64))
+    if not np.isfinite(a).all():
+        raise ValueError("census requires finite weights")
+    k = np.floor(a / eps)
+    boundary = ((k >= 1) & (a == k * eps)) | (a == (k + 1) * eps)
+    types = np.where(a == 0.0, 0.0, k + 1)[~boundary]
+    if not (types <= j_cap).all():
+        raise ValueError(f"weight of type above {j_cap} for eps={eps!r}")
+    counts = np.bincount(types.astype(np.intp), minlength=j_cap + 1)
+    return EdgeCensus(tuple(counts.tolist()), int(np.count_nonzero(boundary)))
 
 
 @dataclass
 class CoupledResult:
     report: SimReport
     weights: np.ndarray
-    weight_trace: list[tuple[float, int, np.ndarray]] = field(default_factory=list)
     census_trace: list[tuple[float, int, EdgeCensus]] = field(default_factory=list)
 
 
@@ -99,9 +105,9 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     seed. Weights evolve by the signed-update rule (the fired edge is zeroed
     exactly, never by subtraction). on_event, if given, is called after each
     event as on_event(time, n_events, opinions, weights) with live lists.
-    Weight and census traces are sampled at geometrically spaced event
-    indices plus the initial and final states; the census needs eps > 0 and
-    is skipped for frozen dynamics.
+    The census trace is sampled at geometrically spaced event indices plus
+    the initial and final states; the census needs eps > 0 and is skipped
+    for frozen dynamics. Only the final weights are returned.
     """
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
@@ -140,7 +146,6 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     extremist_trace = []
     if track_extremists:
         extremist_trace.append((0.0, extremist_count(ops, eps)))
-    weight_trace = [(0.0, 0, np.array(weights))]
     census_trace = [(0.0, 0, census(weights, eps))] if do_census else []
     next_trace = 1
 
@@ -148,7 +153,6 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
         opinion_trace.append((t, len(set(ops))))
         if track_extremists:
             extremist_trace.append((t, extremist_count(ops, eps)))
-        weight_trace.append((t, events, np.array(weights)))
         if do_census:
             census_trace.append((t, events, census(weights, eps)))
 
@@ -196,7 +200,7 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     if opinion_trace[-1][0] != t:
         record()
     report = SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
-    return CoupledResult(report, np.array(weights), weight_trace, census_trace)
+    return CoupledResult(report, np.array(weights), census_trace)
 
 
 def census_trace_to_csv(census_trace) -> str:

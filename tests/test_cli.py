@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ctvoter import experiments
 from ctvoter.cli import main
 
 
@@ -9,6 +10,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_compute(monkeypatch):
+    """Fail the test if any replicate batch starts: validation comes first."""
+
+    def fail(tasks, workers):
+        pytest.fail("replicates ran before the arguments were validated")
+
+    monkeypatch.setattr(experiments, "_run_batch", fail)
 
 
 class TestDispatch:
@@ -50,6 +61,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "index", "--graph-file", str(gfile), "--eps", "1.5")
         assert code == 1
         assert "epsilon out of range" in err
+
+    def test_nan_t_max_rejected(self, capsys, tmp_path):
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(
+            capsys, "simulate", "--graph", "path:20", "--eps", "0.6",
+            "--seed", "3", "--t-max", "nan", "--out", str(out_dir),
+        )
+        assert code == 1
+        assert "t_max" in err
+        assert not out_dir.exists()
 
     def test_missing_graph_file_is_io_error(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--graph-file", "/nonexistent/g.txt",
@@ -139,3 +160,47 @@ class TestExperimentCommands:
             dirs.append(out_dir)
         for fname in ("report.json", "records.csv", "snapshot_0.5.pgm", "snapshot_1.pgm"):
             assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("command, graph", [
+        ("consensus", ["--graph", "path:8", "--eps", "0.8"]),
+        ("coexistence", ["--graph", "path:8", "--eps", "0.1"]),
+        ("sweep", ["--graph", "torus:3x3", "--eps-grid", "0.5", "--t-max", "5"]),
+    ], ids=["consensus", "coexistence", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--workers", "-1")])
+    def test_batch_sizes_validated(
+        self, capsys, tmp_path, no_compute, command, graph, flag, value
+    ):
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, command, *graph, "--seed", "1", flag, value, "--out", str(out_dir),
+        )
+        assert code == 1
+        assert flag in err
+        assert not out_dir.exists()
+
+    def test_sweep_snapshot_requires_out(self, capsys, no_compute):
+        code, out, err = run_cli(
+            capsys, "sweep", "--graph", "torus:3x3", "--eps-grid", "0.5,1",
+            "--t-max", "5", "--seed", "4", "--snapshot",
+        )
+        assert code == 1
+        assert "--out" in err
+        assert out == ""
+
+    def test_sweep_rejects_duplicate_thresholds(self, capsys, tmp_path, no_compute):
+        code, _, err = run_cli(
+            capsys, "sweep", "--graph", "torus:3x3", "--eps-grid", "0.5,1,0.50",
+            "--t-max", "5", "--seed", "4", "--out", str(tmp_path / "sweep"),
+        )
+        assert code == 1
+        assert "duplicate" in err
+
+    def test_sweep_rejects_shared_snapshot_names(self, capsys, tmp_path, no_compute):
+        # distinct thresholds, but {eps:g} formats both as 0.333333
+        code, _, err = run_cli(
+            capsys, "sweep", "--graph", "torus:3x3",
+            "--eps-grid", "0.3333333,0.3333333333333333", "--t-max", "5", "--seed", "4",
+            "--out", str(tmp_path / "sweep"), "--snapshot",
+        )
+        assert code == 1
+        assert "snapshot file name" in err

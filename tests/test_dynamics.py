@@ -135,6 +135,15 @@ class TestSimulate:
         r = simulate(g, random_initial(g, 1), SimParams(1.0, seed=1, max_events=10))
         assert r.events == 10 and not r.absorbed
 
+    def test_t_max_nan_rejected_inf_means_no_limit(self):
+        with pytest.raises(ValueError, match="t_max"):
+            SimParams(0.5, seed=1, t_max=float("nan"))
+        g = path_graph(20)
+        init = random_initial(g, 1)
+        r = simulate(g, init, SimParams(0.6, seed=1, t_max=float("inf")))
+        assert r.absorbed
+        assert r.events == simulate(g, init, SimParams(0.6, seed=1)).events
+
     def test_stop_by_t_max(self):
         g = path_graph(200)
         r = simulate(g, random_initial(g, 1), SimParams(1.0, seed=1, t_max=0.05))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctvoter import (
@@ -20,7 +20,8 @@ from ctvoter import (
     torus_graph,
     weights_from_opinions,
 )
-from ctvoter.edge_process import BOUNDARY, EMPTY, census_trace_to_csv
+from ctvoter.common import ceil_recip
+from ctvoter.edge_process import BOUNDARY, EMPTY, EdgeCensus, census_trace_to_csv
 
 from conftest import random_connected_graph
 
@@ -116,6 +117,77 @@ class TestCensus:
         freq = rng_hits / reps
         margin = 3 * math.sqrt(max(bound * (1 - bound), 1e-12) / reps)
         assert freq <= bound + margin
+
+
+def reference_census(weights, eps) -> EdgeCensus:
+    """The census as a loop over the scalar classify_edge."""
+    j_cap = ceil_recip(eps)
+    counts = [0] * (j_cap + 1)
+    boundary = 0
+    for w in weights:
+        c = classify_edge(float(w), eps)
+        if c == BOUNDARY:
+            boundary += 1
+        else:
+            counts[c] += 1
+    return EdgeCensus(tuple(counts), boundary)
+
+
+EPS_CASES = (1 / 3, 1 / 6, 0.1, 0.02, 1.0)
+
+
+@st.composite
+def weights_and_eps(draw):
+    """Weights biased to the bin edges: zeros, exact multiples k*eps and
+    their float neighbours, of either sign, plus plain uniform values."""
+    eps = draw(st.sampled_from(EPS_CASES) | st.floats(0.01, 1.0))
+    multiple = st.integers(0, ceil_recip(eps)).map(lambda k: k * eps)
+    edge = st.tuples(multiple, st.sampled_from((0.0, math.inf, -math.inf))).map(
+        lambda m: m[0] if m[1] == 0.0 else math.nextafter(m[0], m[1])
+    )
+    magnitude = st.just(0.0) | edge | st.floats(0.0, 1.0)
+    signed = st.tuples(magnitude, st.sampled_from((1.0, -1.0))).map(lambda m: m[0] * m[1])
+    return draw(st.lists(signed, max_size=60)), eps
+
+
+class TestCensusMatchesClassify:
+    @given(weights_and_eps())
+    @example(([], 1 / 3))
+    @example(([0.9999999999999999], 1 / 3))
+    @example(([-0.0, 2 * 0.1, 0.30000000000000004, 1.0], 0.1))
+    @example(([0.58], 0.02))  # 0.58 / 0.02 rounds below 29, yet 29 * 0.02 == 0.58
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_scalar_loop(self, case):
+        weights, eps = case
+        try:
+            expected = reference_census(weights, eps)
+        except (ValueError, OverflowError, IndexError):
+            with pytest.raises(ValueError):
+                census(weights, eps)
+            return
+        got = census(weights, eps)
+        assert got == expected
+        assert all(type(c) is int for c in got.counts)
+        assert type(got.boundary_count) is int
+        assert census(np.array(weights, dtype=float), eps) == expected
+
+    @pytest.mark.parametrize(
+        "weights, eps",
+        [
+            ([0.1], 0.0),
+            ([0.1], -0.5),
+            ([], 0.0),
+            ([0.1, math.nan], 0.3),
+            ([math.inf], 0.3),
+            ([0.0, -math.inf], 0.3),
+            ([0.2, -1.2], 0.5),  # type 3 > ceil_recip(0.5)
+        ],
+    )
+    def test_same_rejections_as_scalar_loop(self, weights, eps):
+        with pytest.raises((ValueError, OverflowError, IndexError)):
+            reference_census(weights, eps)
+        with pytest.raises(ValueError):
+            census(weights, eps)
 
 
 class TestCoupledSimulation:
