@@ -59,3 +59,27 @@ def petersen():
 @pytest.fixture(scope="session")
 def tiny_family():
     return small_graph_family()
+
+
+# Coupled and plain runs pinned by tests/test_golden.py: graphs with cycles,
+# eps > 1/2 (non-empty extremist trace), and every stop condition.
+# Each entry: (graph spec, eps, init seed, event seed, t_max, max_events).
+GOLDEN_CASES = (
+    ("torus:6x6", 0.6, 11, 12, None, None),
+    ("torus:10x10", 1 / 3, 21, 22, 20.0, None),
+    ("torus:8x8", 0.4, 31, 32, None, 0),
+    ("torus:16x16", 1.0, 41, 42, None, 1500),
+    ("cycle:50", 0.7, 51, 52, None, None),
+    ("path:200", 0.3, 61, 62, 10.0, None),
+    ("complete:30", 0.55, 71, 72, None, 400),
+)
+
+
+def golden_run(case):
+    """(graph, initial opinions, params) of one GOLDEN_CASES entry."""
+    from ctvoter.dynamics import SimParams, random_initial
+
+    spec, eps, init_seed, seed, t_max, max_events = case
+    g = graphs.parse_graph_spec(spec)
+    init = random_initial(g, init_seed)
+    return g, init, SimParams(eps, seed, t_max=t_max, max_events=max_events)

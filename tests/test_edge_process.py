@@ -23,7 +23,7 @@ from ctvoter import (
 from ctvoter.common import ceil_recip
 from ctvoter.edge_process import BOUNDARY, EMPTY, EdgeCensus, census_trace_to_csv
 
-from conftest import random_connected_graph
+from conftest import GOLDEN_CASES, golden_run, random_connected_graph
 
 
 class TestWeights:
@@ -193,13 +193,17 @@ class TestCensusMatchesClassify:
 class TestCoupledSimulation:
     def test_matches_plain_simulate(self):
         g = random_connected_graph(12, seed=77)
-        init = random_initial(g, 3)
-        params = SimParams(0.6, seed=42)
-        plain = simulate(g, init, params)
-        coupled = simulate_coupled(g, init, params)
-        assert np.array_equal(plain.final_opinions, coupled.report.final_opinions)
-        assert plain.time == coupled.report.time
-        assert plain.events == coupled.report.events
+        runs = [(g, random_initial(g, 3), SimParams(0.6, seed=42))]
+        runs += [golden_run(case) for case in GOLDEN_CASES]
+        for g, init, params in runs:
+            plain = simulate(g, init, params)
+            coupled = simulate_coupled(g, init, params).report
+            assert np.array_equal(plain.final_opinions, coupled.final_opinions)
+            assert plain.time == coupled.time
+            assert plain.events == coupled.events
+            assert plain.absorbed == coupled.absorbed
+            assert plain.opinion_trace == coupled.opinion_trace
+            assert plain.extremist_trace == coupled.extremist_trace
 
     def test_weights_track_opinions(self):
         g = torus_graph(4, 4)
