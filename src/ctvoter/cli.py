@@ -203,11 +203,10 @@ def _cmd_sweep(args) -> int:
         raise UsageError("sweep runs on a generated torus (--graph torus:WxH)")
     if not args.graph or not args.graph.startswith("torus:"):
         raise UsageError("sweep requires --graph torus:WxH")
-    w, _, h = args.graph.partition(":")[2].partition("x")
-    try:
-        width, height = int(w), int(h)
-    except ValueError:
-        raise UsageError(f"bad torus spec {args.graph!r}") from None
+    _, (width, height) = graphs._split_graph_spec(args.graph)
+    # written so that NaN fails too; inf is allowed and means no limit
+    if not args.t_max >= 0:
+        raise UsageError("--t-max must be >= 0")
     try:
         grid = [float(x) for x in args.eps_grid.split(",") if x.strip()]
     except ValueError:

@@ -140,6 +140,22 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
+    hook = None if on_event is None else lambda t, k, *_: on_event(t, k, ops)
+    return _run_events(g, ops, params, hook)
+
+
+def _run_events(
+    g: Graph, ops: list[float], params: SimParams, on_event=None, on_sample=None
+) -> SimReport:
+    """The event loop behind simulate and simulate_coupled; evolves ops in place.
+
+    Liveness is decided from opinion differences. After each event,
+    on_event(t, n_events, edge_index, target, old_opinion, target_edges) is
+    called, where target_edges lists the indices of the edges incident to the
+    updated vertex. The opinion and extremist traces are sampled at event
+    indices 1, 2, 4, ... plus the initial and final states, and on_sample(t,
+    n_events) is called at each of those points after the traces.
+    """
     eps = params.epsilon
     stream = EventStream(params.seed)
     expo = stream.rng.expovariate
@@ -167,12 +183,20 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
     t_max = params.t_max
     max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
     track_extremists = eps > 0.5
-    opinion_trace = [(0.0, len(set(ops)))]
+    opinion_trace = []
     extremist_trace = []
-    if track_extremists:
-        extremist_trace.append((0.0, extremist_count(ops, eps)))
-    next_trace = 1
 
+    # the loop state comes in as arguments: closing over it would turn the
+    # loop's hottest locals into slower cell variables
+    def sample(t: float, k: int, ops: list[float]) -> None:
+        opinion_trace.append((t, len(set(ops))))
+        if track_extremists:
+            extremist_trace.append((t, extremist_count(ops, params.epsilon)))
+        if on_sample is not None:
+            on_sample(t, k)
+
+    sample(t, events, ops)
+    next_trace = 1
     while active and events < max_events:
         n = len(active)
         dt = expo(2.0 * n)
@@ -185,9 +209,11 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
             src, tgt = e1[eidx], e2[eidx]
         else:
             src, tgt = e2[eidx], e1[eidx]
+        old = ops[tgt]
         ops[tgt] = ops[src]
         events += 1
-        for f in incident[tgt]:
+        tgt_edges = incident[tgt]
+        for f in tgt_edges:
             d = ops[e1[f]] - ops[e2[f]]
             live = d != 0.0 and -eps < d < eps
             p = pos[f]
@@ -201,19 +227,14 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
                 active.pop()
                 pos[f] = -1
         if on_event is not None:
-            on_event(t, events, ops)
+            on_event(t, events, eidx, tgt, old, tgt_edges)
         if events == next_trace:
-            opinion_trace.append((t, len(set(ops))))
-            if track_extremists:
-                extremist_trace.append((t, extremist_count(ops, eps)))
+            sample(t, events, ops)
             next_trace *= 2
 
-    absorbed = not active
     if opinion_trace[-1][0] != t:
-        opinion_trace.append((t, len(set(ops))))
-        if track_extremists:
-            extremist_trace.append((t, extremist_count(ops, eps)))
-    return SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
+        sample(t, events, ops)
+    return SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace)
 
 
 def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:

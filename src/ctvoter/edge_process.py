@@ -7,6 +7,10 @@ incident to the updated vertex has the fired weight added or subtracted
 according to orientation. On a path this is weight displacement onto the
 adjacent edge; weight pushed past an endpoint is discarded (the virtual-edge
 convention).
+
+The weights are a coupling, not a second process: simulate_coupled runs the
+event kernel of dynamics.simulate and keeps the weights and their census as
+observers of its events, so both share one event stream and drawing order.
 """
 
 from __future__ import annotations
@@ -17,14 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .common import ceil_recip
-from .dynamics import (
-    DEFAULT_MAX_EVENTS,
-    EventStream,
-    SimParams,
-    SimReport,
-    _validate_initial,
-    extremist_count,
-)
+from .dynamics import SimParams, SimReport, _run_events, _validate_initial
+# unused here, but the benchmark's tracer (perfbench/child.py) rebinds this name
+from .dynamics import extremist_count  # noqa: F401
 from .graphs import Graph, is_connected
 
 EMPTY = 0
@@ -101,105 +100,40 @@ class CoupledResult:
 def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> CoupledResult:
     """Evolve opinions and edge weights under one shared event stream.
 
-    The opinion trajectory is identical to dynamics.simulate with the same
-    seed. Weights evolve by the signed-update rule (the fired edge is zeroed
-    exactly, never by subtraction). on_event, if given, is called after each
-    event as on_event(time, n_events, opinions, weights) with live lists.
-    The census trace is sampled at geometrically spaced event indices plus
-    the initial and final states; the census needs eps > 0 and is skipped
-    for frozen dynamics. Only the final weights are returned.
+    The events come from the kernel behind dynamics.simulate, so the opinion
+    trajectory and report equal simulate's for the same seed; the weights
+    and the census are observers on it. Weights evolve by the signed-update
+    rule (the fired edge is zeroed exactly, never by subtraction). on_event,
+    if given, is called after each event as on_event(time, n_events,
+    opinions, weights) with live lists. The census trace is sampled at the
+    opinion trace's points (event indices 1, 2, 4, ... plus the initial and
+    final states); the census needs eps > 0 and is skipped for frozen
+    dynamics. Only the final weights are returned.
     """
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
     eps = params.epsilon
-    stream = EventStream(params.seed)
-    expo = stream.rng.expovariate
-    randrange = stream.rng.randrange
-    rand = stream.rng.random
+    edges = g.edges
+    weights = [ops[j] - ops[i] for i, j in edges]
+    census_trace = []
 
-    m = g.n_edges
-    e1 = [i for i, _ in g.edges]
-    e2 = [j for _, j in g.edges]
-    incident = [[] for _ in range(g.n_vertices)]
-    for idx in range(m):
-        incident[e1[idx]].append(idx)
-        incident[e2[idx]].append(idx)
-
-    weights = [ops[e2[idx]] - ops[e1[idx]] for idx in range(m)]
-
-    active: list[int] = []
-    pos = [-1] * m
-    for idx in range(m):
-        w = weights[idx]
-        if w != 0.0 and -eps < w < eps:
-            pos[idx] = len(active)
-            active.append(idx)
-
-    t = 0.0
-    events = 0
-    t_max = params.t_max
-    max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
-    track_extremists = eps > 0.5
-    do_census = eps > 0.0
-    opinion_trace = [(0.0, len(set(ops)))]
-    extremist_trace = []
-    if track_extremists:
-        extremist_trace.append((0.0, extremist_count(ops, eps)))
-    census_trace = [(0.0, 0, census(weights, eps))] if do_census else []
-    next_trace = 1
-
-    def record() -> None:
-        opinion_trace.append((t, len(set(ops))))
-        if track_extremists:
-            extremist_trace.append((t, extremist_count(ops, eps)))
-        if do_census:
-            census_trace.append((t, events, census(weights, eps)))
-
-    while active and events < max_events:
-        n = len(active)
-        dt = expo(2.0 * n)
-        if t_max is not None and t + dt > t_max:
-            t = t_max
-            break
-        t += dt
-        eidx = active[randrange(n)]
-        if rand() < 0.5:
-            src, tgt = e1[eidx], e2[eidx]
-        else:
-            src, tgt = e2[eidx], e1[eidx]
-        delta = ops[src] - ops[tgt]
-        ops[tgt] = ops[src]
-        events += 1
-        for f in incident[tgt]:
+    def on_weights(t, k, eidx, tgt, old, tgt_edges) -> None:
+        delta = ops[tgt] - old
+        for f in tgt_edges:
             if f == eidx:
                 weights[f] = 0.0
-            elif e2[f] == tgt:
+            elif edges[f][1] == tgt:
                 weights[f] += delta
             else:
                 weights[f] -= delta
-            w = weights[f]
-            live = w != 0.0 and -eps < w < eps
-            p = pos[f]
-            if live and p < 0:
-                pos[f] = len(active)
-                active.append(f)
-            elif not live and p >= 0:
-                last = active[-1]
-                active[p] = last
-                pos[last] = p
-                active.pop()
-                pos[f] = -1
         if on_event is not None:
-            on_event(t, events, ops, weights)
-        if events == next_trace:
-            record()
-            next_trace *= 2
+            on_event(t, k, ops, weights)
 
-    absorbed = not active
-    if opinion_trace[-1][0] != t:
-        record()
-    report = SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
+    def on_sample(t, k) -> None:
+        census_trace.append((t, k, census(weights, eps)))
+
+    report = _run_events(g, ops, params, on_weights, on_sample if eps > 0.0 else None)
     return CoupledResult(report, np.array(weights), census_trace)
 
 

@@ -120,6 +120,12 @@ def _run_batch(tasks, workers: int):
         return list(pool.map(_replicate_worker, tasks, chunksize=chunk))
 
 
+def _run_to_absorption(g: Graph, eps: float, reps: int, master_seed: int, workers: int):
+    """Records of replicates 0..reps-1 run to absorption, seeds spawn_seed(master_seed, i)."""
+    tasks = [(g, eps, i, spawn_seed(master_seed, i), None, None, False) for i in range(reps)]
+    return [rec for rec, _ in _run_batch(tasks, workers)]
+
+
 def consensus_experiment(
     g: Graph, eps: float, reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
@@ -132,11 +138,7 @@ def consensus_experiment(
         raise ValueError("consensus experiment requires epsilon > 1/2")
     if not is_connected(g):
         raise ValueError("consensus experiment requires a connected graph")
-    tasks = [
-        (g, eps, i, spawn_seed(master_seed, i), None, None, False) for i in range(reps)
-    ]
-    results = _run_batch(tasks, workers)
-    records = [rec for rec, _ in results]
+    records = _run_to_absorption(g, eps, reps, master_seed, workers)
 
     n = g.n_vertices
     valid_count = 0
@@ -174,11 +176,7 @@ def coexistence_experiment(
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
     g = path_graph(n)
-    tasks = [
-        (g, eps, i, spawn_seed(master_seed, i), None, None, False) for i in range(reps)
-    ]
-    results = _run_batch(tasks, workers)
-    records = [rec for rec, _ in results]
+    records = _run_to_absorption(g, eps, reps, master_seed, workers)
     nus = [rec.nu for rec in records]
     threshold = (1 - COEXISTENCE_FRACTION_COEFF * eps) * n
     violations = [1.0 if nu < threshold else 0.0 for nu in nus]
@@ -261,11 +259,7 @@ def degree_bound_check(
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
-    tasks = [
-        (g, eps, i, spawn_seed(master_seed, i), None, None, False) for i in range(reps)
-    ]
-    results = _run_batch(tasks, workers)
-    records = [rec for rec, _ in results]
+    records = _run_to_absorption(g, eps, reps, master_seed, workers)
     # a replicate whose initial state was already absorbing runs zero events
     nonabsorbing = [0.0 if rec.events == 0 else 1.0 for rec in records]
     freq, radius = mean_and_radius(nonabsorbing)

@@ -114,20 +114,23 @@ def generate_graph(kind: str, params: tuple[int, ...]) -> Graph:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def parse_graph_spec(spec: str) -> Graph:
-    """Parse the CLI mini-language: path:N, cycle:N, complete:N, torus:WxH."""
+def _split_graph_spec(spec: str) -> tuple[str, tuple[int, ...]]:
+    """Split a graph spec into its kind and integer sizes: torus:3x4 -> ("torus", (3, 4))."""
     kind, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"bad graph spec {spec!r}: expected kind:params")
     try:
         if kind == "torus":
             w, _, h = rest.partition("x")
-            params = (int(w), int(h))
-        else:
-            params = (int(rest),)
+            return kind, (int(w), int(h))
+        return kind, (int(rest),)
     except ValueError:
         raise ValueError(f"bad graph spec {spec!r}: non-integer size") from None
-    return generate_graph(kind, params)
+
+
+def parse_graph_spec(spec: str) -> Graph:
+    """Parse the CLI mini-language: path:N, cycle:N, complete:N, torus:WxH."""
+    return generate_graph(*_split_graph_spec(spec))
 
 
 def load_graph(text: str) -> Graph:
@@ -370,41 +373,23 @@ def _maximum_cliques(masks: list[int], vertex_mask: int) -> list[int]:
     return sorted(set(found))
 
 
-def clique_peel(g: Graph, mode: str = "greedy", epsilon: float | None = None) -> CliquePeel:
-    """Peel cliques until no vertices remain.
+def clique_peel(g: Graph) -> CliquePeel:
+    """Peel a greedily found maximal clique per step until no vertices remain.
 
-    greedy: remove a greedily found maximal clique at each step (any choice
-    yields a valid coexistence upper bound). exact-enumerate: over all
-    maximum-clique choice sequences (N <= 12), return the peel minimizing the
-    peeled-sum statistic for the given epsilon.
+    Any choice of maximal clique yields a valid coexistence upper bound; the
+    minimum over maximum-clique peels is enumerate_peels' job.
     """
-    if mode == "greedy":
-        masks = _neighbor_masks(g)
-        remaining = (1 << g.n_vertices) - 1
-        cliques = []
-        while remaining:
-            w = _greedy_maximal_clique(masks, remaining)
-            wmask = 0
-            for v in w:
-                wmask |= 1 << v
-            remaining &= ~wmask
-            cliques.append((w, len(w)))
-        return CliquePeel(tuple(cliques), 0)
-    if mode != "exact-enumerate":
-        raise ValueError(f"unknown peel mode {mode!r}")
-    if epsilon is None:
-        raise ValueError("exact-enumerate peel needs epsilon to rank choices")
-    from .common import ceil_recip
-
-    j_cap = None if epsilon == 0 else ceil_recip(epsilon)
-    best_peel = None
-    best_value = None
-    for peel in enumerate_peels(g):
-        value = sum(size if j_cap is None else min(size, j_cap) for _, size in peel.cliques)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_peel = peel
-    return best_peel
+    masks = _neighbor_masks(g)
+    remaining = (1 << g.n_vertices) - 1
+    cliques = []
+    while remaining:
+        w = _greedy_maximal_clique(masks, remaining)
+        wmask = 0
+        for v in w:
+            wmask |= 1 << v
+        remaining &= ~wmask
+        cliques.append((w, len(w)))
+    return CliquePeel(tuple(cliques), 0)
 
 
 def enumerate_peels(g: Graph) -> list[CliquePeel]:

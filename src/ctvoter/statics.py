@@ -154,7 +154,7 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
     if mode == "greedy":
-        return peel_value(clique_peel(g, "greedy"), eps)
+        return peel_value(clique_peel(g), eps)
     if mode != "exact-enumerate":
         raise ValueError(f"unknown mode {mode!r}")
     return min(peel_value(p, eps) for p in enumerate_peels(g))

@@ -204,3 +204,28 @@ class TestExperimentCommands:
         )
         assert code == 1
         assert "snapshot file name" in err
+
+    @pytest.mark.parametrize("t_max", ["-1", "nan"])
+    def test_sweep_rejects_bad_t_max_before_building(
+        self, capsys, monkeypatch, no_compute, t_max
+    ):
+        def fail(width, height):
+            pytest.fail("the torus was built before --t-max was validated")
+
+        monkeypatch.setattr(experiments, "torus_graph", fail)
+        code, out, err = run_cli(
+            capsys, "sweep", "--graph", "torus:3x3", "--eps-grid", "0.5,1",
+            "--t-max", t_max, "--seed", "4",
+        )
+        assert code == 1
+        assert "--t-max" in err
+        assert out == ""
+
+    def test_sweep_rejects_bad_torus_spec(self, capsys, no_compute):
+        for spec in ("torus:3", "torus:3x", "torus:ax3", "path:9"):
+            code, _, err = run_cli(
+                capsys, "sweep", "--graph", spec, "--eps-grid", "0.5", "--t-max", "5",
+                "--seed", "4",
+            )
+            assert code == 1
+            assert spec in err or "torus:WxH" in err

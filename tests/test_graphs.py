@@ -207,7 +207,7 @@ def _check_peel(g, peel):
 
 class TestCliquePeel:
     def test_k6_single_step(self):
-        peel = clique_peel(complete_graph(6), "greedy")
+        peel = clique_peel(complete_graph(6))
         assert peel.sizes() == (6,)
 
     def test_p4_peel_choices(self):
@@ -220,21 +220,10 @@ class TestCliquePeel:
 
     def test_peels_are_valid(self, tiny_family):
         for _, g in tiny_family:
-            _check_peel(g, clique_peel(g, "greedy"))
+            _check_peel(g, clique_peel(g))
             if g.n_vertices <= 7:
                 for p in enumerate_peels(g):
                     _check_peel(g, p)
-
-    def test_exact_enumerate_needs_epsilon(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            clique_peel(path_graph(4), "exact-enumerate")
-
-    def test_exact_enumerate_picks_minimizer(self):
-        peel = clique_peel(path_graph(4), "exact-enumerate", epsilon=0.6)
-        # J = 2: (2,2) scores 4, (2,1,1) also 4; any minimizer is fine
-        assert peel.sizes() in {(2, 2), (2, 1, 1)}
-        peel = clique_peel(complete_graph(6), "exact-enumerate", epsilon=0.4)
-        assert peel.sizes() == (6,)
 
     def test_enumeration_size_limit(self):
         with pytest.raises(ValueError, match="limited"):
