@@ -1,8 +1,11 @@
-"""Golden outputs: SHA-256 digests of plain and coupled runs, pinned per case.
+"""Golden outputs: SHA-256 digests of runs, experiments and bounds, pinned per case.
 
 A digest changes only if some output byte changes: the plain run's report
-JSON, the coupled run's final weights, or its census-trace CSV. Any change to
-the event kernel, its drawing order or the weight rule must leave them as is.
+JSON, the coupled run's final weights, or its census-trace CSV; an experiment
+driver's report JSON, records CSV or sweep snapshots (serial and parallel);
+or the index_bounds JSON of a graph family. Any change to the event kernel,
+its drawing order, the weight rule, the replicate driver or the static bounds
+must leave them as is.
 """
 
 import hashlib
@@ -10,10 +13,23 @@ import json
 
 import pytest
 
-from ctvoter import simulate, simulate_coupled
+from ctvoter import (
+    coexistence_experiment,
+    consensus_experiment,
+    cycle_graph,
+    degree_bound_check,
+    index_bounds,
+    parse_graph_spec,
+    path_graph,
+    simulate,
+    simulate_coupled,
+    sweep_experiment,
+    write_snapshot,
+)
 from ctvoter.edge_process import census_trace_to_csv
+from ctvoter.experiments import records_to_csv, report_to_json
 
-from conftest import GOLDEN_CASES, golden_run
+from conftest import GOLDEN_CASES, golden_run, petersen_graph, small_graph_family
 
 # (report JSON, final weights bytes, census CSV) per GOLDEN_CASES entry
 DIGESTS = (
@@ -71,3 +87,81 @@ def test_golden_digests(case, digests):
         _sha(coupled.weights.tobytes()),
         _sha(census_trace_to_csv(coupled.census_trace).encode()),
     ) == digests
+
+
+# Experiment drivers: (report JSON, records CSV) digests per driver call.
+DRIVER_CASES = {
+    "consensus": lambda: consensus_experiment(path_graph(12), 0.7, 30, master_seed=5),
+    "coexistence": lambda: coexistence_experiment(30, 0.05, 20, master_seed=6),
+    "degree_bound": lambda: degree_bound_check(cycle_graph(10), 0.1, 30, master_seed=7),
+}
+DRIVER_DIGESTS = {
+    "consensus": (
+        "63595aa8f18df0df763c3421a6485eb297dc974597ab0ac57ec2935326356d65",
+        "9f664ead6e17606cd0a476cedd964410eab41bc9574a058b97126c4a1eed1a51",
+    ),
+    "coexistence": (
+        "d9793f74c9709ddf53a36a367201748c49046155bd0cfc94e0944dd4aeaa75ff",
+        "c48cfe5a440e2a6a72d59e95c91ba4a929532d87aa29388ad3ef878fe633baef",
+    ),
+    "degree_bound": (
+        "ebab297b7187b4b90836c077cca13cf2c3c71ba1e3b05cd2114895ffdf3f3323",
+        "ca9b6c73a2e246e57f84c51daccabd4de612830e0a991b4a49d7554799ae0ab2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVER_CASES))
+def test_driver_digests(name):
+    report = DRIVER_CASES[name]()
+    assert (
+        _sha(report_to_json(report).encode()),
+        _sha(records_to_csv(report.records).encode()),
+    ) == DRIVER_DIGESTS[name]
+
+
+# sweep on torus:8x6: (report JSON, records CSV, snapshot PGMs in grid order)
+SWEEP_GRID = (0.0, 0.2, 1 / 3, 0.5, 1.0)
+SWEEP_DIGESTS = (
+    "09c1a5d70903334bede222c80eb0eef95931cbbfcdacffed818e85fcae05bf0b",
+    "75c01e8fbbdc5aeb34f9cf57f537b5e71263b89d0be0edeef2b86387bb5169ba",
+    "0d9df85cd4da330fc483ed8913fb9e8215ff1be0a6ed41db16e25298688e109b",
+)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_digests(tmp_path, workers):
+    report, snapshots = sweep_experiment(8, 6, SWEEP_GRID, 20.0, 3, 111, workers=workers)
+    pgm = b""
+    for k, eps in enumerate(SWEEP_GRID):
+        path = tmp_path / f"{k}.pgm"
+        write_snapshot(snapshots[eps], 8, 6, path)
+        pgm += path.read_bytes()
+    assert (
+        _sha(report_to_json(report).encode()),
+        _sha(records_to_csv(report.records).encode()),
+        _sha(pgm),
+    ) == SWEEP_DIGESTS
+
+
+# index_bounds over small graphs (brute force and peel enumeration), the
+# Petersen graph, and graphs past the exact colouring and peel limits
+def _index_family():
+    family = small_graph_family() + [("petersen", petersen_graph())]
+    for spec in ("cycle:13", "cycle:20", "torus:3x5", "torus:5x5", "complete:18"):
+        family.append((spec, parse_graph_spec(spec)))
+    return family
+
+
+INDEX_DIGESTS = {
+    0.0: "18743e46e11867acac256e049b7b39fcff5470e1a9bb3b6ef000dfbb5d2a8ae5",
+    1 / 3: "1765e62616c3935bcd4d6f23c01463babadf2fb2778458956db838883965ebef",
+    0.6: "b3db71f12c7425c3874c76c0eab271a4cfac1e51ed01fdf35ac7262567d2a56b",
+    1.0: "6b8554d7120bbbf99016fb93621c8ec6f07756333f8baa5c4c7dc1a5640b7997",
+}
+
+
+@pytest.mark.parametrize("eps", sorted(INDEX_DIGESTS))
+def test_index_bounds_digests(eps):
+    doc = {name: index_bounds(g, eps).to_dict() for name, g in _index_family()}
+    assert _sha(json.dumps(doc, sort_keys=True).encode()) == INDEX_DIGESTS[eps]
