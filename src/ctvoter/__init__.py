@@ -7,7 +7,6 @@ a reproducible Monte Carlo experiment harness.
 
 from .common import ceil_recip, spawn_seed
 from .dynamics import (
-    EventStream,
     SimParams,
     SimReport,
     count_opinions,

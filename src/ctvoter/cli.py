@@ -180,7 +180,9 @@ def _cmd_consensus(args) -> int:
 def _cmd_coexistence(args) -> int:
     _check_batch(args)
     g = _resolve_graph(args)
-    if g.n_edges != g.n_vertices - 1 or any(g.degree(v) > 2 for v in range(g.n_vertices)):
+    # connected with n-1 edges is a tree, and a tree of maximum degree 2 is a path
+    is_path = g.n_edges == g.n_vertices - 1 and graphs.is_connected(g)
+    if not is_path or any(g.degree(v) > 2 for v in range(g.n_vertices)):
         raise UsageError("coexistence experiment runs on a path graph")
     eps = _check_eps(args.eps)
     seed = _resolve_seed(args)

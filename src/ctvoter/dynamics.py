@@ -47,29 +47,6 @@ class SimParams:
             raise ValueError("max_events must be >= 0")
 
 
-class EventStream:
-    """Deterministic pseudorandom source of (holding time, edge, coin) draws.
-
-    Per event the drawing order is fixed: holding time first, then the edge
-    index among the currently active edges, then the direction coin (+1 copies
-    the lower-index endpoint onto the higher, -1 the reverse). Identical seeds
-    give identical streams.
-    """
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self.rng = random.Random(seed)
-
-    def holding_time(self, n_active: int) -> float:
-        return self.rng.expovariate(2.0 * n_active)
-
-    def choose_edge(self, n_active: int) -> int:
-        return self.rng.randrange(n_active)
-
-    def direction(self) -> int:
-        return 1 if self.rng.random() < 0.5 else -1
-
-
 @dataclass
 class SimReport:
     final_opinions: np.ndarray
@@ -149,7 +126,11 @@ def _run_events(
 ) -> SimReport:
     """The event loop behind simulate and simulate_coupled; evolves ops in place.
 
-    Liveness is decided from opinion differences. After each event,
+    All draws come from random.Random(params.seed) in a fixed order per
+    event: the holding time, then the edge index among the currently active
+    edges, then the direction coin (below 1/2 copies the lower-index endpoint
+    onto the higher, otherwise the reverse). Identical seeds give identical
+    runs. Liveness is decided from opinion differences. After each event,
     on_event(t, n_events, edge_index, target, old_opinion, target_edges) is
     called, where target_edges lists the indices of the edges incident to the
     updated vertex. The opinion and extremist traces are sampled at event
@@ -157,10 +138,10 @@ def _run_events(
     n_events) is called at each of those points after the traces.
     """
     eps = params.epsilon
-    stream = EventStream(params.seed)
-    expo = stream.rng.expovariate
-    randrange = stream.rng.randrange
-    rand = stream.rng.random
+    rng = random.Random(params.seed)
+    expo = rng.expovariate
+    randrange = rng.randrange
+    rand = rng.random
 
     m = g.n_edges
     e1 = [i for i, _ in g.edges]

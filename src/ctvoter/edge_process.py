@@ -115,7 +115,7 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     ops = _validate_initial(g, init)
     eps = params.epsilon
     edges = g.edges
-    weights = [ops[j] - ops[i] for i, j in edges]
+    weights = weights_from_opinions(g, ops).tolist()
     census_trace = []
 
     def on_weights(t, k, eidx, tgt, old, tgt_edges) -> None:

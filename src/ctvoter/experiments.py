@@ -1,8 +1,9 @@
 """Monte Carlo drivers: replicate management, aggregation, snapshot export.
 
-Replicate seeds derive from the master seed via spawn_seed(master, i) (for
-sweeps, i = grid_index * reps + replicate), and each replicate splits its
-seed once more into an initial-configuration stream and an event stream.
+Replicate seeds derive from the master seed via spawn_seed(master, i), with
+i = grid_index * reps + replicate (the replicate itself when the grid is a
+single threshold), and each replicate splits its seed once more into an
+initial-configuration stream and an event stream.
 Records are keyed by replicate index, so serial and parallel execution
 produce identical reports.
 """
@@ -88,9 +89,9 @@ def run_replicate(
 
 
 def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
-    g, eps, index, rep_seed, t_max, max_events, want_final = args
+    g, eps, index, rep_seed, t_max, want_final = args
     start = time.perf_counter()
-    _, report = run_replicate(g, eps, rep_seed, t_max=t_max, max_events=max_events)
+    _, report = run_replicate(g, eps, rep_seed, t_max=t_max)
     nu = count_opinions(report.final_opinions)
     theta_zero = None
     theta_count = None
@@ -120,10 +121,18 @@ def _run_batch(tasks, workers: int):
         return list(pool.map(_replicate_worker, tasks, chunksize=chunk))
 
 
-def _run_to_absorption(g: Graph, eps: float, reps: int, master_seed: int, workers: int):
-    """Records of replicates 0..reps-1 run to absorption, seeds spawn_seed(master_seed, i)."""
-    tasks = [(g, eps, i, spawn_seed(master_seed, i), None, None, False) for i in range(reps)]
-    return [rec for rec, _ in _run_batch(tasks, workers)]
+def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=None):
+    """(record, final) of reps replicates per threshold, to t_max or absorption.
+
+    Replicate index = grid_index * reps + r with seed spawn_seed(master_seed,
+    index); final is the list of final opinions for r == 0, None otherwise.
+    """
+    tasks = []
+    for k, eps in enumerate(grid):
+        for r in range(reps):
+            index = k * reps + r
+            tasks.append((g, eps, index, spawn_seed(master_seed, index), t_max, r == 0))
+    return _run_batch(tasks, workers)
 
 
 def consensus_experiment(
@@ -138,7 +147,7 @@ def consensus_experiment(
         raise ValueError("consensus experiment requires epsilon > 1/2")
     if not is_connected(g):
         raise ValueError("consensus experiment requires a connected graph")
-    records = _run_to_absorption(g, eps, reps, master_seed, workers)
+    records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
 
     n = g.n_vertices
     valid_count = 0
@@ -176,7 +185,7 @@ def coexistence_experiment(
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
     g = path_graph(n)
-    records = _run_to_absorption(g, eps, reps, master_seed, workers)
+    records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
     nus = [rec.nu for rec in records]
     threshold = (1 - COEXISTENCE_FRACTION_COEFF * eps) * n
     violations = [1.0 if nu < threshold else 0.0 for nu in nus]
@@ -218,14 +227,7 @@ def sweep_experiment(
     """
     g = torus_graph(width, height)
     grid = tuple(float(e) for e in eps_grid)
-    tasks = []
-    for k, eps in enumerate(grid):
-        for r in range(reps):
-            index = k * reps + r
-            tasks.append(
-                (g, eps, index, spawn_seed(master_seed, index), t_max, None, r == 0)
-            )
-    results = _run_batch(tasks, workers)
+    results = _run_grid(g, grid, reps, master_seed, workers, t_max)
     records = [rec for rec, _ in results]
     snapshots: dict[float, np.ndarray] = {}
     per_eps = {}
@@ -259,7 +261,7 @@ def degree_bound_check(
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
-    records = _run_to_absorption(g, eps, reps, master_seed, workers)
+    records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
     # a replicate whose initial state was already absorbing runs zero events
     nonabsorbing = [0.0 if rec.events == 0 else 1.0 for rec in records]
     freq, radius = mean_and_radius(nonabsorbing)

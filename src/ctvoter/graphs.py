@@ -248,7 +248,7 @@ def chromatic_number_exact(g: Graph, limit: int = EXACT_CHROMATIC_LIMIT) -> Colo
     if g.n_edges == 0:
         return Coloring((0,) * n, 1)
     upper = greedy_coloring(g)
-    lower = len(max_clique(g, mode="greedy"))
+    lower = len(_greedy_maximal_clique(_neighbor_masks(g), (1 << n) - 1))
     best = upper
     for k in range(lower, upper.n_colors):
         attempt = _color_with(g, k)
@@ -285,34 +285,6 @@ def _color_with(g: Graph, k: int) -> Coloring | None:
     if not rec(0):
         return None
     return Coloring(tuple(colors), max(colors) + 1)
-
-
-def max_clique(g: Graph, mode: str = "exact") -> frozenset[int]:
-    """A maximum clique (exact, N <= 32) or a greedily built maximal clique."""
-    if mode == "greedy":
-        return _greedy_maximal_clique(_neighbor_masks(g), (1 << g.n_vertices) - 1)
-    if mode != "exact":
-        raise ValueError(f"unknown clique mode {mode!r}")
-    if g.n_vertices > EXACT_CLIQUE_LIMIT:
-        raise ValueError(f"exact clique limited to {EXACT_CLIQUE_LIMIT} vertices")
-    masks = _neighbor_masks(g)
-    best_mask = 0
-    best_size = 0
-
-    def expand(current: int, cand: int, size: int) -> None:
-        nonlocal best_mask, best_size
-        if size > best_size:
-            best_size = size
-            best_mask = current
-        while cand:
-            if size + cand.bit_count() <= best_size:
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            expand(current | (1 << v), cand & masks[v], size + 1)
-
-    expand(0, (1 << g.n_vertices) - 1, 0)
-    return frozenset(_mask_to_set(best_mask))
 
 
 def _greedy_maximal_clique(masks: list[int], vertex_mask: int) -> frozenset[int]:
@@ -371,6 +343,14 @@ def _maximum_cliques(masks: list[int], vertex_mask: int) -> list[int]:
     if not found:
         return [0]
     return sorted(set(found))
+
+
+def max_clique(g: Graph) -> frozenset[int]:
+    """A maximum clique of g (N <= 32): the first one _maximum_cliques finds."""
+    if g.n_vertices > EXACT_CLIQUE_LIMIT:
+        raise ValueError(f"exact clique limited to {EXACT_CLIQUE_LIMIT} vertices")
+    first = _maximum_cliques(_neighbor_masks(g), (1 << g.n_vertices) - 1)[0]
+    return frozenset(_mask_to_set(first))
 
 
 def clique_peel(g: Graph) -> CliquePeel:

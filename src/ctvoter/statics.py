@@ -108,7 +108,9 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
     """Best coloring-based lower bound with an absorbing witness configuration.
 
     Uses the exact chromatic number when feasible, otherwise a greedy proper
-    coloring (valid bound with chi replaced by the greedy color count).
+    coloring (valid bound with chi replaced by the greedy color count). The
+    coloring bound is the number of distinct opinions in the witness that
+    coloring_construction builds from it.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
@@ -121,18 +123,12 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
         coloring = chromatic_number_exact(g)
     else:
         coloring = greedy_coloring(g)
-    c = coloring.n_colors
-    if c <= 1 or eps < 1.0 / (c - 1):
-        color_bound = n
-    else:
-        sizes = [0] * c
-        for col in coloring.colors:
-            sizes[col] += 1
-        color_bound = max(sizes) + 1
+    witness = coloring_construction(g, coloring, eps)
+    color_bound = len(set(witness.tolist()))
     j_cap = ceil_recip(eps)
     complete_bound = min(n, j_cap)
     if color_bound >= complete_bound:
-        return color_bound, coloring_construction(g, coloring, eps)
+        return color_bound, witness
     return complete_bound, _complete_comparison_witness(n, j_cap)
 
 

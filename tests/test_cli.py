@@ -135,6 +135,18 @@ class TestExperimentCommands:
         assert code == 1
         assert "path" in err
 
+    def test_coexistence_rejects_triangle_plus_isolated_vertex(self, capsys, tmp_path, no_compute):
+        # n-1 edges and maximum degree 2, but not connected, so not a path
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("4 3\n0 1\n1 2\n0 2\n")
+        code, out, err = run_cli(
+            capsys, "coexistence", "--graph-file", str(gfile), "--eps", "0.1",
+            "--reps", "2", "--seed", "1",
+        )
+        assert code == 1
+        assert "path" in err
+        assert out == ""
+
     def test_sweep_with_snapshots(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, _, _ = run_cli(

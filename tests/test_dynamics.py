@@ -17,24 +17,9 @@ from ctvoter import (
     simulate,
     spawn_seed,
 )
-from ctvoter.dynamics import EventStream, opinions_from_csv, opinions_to_csv
+from ctvoter.dynamics import opinions_from_csv, opinions_to_csv
 
 from conftest import random_connected_graph
-
-
-class TestEventStream:
-    def test_fixed_drawing_order_per_seed(self):
-        a, b = EventStream(321), EventStream(321)
-        for n_active in (1, 5, 17):
-            assert a.holding_time(n_active) == b.holding_time(n_active)
-            assert a.choose_edge(n_active) == b.choose_edge(n_active)
-            assert a.direction() == b.direction()
-
-    def test_draws_are_valid(self):
-        s = EventStream(5)
-        assert s.holding_time(3) > 0.0
-        assert 0 <= s.choose_edge(7) < 7
-        assert s.direction() in (1, -1)
 
 
 class TestRandomInitial:

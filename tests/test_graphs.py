@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,14 +177,28 @@ class TestCliques:
     def test_p4_tree(self):
         assert len(max_clique(path_graph(4))) == 2
 
-    def test_greedy_is_clique(self, tiny_family):
-        for _, g in tiny_family:
-            clique = max_clique(g, mode="greedy")
-            members = sorted(clique)
-            for a in members:
-                for b in members:
-                    if a < b:
-                        assert b in g.adjacency[a]
+    def test_matches_brute_force(self):
+        # a star on 0 with a triangle hanging off leaf 1: the highest-degree
+        # vertex is in no triangle, so a greedy start misses the maximum
+        star = make_graph(8, [(0, v) for v in range(1, 6)] + [(1, 6), (1, 7), (6, 7)])
+        rng = random.Random(77)
+        cases = [star] + [
+            random_connected_graph(
+                rng.randrange(1, 10), rng.randrange(2**32), rng.choice([0.2, 0.5, 0.85])
+            )
+            for _ in range(300)
+        ]
+        for g in cases:
+            edges = set(g.edges)
+            clique_number = max(
+                k
+                for k in range(1, g.n_vertices + 1)
+                for subset in itertools.combinations(range(g.n_vertices), k)
+                if all(pair in edges for pair in itertools.combinations(subset, 2))
+            )
+            clique = max_clique(g)
+            assert len(clique) == clique_number, g
+            assert all(pair in edges for pair in itertools.combinations(sorted(clique), 2))
 
     def test_clique_lower_bounds_chromatic(self, tiny_family):
         for _, g in tiny_family:

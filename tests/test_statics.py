@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ class TestIndexLowerBound:
                 bound, witness = index_lower_bound(g, eps)
                 assert is_absorbing(g, witness, eps)
                 assert count_opinions(witness) == bound
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_witness_claims_just_below_regime_edge(self, n):
+        # below 1/(c-1) the construction's spread alpha falls under the float
+        # resolution, so the witness holds fewer than N values: the bound
+        # must count the witness, not assume N
+        g, eps = path_graph(n), math.nextafter(1.0, 0.0)
+        bound, witness = index_lower_bound(g, eps)
+        assert is_absorbing(g, witness, eps)
+        assert count_opinions(witness) == bound
 
 
 class TestCliqueUpperBound:
