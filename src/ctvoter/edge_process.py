@@ -38,19 +38,25 @@ def weights_from_opinions(g: Graph, config) -> np.ndarray:
 def classify_edge(weight: float, eps: float) -> int:
     """Classify one weight: EMPTY (0), type j >= 1, or BOUNDARY (-1).
 
-    Type j means (j-1)*eps < |weight| < j*eps. Nonzero exact multiples of eps
-    occur with probability zero under random initial data but are reported as
-    BOUNDARY rather than silently binned, keeping census totals conserved.
+    Type j means (j-1)*eps < |weight| < j*eps, with the products j*eps
+    rounded as floats. Nonzero exact multiples of eps occur with probability
+    zero under random initial data but are reported as BOUNDARY rather than
+    silently binned, keeping census totals conserved.
     """
     if eps <= 0:
         raise ValueError("classification requires eps > 0")
     if weight == 0.0:
         return EMPTY
     a = abs(weight)
+    # a / eps can round onto the next integer (0.9999999999999999 / (1/3) is
+    # 3.0), so settle k on the largest integer with k*eps <= a. Both the
+    # quotient and the products are within an ulp, so one step suffices.
     k = math.floor(a / eps)
+    if k * eps > a:
+        k -= 1
+    elif (k + 1) * eps <= a:
+        k += 1
     if k >= 1 and a == k * eps:
-        return BOUNDARY
-    if a == (k + 1) * eps:
         return BOUNDARY
     return k + 1
 
@@ -82,7 +88,9 @@ def census(weights, eps: float) -> EdgeCensus:
     if not np.isfinite(a).all():
         raise ValueError("census requires finite weights")
     k = np.floor(a / eps)
-    boundary = ((k >= 1) & (a == k * eps)) | (a == (k + 1) * eps)
+    k -= k * eps > a
+    k += (k + 1) * eps <= a
+    boundary = (k >= 1) & (a == k * eps)
     types = np.where(a == 0.0, 0.0, k + 1)[~boundary]
     if not (types <= j_cap).all():
         raise ValueError(f"weight of type above {j_cap} for eps={eps!r}")

@@ -50,6 +50,11 @@ class TestClassify:
     def test_type_two_negative(self):
         assert classify_edge(-0.35, 0.3) == 2
 
+    def test_quotient_rounding_up_keeps_type(self):
+        # 3 * (1/3) rounds to 1.0, above 0.9999999999999999
+        assert classify_edge(0.9999999999999999, 1 / 3) == 3
+        assert census([0.9999999999999999], 1 / 3).counts == (0, 0, 0, 1, 0)
+
     def test_boundary_exact_multiple(self):
         assert classify_edge(2 * 0.3, 0.3) == BOUNDARY
         assert classify_edge(-0.3, 0.3) == BOUNDARY
@@ -59,6 +64,8 @@ class TestClassify:
             classify_edge(0.1, 0.0)
 
     @given(st.floats(-1.0, 1.0), st.floats(0.05, 1.0))
+    @example(0.9999999999999999, 1 / 3)  # the quotient rounds up to 3.0
+    @example(-0.9999999999999999, 1 / 3)
     @settings(max_examples=200, deadline=None)
     def test_type_bins_are_consistent(self, w, eps):
         c = classify_edge(w, eps)
