@@ -12,11 +12,14 @@ inactive edges are no-ops.
 
 from __future__ import annotations
 
+import array
+import math
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernel
 from .graphs import Graph, is_connected
 
 DEFAULT_MAX_EVENTS = 10**10  # safety valve when only absorption is requested
@@ -113,30 +116,137 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
 
     on_event, if given, is called after each applied event as
     on_event(time, n_events, opinions) with the live opinion list (read-only).
+    A per-event hook runs the Python event loop; without one the compiled
+    loop runs when it is available, with identical results.
     """
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
-    hook = None if on_event is None else lambda t, k, *_: on_event(t, k, ops)
+    hook = None if on_event is None else lambda t, k, ops, _: on_event(t, k, ops)
     return _run_events(g, ops, params, hook)
 
 
 def _run_events(
-    g: Graph, ops: list[float], params: SimParams, on_event=None, on_sample=None
+    g: Graph, ops: list[float], params: SimParams, on_event=None, on_sample=None, weights=None
 ) -> SimReport:
-    """The event loop behind simulate and simulate_coupled; evolves ops in place.
+    """The event loop behind simulate and simulate_coupled.
 
     All draws come from random.Random(params.seed) in a fixed order per
     event: the holding time, then the edge index among the currently active
     edges, then the direction coin (below 1/2 copies the lower-index endpoint
     onto the higher, otherwise the reverse). Identical seeds give identical
-    runs. Liveness is decided from opinion differences. After each event,
-    on_event(t, n_events, edge_index, target, old_opinion, target_edges) is
-    called, where target_edges lists the indices of the edges incident to the
-    updated vertex. The opinion and extremist traces are sampled at event
-    indices 1, 2, 4, ... plus the initial and final states, and on_sample(t,
-    n_events) is called at each of those points after the traces.
+    runs. Liveness is decided from opinion differences. If weights (a
+    float64 array, one entry per edge) is given, it is evolved in place by
+    the coupled rule: the fired edge is set to exactly 0.0 and every other
+    edge at the updated vertex gains (if the vertex is its higher endpoint)
+    or loses the vertex's change of opinion. After each event,
+    on_event(t, n_events, opinions, weights) is called with the live lists.
+    The opinion and extremist traces are sampled at event indices 1, 2, 4,
+    ... plus the initial and final states, and on_sample(t, n_events,
+    weights) is called at each of those points after the traces, with the
+    live weights (a list or an array) or None.
+
+    Without on_event the compiled loop of _kernel.c runs when it can be
+    built; it is bit-exact with the Python loop, which is the reference and
+    the fallback.
     """
+    eps = params.epsilon
+    track_extremists = eps > 0.5
+    opinion_trace = []
+    extremist_trace = []
+
+    def sample(t: float, k: int, ops: list[float], weights) -> None:
+        opinion_trace.append((t, len(set(ops))))
+        if track_extremists:
+            extremist_trace.append((t, extremist_count(ops, eps)))
+        if on_sample is not None:
+            on_sample(t, k, weights)
+
+    run = _kernel.load() if on_event is None else None
+    if run is not None:
+        t, events, absorbed, ops, live = _compiled_events(run, g, ops, params, sample, weights)
+    else:
+        t, events, absorbed, live = _python_events(g, ops, params, on_event, sample, weights)
+    if opinion_trace[-1][0] != t:
+        sample(t, events, ops, live)
+    return SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
+
+
+def _compiled_events(run, g: Graph, ops: list[float], params: SimParams, sample, weights):
+    """Run the compiled loop in chunks that end at the trace points.
+
+    Returns (t, events, absorbed, the final opinions as a list, weights).
+    """
+    e1, e2, graph_pointers = _kernel.graph_arrays(g)
+    m = g.n_edges
+    if weights is not None and not (
+        weights.dtype == np.float64 and weights.shape == (m,) and weights.flags.c_contiguous
+    ):
+        raise ValueError("weights must be a contiguous float64 array, one entry per edge")
+    eps = params.epsilon
+    x = np.array(ops, dtype=np.float64)
+    d = x[e1] - x[e2]
+    live = np.flatnonzero((d != 0.0) & (-eps < d) & (d < eps))
+    active = np.empty(m, dtype=np.int32)
+    active[: len(live)] = live
+    pos = np.full(m, -1, dtype=np.int32)
+    pos[live] = np.arange(len(live), dtype=np.int32)
+    state = np.array([0, len(live)], dtype=np.int64)  # events, active edges
+    clock = np.zeros(1)
+    mt = array.array("I", random.Random(params.seed).getstate()[1])  # 624 words + position
+    # the buffers stay referenced here for as long as the kernel uses them
+    pointers = graph_pointers + (
+        x.ctypes.data,
+        None if weights is None else weights.ctypes.data,
+        active.ctypes.data,
+        pos.ctypes.data,
+        state.ctypes.data,
+        clock.ctypes.data,
+        mt.buffer_info()[0],
+    )
+    t_max = math.inf if params.t_max is None else params.t_max
+    max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
+
+    sample(0.0, 0, ops, weights)
+    next_trace = 1
+    code = _kernel.LIMIT
+    while code == _kernel.LIMIT and state[0] < max_events:
+        code = run(*pointers, eps, t_max, min(next_trace, max_events))
+        if state[0] == next_trace:
+            sample(float(clock[0]), next_trace, x.tolist(), weights)
+            next_trace *= 2
+    return float(clock[0]), int(state[0]), bool(state[1] == 0), x.tolist(), weights
+
+
+def _weight_rule(g: Graph, ops: list[float], weights: list[float] | None, on_event):
+    """Per-event observer of the Python loop: the coupled weight rule, then on_event."""
+    edges = g.edges
+
+    def observe(t, k, eidx, tgt, old, tgt_edges) -> None:
+        if weights is not None:
+            delta = ops[tgt] - old
+            for f in tgt_edges:
+                if f == eidx:
+                    weights[f] = 0.0
+                elif edges[f][1] == tgt:
+                    weights[f] += delta
+                else:
+                    weights[f] -= delta
+        if on_event is not None:
+            on_event(t, k, ops, weights)
+
+    return observe
+
+
+def _python_events(g: Graph, ops: list[float], params: SimParams, on_event, sample, weights):
+    """The reference loop; evolves ops and weights in place.
+
+    Returns (t, events, absorbed, the weights as a list or None).
+    """
+    w = None if weights is None else weights.tolist()
+    observe = None
+    if w is not None or on_event is not None:
+        observe = _weight_rule(g, ops, w, on_event)
     eps = params.epsilon
     rng = random.Random(params.seed)
     expo = rng.expovariate
@@ -163,20 +273,8 @@ def _run_events(
     events = 0
     t_max = params.t_max
     max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
-    track_extremists = eps > 0.5
-    opinion_trace = []
-    extremist_trace = []
 
-    # the loop state comes in as arguments: closing over it would turn the
-    # loop's hottest locals into slower cell variables
-    def sample(t: float, k: int, ops: list[float]) -> None:
-        opinion_trace.append((t, len(set(ops))))
-        if track_extremists:
-            extremist_trace.append((t, extremist_count(ops, params.epsilon)))
-        if on_sample is not None:
-            on_sample(t, k)
-
-    sample(t, events, ops)
+    sample(t, events, ops, w)
     next_trace = 1
     while active and events < max_events:
         n = len(active)
@@ -207,15 +305,15 @@ def _run_events(
                 pos[last] = p
                 active.pop()
                 pos[f] = -1
-        if on_event is not None:
-            on_event(t, events, eidx, tgt, old, tgt_edges)
+        if observe is not None:
+            observe(t, events, eidx, tgt, old, tgt_edges)
         if events == next_trace:
-            sample(t, events, ops)
+            sample(t, events, ops, w)
             next_trace *= 2
 
-    if opinion_trace[-1][0] != t:
-        sample(t, events, ops)
-    return SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace)
+    if w is not None:
+        weights[:] = w
+    return t, events, not active, w
 
 
 def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:

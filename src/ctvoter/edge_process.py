@@ -9,8 +9,9 @@ adjacent edge; weight pushed past an endpoint is discarded (the virtual-edge
 convention).
 
 The weights are a coupling, not a second process: simulate_coupled runs the
-event kernel of dynamics.simulate and keeps the weights and their census as
-observers of its events, so both share one event stream and drawing order.
+event kernel of dynamics.simulate, which applies the weight rule to the
+weights it is handed, and keeps the census as an observer of its trace
+points, so both share one event stream and drawing order.
 """
 
 from __future__ import annotations
@@ -109,40 +110,27 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     """Evolve opinions and edge weights under one shared event stream.
 
     The events come from the kernel behind dynamics.simulate, so the opinion
-    trajectory and report equal simulate's for the same seed; the weights
-    and the census are observers on it. Weights evolve by the signed-update
-    rule (the fired edge is zeroed exactly, never by subtraction). on_event,
-    if given, is called after each event as on_event(time, n_events,
-    opinions, weights) with live lists. The census trace is sampled at the
-    opinion trace's points (event indices 1, 2, 4, ... plus the initial and
-    final states); the census needs eps > 0 and is skipped for frozen
-    dynamics. Only the final weights are returned.
+    trajectory and report equal simulate's for the same seed; the kernel
+    also applies the weight rule (the fired edge is zeroed exactly, never by
+    subtraction). on_event, if given, is called after each event as
+    on_event(time, n_events, opinions, weights) with live lists, and runs
+    the Python event loop. The census trace is sampled at the opinion
+    trace's points (event indices 1, 2, 4, ... plus the initial and final
+    states); the census needs eps > 0 and is skipped for frozen dynamics.
+    Only the final weights are returned.
     """
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
     eps = params.epsilon
-    edges = g.edges
-    weights = weights_from_opinions(g, ops).tolist()
+    weights = weights_from_opinions(g, ops)
     census_trace = []
 
-    def on_weights(t, k, eidx, tgt, old, tgt_edges) -> None:
-        delta = ops[tgt] - old
-        for f in tgt_edges:
-            if f == eidx:
-                weights[f] = 0.0
-            elif edges[f][1] == tgt:
-                weights[f] += delta
-            else:
-                weights[f] -= delta
-        if on_event is not None:
-            on_event(t, k, ops, weights)
+    def on_sample(t, k, live_weights) -> None:
+        census_trace.append((t, k, census(live_weights, eps)))
 
-    def on_sample(t, k) -> None:
-        census_trace.append((t, k, census(weights, eps)))
-
-    report = _run_events(g, ops, params, on_weights, on_sample if eps > 0.0 else None)
-    return CoupledResult(report, np.array(weights), census_trace)
+    report = _run_events(g, ops, params, on_event, on_sample if eps > 0.0 else None, weights)
+    return CoupledResult(report, weights, census_trace)
 
 
 def census_trace_to_csv(census_trace) -> str:

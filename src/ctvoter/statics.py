@@ -9,12 +9,14 @@ come from proper colorings (lower) and clique peeling (upper).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .common import ceil_recip
+from .dynamics import is_absorbing
 from .graphs import (
     Graph,
     Coloring,
@@ -65,7 +67,9 @@ def coloring_construction(g: Graph, coloring: Coloring, eps: float) -> np.ndarra
     distinct opinions. Otherwise the most popular color class spreads over
     i*alpha and everyone else sits at 1, giving (largest class)+1 opinions.
     alpha is set to half its maximal allowed value, which makes the
-    construction deterministic.
+    construction deterministic. A few ulps below 1/(c-1) the first spread
+    falls under the float resolution and values 1/(c-1) apart can differ by
+    less than eps in floats; then the second construction is used.
     """
     if eps >= 1.0:
         raise ValueError("construction requires eps < 1")
@@ -86,22 +90,40 @@ def coloring_construction(g: Graph, coloring: Coloring, eps: float) -> np.ndarra
                 values[idx] = 1.0 - i * alpha
             else:
                 values[idx] = j / (c - 1) + i * alpha
-    else:
-        alpha = (1.0 - eps) / (2 * n)  # eps + n*alpha stays below 1
-        sizes = [0] * c
-        for col in coloring.colors:
-            sizes[col] += 1
-        j0 = max(range(c), key=lambda j: (sizes[j], -j))
-        for idx in range(n):
-            values[idx] = (idx + 1) * alpha if coloring.colors[idx] == j0 else 1.0
+        if is_absorbing(g, values, eps):
+            return values
+    alpha = (1.0 - eps) / (2 * n)  # eps + n*alpha stays below 1
+    sizes = [0] * c
+    for col in coloring.colors:
+        sizes[col] += 1
+    j0 = max(range(c), key=lambda j: (sizes[j], -j))
+    for idx in range(n):
+        values[idx] = (idx + 1) * alpha if coloring.colors[idx] == j0 else 1.0
     return values
 
 
-def _complete_comparison_witness(n: int, j_cap: int) -> np.ndarray:
-    """Absorbing on any graph: min(n, j_cap) values spaced more than eps apart."""
+def _complete_comparison_witness(n: int, eps: float) -> np.ndarray:
+    """Absorbing on any graph: up to min(n, ceil(1/eps)) values at least eps apart.
+
+    The levels k/(J-1), J = ceil(1/eps), are more than eps apart exactly, but
+    within a few ulps of eps their float differences can round below it; then
+    the levels are packed from 0 in steps of the least float distance not
+    below eps, which can hold one level fewer.
+    """
+    j_cap = ceil_recip(eps)
     if j_cap == 1:
         return np.full(n, 0.5)
-    return np.array([min(k / (j_cap - 1), 1.0) for k in range(n)])
+    levels = [min(k / (j_cap - 1), 1.0) for k in range(min(n, j_cap))]
+    if any(b - a < eps for a, b in zip(levels, levels[1:])):
+        levels = [0.0]
+        while len(levels) < min(n, j_cap):
+            v = levels[-1] + eps
+            while v - levels[-1] < eps:
+                v = math.nextafter(v, 2.0)
+            if v > 1.0:
+                break
+            levels.append(v)
+    return np.array(levels + [levels[-1]] * (n - len(levels)))
 
 
 def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
@@ -125,11 +147,11 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
         coloring = greedy_coloring(g)
     witness = coloring_construction(g, coloring, eps)
     color_bound = len(set(witness.tolist()))
-    j_cap = ceil_recip(eps)
-    complete_bound = min(n, j_cap)
+    complete = _complete_comparison_witness(n, eps)
+    complete_bound = len(set(complete.tolist()))
     if color_bound >= complete_bound:
         return color_bound, witness
-    return complete_bound, _complete_comparison_witness(n, j_cap)
+    return complete_bound, complete
 
 
 def peel_value(peel, eps: float) -> int:

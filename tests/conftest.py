@@ -83,3 +83,11 @@ def golden_run(case):
     g = graphs.parse_graph_spec(spec)
     init = random_initial(g, init_seed)
     return g, init, SimParams(eps, seed, t_max=t_max, max_events=max_events)
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Run the Python event loop, as when the compiled kernel is unavailable."""
+    from ctvoter import _kernel
+
+    monkeypatch.setattr(_kernel, "load", lambda: None)

@@ -76,7 +76,7 @@ def _sha(data: bytes) -> str:
 
 
 @pytest.mark.parametrize(
-    "case, digests", zip(GOLDEN_CASES, DIGESTS), ids=[c[0] for c in GOLDEN_CASES]
+    "case, digests", list(zip(GOLDEN_CASES, DIGESTS)), ids=[c[0] for c in GOLDEN_CASES]
 )
 def test_golden_digests(case, digests):
     g, init, params = golden_run(case)

@@ -124,6 +124,22 @@ class TestIndexLowerBound:
         assert is_absorbing(g, witness, eps)
         assert count_opinions(witness) == bound
 
+    @pytest.mark.parametrize("n", [6, 7, 8, 17, 18])
+    def test_witnesses_absorbing_just_below_one_over_k(self, n):
+        # a few ulps below 1/k, levels 1/k apart can differ by less than eps
+        # in floats (0.6 - 0.4 < 0.19999999999999998): both the coloring
+        # witness and the bound's witness must still be absorbing
+        g = complete_graph(n)
+        for k in range(1, n + 1):
+            eps = math.nextafter(1.0 / k, 0.0)
+            config = coloring_construction(g, Coloring(tuple(range(n)), n), eps)
+            assert is_absorbing(g, config, eps), k
+            lower, witness = index_lower_bound(g, eps)
+            assert is_absorbing(g, witness, eps), k
+            assert count_opinions(witness) == lower
+            if n <= BRUTE_FORCE_LIMIT:
+                assert lower <= brute_force_index(g, eps)
+
 
 class TestCliqueUpperBound:
     def test_k6_tight(self):
