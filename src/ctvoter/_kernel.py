@@ -34,7 +34,10 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 # return codes of ct_run_events
-LIMIT, T_MAX, ABSORBED = 0, 1, 2
+NO_MEMORY, LIMIT, T_MAX, ABSORBED, SAMPLE = -1, 0, 1, 2, 3
+# largest event limit passed to the kernel, so that it fits an int64 with its
+# trace points; more events than this would take centuries to run
+MAX_EVENTS = 2**62
 
 log = logging.getLogger(__name__)
 
@@ -73,32 +76,35 @@ def load():
     except (OSError, AttributeError) as exc:
         log.warning("event kernel unavailable, using the Python loop: %s", exc)
         return None
-    run.argtypes = [ctypes.c_void_p] * 11 + [ctypes.c_double, ctypes.c_double, ctypes.c_int64]
+    pointer, int32 = ctypes.c_void_p, ctypes.c_int32
+    run.argtypes = (
+        [pointer] * 4 + [int32, int32, pointer, int32] + [pointer] * 10
+        + [ctypes.c_double, ctypes.c_double, ctypes.c_int64, int32]
+    )
     run.restype = ctypes.c_int
     return run
 
 
-_graph_arrays: dict[int, tuple] = {}
+_graph_pointers: dict[int, tuple] = {}
 
 
-def graph_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(e1, e2, addresses) of g, built once per Graph object.
+def graph_pointers(g: Graph) -> tuple[int, ...]:
+    """Addresses of g's int32 arrays e1, e2, inc_start and inc_edge, built once per Graph.
 
-    e1 and e2 are the int32 edge endpoints; addresses are those of e1, e2
-    and the CSR incidence (inc_start, inc_edge), which lists each vertex's
-    edges in increasing index order, the order in which the Python loop
-    visits them. The cache keeps the arrays alive while g is.
+    e1 and e2 are the edge endpoints; inc_start and inc_edge are the CSR
+    incidence, which lists each vertex's edges in increasing index order, the
+    order in which the Python loop visits them. The cache keeps the arrays
+    alive while g is.
     """
-    arrays = _graph_arrays.get(id(g))
-    if arrays is None:
+    cached = _graph_pointers.get(id(g))
+    if cached is None:
         ends = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
         inc_edge = (np.argsort(ends.ravel(), kind="stable") // 2).astype(np.int32)
         inc_start = np.zeros(g.n_vertices + 1, dtype=np.int32)
         np.cumsum(np.bincount(ends.ravel(), minlength=g.n_vertices), out=inc_start[1:])
-        e1, e2 = ends[:, 0].copy(), ends[:, 1].copy()
-        kept = (e1, e2, inc_start, inc_edge)
-        arrays = (e1, e2, tuple(a.ctypes.data for a in kept), kept)
-        _graph_arrays[id(g)] = arrays
+        kept = (ends[:, 0].copy(), ends[:, 1].copy(), inc_start, inc_edge)
+        cached = (tuple(a.ctypes.data for a in kept), kept)
+        _graph_pointers[id(g)] = cached
         # drop the entry when g is collected, before its id can be reused
-        weakref.finalize(g, _graph_arrays.pop, id(g), None)
-    return arrays[:3]
+        weakref.finalize(g, _graph_pointers.pop, id(g), None)
+    return cached[0]

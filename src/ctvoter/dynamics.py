@@ -41,6 +41,9 @@ class SimParams:
     max_events: int | None = None
 
     def __post_init__(self):
+        # random.Random hashes any other object, and the kernel seeds from int keys only
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon out of range [0, 1]")
         # written so that NaN fails too; inf is allowed and means no limit
@@ -81,13 +84,28 @@ def count_opinions(config) -> int:
     return len(set(vals))
 
 
+def _live(a: float, b: float, eps: float) -> bool:
+    """True iff the exact difference a - b is nonzero and strictly within eps.
+
+    The rounded difference d decides every case but |d| == eps, where the
+    exact difference may lie on either side of eps. There TwoSum (Knuth,
+    TAOCP vol. 2, 4.2.2) recovers the rounding error err, with a - b == d +
+    err exactly, and the edge is live iff err pulls d inside. The compiled
+    kernel's live() states the same rule.
+    """
+    d = a - b
+    if -eps < d < eps:
+        return d != 0.0
+    if d == 0.0 or (d != eps and d != -eps):
+        return False
+    a1 = d + b
+    err = (a - a1) + (-b - (d - a1))
+    return err < 0.0 if d > 0.0 else err > 0.0
+
+
 def is_absorbing(g: Graph, config, epsilon: float) -> bool:
     """True iff every edge has equal endpoints or separation at least epsilon."""
-    for i, j in g.edges:
-        d = config[i] - config[j]
-        if d != 0.0 and -epsilon < d < epsilon:
-            return False
-    return True
+    return not any(_live(config[i], config[j], epsilon) for i, j in g.edges)
 
 
 def extremist_count(config, epsilon: float) -> int:
@@ -135,21 +153,27 @@ def _run_events(
     event: the holding time, then the edge index among the currently active
     edges, then the direction coin (below 1/2 copies the lower-index endpoint
     onto the higher, otherwise the reverse). Identical seeds give identical
-    runs. Liveness is decided from opinion differences. If weights (a
-    float64 array, one entry per edge) is given, it is evolved in place by
-    the coupled rule: the fired edge is set to exactly 0.0 and every other
-    edge at the updated vertex gains (if the vertex is its higher endpoint)
-    or loses the vertex's change of opinion. After each event,
-    on_event(t, n_events, opinions, weights) is called with the live lists.
-    The opinion and extremist traces are sampled at event indices 1, 2, 4,
-    ... plus the initial and final states, and on_sample(t, n_events,
-    weights) is called at each of those points after the traces, with the
-    live weights (a list or an array) or None.
+    runs. An edge is live iff its endpoints' exact difference is nonzero and
+    below eps (_live). If weights (a float64 array, one entry per edge) is
+    given, it is evolved in place by the coupled rule: the fired edge is set
+    to exactly 0.0 and every other edge at the updated vertex gains (if the
+    vertex is its higher endpoint) or loses the vertex's change of opinion.
+    After each event, on_event(t, n_events, opinions, weights) is called
+    with the live lists. The opinion and extremist traces are sampled at
+    event indices 1, 2, 4, ... plus the initial and final states, and
+    on_sample(t, n_events, weights) is called at each of those points after
+    the traces, with the live weights (a list or an array) or None.
 
-    Without on_event the compiled loop of _kernel.c runs when it can be
-    built; it is bit-exact with the Python loop, which is the reference and
+    Without on_event the compiled kernel of _kernel.c runs when it can be
+    built: one C call seeds the generator, runs the whole replicate and takes
+    the trace samples, or one call per trace point when on_sample observes
+    them. It is bit-exact with the Python loop, which is the reference and
     the fallback.
     """
+    run = _kernel.load() if on_event is None else None
+    if run is not None:
+        return _compiled_events(run, g, ops, params, on_sample, weights)
+
     eps = params.epsilon
     track_extremists = eps > 0.5
     opinion_trace = []
@@ -162,60 +186,79 @@ def _run_events(
         if on_sample is not None:
             on_sample(t, k, weights)
 
-    run = _kernel.load() if on_event is None else None
-    if run is not None:
-        t, events, absorbed, ops, live = _compiled_events(run, g, ops, params, sample, weights)
-    else:
-        t, events, absorbed, live = _python_events(g, ops, params, on_event, sample, weights)
+    t, events, absorbed, live = _python_events(g, ops, params, on_event, sample, weights)
     if opinion_trace[-1][0] != t:
         sample(t, events, ops, live)
     return SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
 
 
-def _compiled_events(run, g: Graph, ops: list[float], params: SimParams, sample, weights):
-    """Run the compiled loop in chunks that end at the trace points.
+def _compiled_events(run, g: Graph, ops: list[float], params: SimParams, on_sample, weights):
+    """Run the compiled kernel over one replicate; returns its SimReport.
 
-    Returns (t, events, absorbed, the final opinions as a list, weights).
+    The kernel's buffers are array.array objects: buffer_info() gives an
+    address in about 0.1 us, where numpy's .ctypes.data takes about 3 us, as
+    long as a short run's whole loop.
     """
-    e1, e2, graph_pointers = _kernel.graph_arrays(g)
     m = g.n_edges
     if weights is not None and not (
         weights.dtype == np.float64 and weights.shape == (m,) and weights.flags.c_contiguous
     ):
         raise ValueError("weights must be a contiguous float64 array, one entry per edge")
     eps = params.epsilon
-    x = np.array(ops, dtype=np.float64)
-    d = x[e1] - x[e2]
-    live = np.flatnonzero((d != 0.0) & (-eps < d) & (d < eps))
-    active = np.empty(m, dtype=np.int32)
-    active[: len(live)] = live
-    pos = np.full(m, -1, dtype=np.int32)
-    pos[live] = np.arange(len(live), dtype=np.int32)
-    state = np.array([0, len(live)], dtype=np.int64)  # events, active edges
-    clock = np.zeros(1)
-    mt = array.array("I", random.Random(params.seed).getstate()[1])  # 624 words + position
-    # the buffers stay referenced here for as long as the kernel uses them
-    pointers = graph_pointers + (
-        x.ctypes.data,
-        None if weights is None else weights.ctypes.data,
-        active.ctypes.data,
-        pos.ctypes.data,
-        state.ctypes.data,
-        clock.ctypes.data,
-        mt.buffer_info()[0],
-    )
     t_max = math.inf if params.t_max is None else params.t_max
     max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
-
-    sample(0.0, 0, ops, weights)
-    next_trace = 1
-    code = _kernel.LIMIT
-    while code == _kernel.LIMIT and state[0] < max_events:
-        code = run(*pointers, eps, t_max, min(next_trace, max_events))
-        if state[0] == next_trace:
-            sample(float(clock[0]), next_trace, x.tolist(), weights)
-            next_trace *= 2
-    return float(clock[0]), int(state[0]), bool(state[1] == 0), x.tolist(), weights
+    max_events = min(max_events, _kernel.MAX_EVENTS)
+    cap = max_events.bit_length() + 2  # samples at 0, 1, 2, 4, ... <= max_events, and the end
+    seed = abs(params.seed)
+    # the 32-bit little-endian words of abs(seed), which random.seed hands to init_by_array
+    key = array.array("I", [seed >> s & 0xFFFFFFFF for s in range(0, seed.bit_length() or 1, 32)])
+    x = array.array("d", ops)
+    work = array.array("i", [0]) * (2 * m + 625)  # active, pos, generator state
+    state = array.array("q", [0, 0, 0])  # events, active edges, samples
+    sample_events, counts, extremists = (array.array("q", [0]) * cap for _ in range(3))
+    times = array.array("d", [0.0]) * cap
+    w = work.buffer_info()[0]
+    # the buffers stay referenced here for as long as the kernel uses them
+    args = (
+        *_kernel.graph_pointers(g),
+        g.n_vertices,
+        m,
+        key.buffer_info()[0],
+        len(key),
+        x.buffer_info()[0],
+        None if weights is None else weights.ctypes.data,
+        w,
+        w + 4 * m,
+        w + 8 * m,
+        state.buffer_info()[0],
+        times.buffer_info()[0],
+        sample_events.buffer_info()[0],
+        counts.buffer_info()[0],
+        extremists.buffer_info()[0],
+        eps,
+        t_max,
+        max_events,
+        on_sample is not None,
+    )
+    code = run(*args)
+    if on_sample is not None:
+        seen = 0
+        while True:
+            for s in range(seen, state[2]):
+                on_sample(times[s], sample_events[s], weights)
+            seen = state[2]
+            if code != _kernel.SAMPLE:
+                break
+            code = run(*args)
+    if code == _kernel.NO_MEMORY:
+        raise MemoryError("event kernel could not allocate its scratch table")
+    events, active_edges, samples = state
+    t = times[samples - 1]
+    opinion_trace = list(zip(times[:samples], counts[:samples]))
+    extremist_trace = list(zip(times[:samples], extremists[:samples])) if eps > 0.5 else []
+    return SimReport(
+        np.frombuffer(x), t, events, active_edges == 0, opinion_trace, extremist_trace
+    )
 
 
 def _weight_rule(g: Graph, ops: list[float], weights: list[float] | None, on_event):
@@ -264,8 +307,7 @@ def _python_events(g: Graph, ops: list[float], params: SimParams, on_event, samp
     active: list[int] = []
     pos = [-1] * m
     for idx in range(m):
-        d = ops[e1[idx]] - ops[e2[idx]]
-        if d != 0.0 and -eps < d < eps:
+        if _live(ops[e1[idx]], ops[e2[idx]], eps):
             pos[idx] = len(active)
             active.append(idx)
 
@@ -294,7 +336,11 @@ def _python_events(g: Graph, ops: list[float], params: SimParams, on_event, samp
         tgt_edges = incident[tgt]
         for f in tgt_edges:
             d = ops[e1[f]] - ops[e2[f]]
-            live = d != 0.0 and -eps < d < eps
+            # the plain test is exact unless |d| == eps; _live settles that case
+            if -eps < d < eps:
+                live = d != 0.0
+            else:
+                live = (d == eps or d == -eps) and _live(ops[e1[f]], ops[e2[f]], eps)
             p = pos[f]
             if live and p < 0:
                 pos[f] = len(active)
@@ -332,8 +378,7 @@ def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:
         if direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {direction!r}")
         i, j = g.edges[eidx]
-        d = ops[i] - ops[j]
-        if d != 0.0 and -epsilon < d < epsilon:
+        if _live(ops[i], ops[j], epsilon):
             if direction == 1:
                 ops[j] = ops[i]
             else:

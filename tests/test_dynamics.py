@@ -129,6 +129,11 @@ class TestSimulate:
         assert r.absorbed
         assert r.events == simulate(g, init, SimParams(0.6, seed=1)).events
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None, True, np.int64(1)], ids=repr)
+    def test_rejects_non_int_seed(self, seed):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            SimParams(0.5, seed=seed)
+
     def test_stop_by_t_max(self):
         g = path_graph(200)
         r = simulate(g, random_initial(g, 1), SimParams(1.0, seed=1, t_max=0.05))

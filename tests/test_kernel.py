@@ -3,35 +3,45 @@
 Every comparison is bit for bit: the report JSON (floats written by repr),
 the final opinions' and weights' bytes, and the census trace. The build tests
 point the library cache at a temporary directory and break the compiler or
-the loader to check the fallback and the reuse of a cached build.
+the loader to check the fallback and the reuse of a cached build; one runs
+the comparisons again on a build instrumented by AddressSanitizer.
 """
 
+import ctypes
 import json
 import logging
 import math
 import os
+import random
 import shutil
 import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctvoter import (
     SimParams,
     complete_graph,
     cycle_graph,
+    is_absorbing,
     make_graph,
     path_graph,
     random_initial,
+    replay,
     simulate,
     simulate_coupled,
     spawn_seed,
     torus_graph,
 )
 from ctvoter import _kernel
+from ctvoter.dynamics import DEFAULT_MAX_EVENTS, _live
 
 import test_golden
 from conftest import GOLDEN_CASES, golden_run, petersen_graph, small_graph_family
@@ -72,7 +82,7 @@ GRAPHS = {
 }
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def compiled():
     if _kernel.load() is None:
         pytest.skip("compiled event kernel unavailable")
@@ -147,6 +157,106 @@ def test_many_seeds_on_torus(compiled, monkeypatch):
 def test_golden_cases_agree(compiled, monkeypatch):
     for case in GOLDEN_CASES:
         _assert_backends_agree(monkeypatch, *golden_run(case))
+
+
+# Pairs whose difference rounds onto eps while the exact difference is below
+# it: the two vertices must interact.
+EXACT_LIVENESS_CASES = (([1.0, 2**-60], 1.0), ([0.75, 2**-58], 0.75))
+
+
+@pytest.mark.parametrize("init, eps", EXACT_LIVENESS_CASES, ids=repr)
+def test_exact_liveness_cases(compiled, monkeypatch, init, eps):
+    for g in (path_graph(2), path_graph(3)):
+        ops = (init + init)[: g.n_vertices]
+        for seed in range(3):
+            params = SimParams(eps, seed)
+            _assert_backends_agree(monkeypatch, g, ops, params)
+            assert simulate(g, ops, params).events > 0
+
+
+def _exactly_live(a: float, b: float, eps: float) -> bool:
+    d = Fraction(a) - Fraction(b)
+    return d != 0 and abs(d) < Fraction(eps)
+
+
+def _near(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+TINY = st.sampled_from([0.0, 5e-324, 3 * 5e-324, 2**-1022, 2**-60, 2**-58, 2**-54, 3 * 2**-55])
+EPS_ST = st.sampled_from([1.0, 0.75, 0.5, 1 / 3, 0.2]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eps=EPS_ST,
+    b=TINY | st.floats(0.0, 2**-40) | st.floats(0.0, 1.0),
+    steps=st.integers(-2, 2),
+    swap=st.booleans(),
+)
+def test_liveness_matches_exact_oracle(compiled, eps, b, steps, swap):
+    """_live, is_absorbing, replay and both event loops against Fraction arithmetic."""
+    a = _near(b + eps, steps)
+    if not 0.0 <= a <= 1.0:
+        a = _near(b - eps, steps)
+    if not 0.0 <= a <= 1.0:
+        return
+    u, v = (b, a) if swap else (a, b)
+    live = _exactly_live(u, v, eps)
+    g = path_graph(2)
+    assert _live(u, v, eps) is live
+    assert is_absorbing(g, [u, v], eps) is not live
+    moved = replay(g, [u, v], eps, [(0, 1)]).final_opinions.tolist()
+    assert moved == ([u, u] if live else [u, v])
+    params = SimParams(eps, 1, max_events=1)
+    assert simulate(g, [u, v], params).events == live
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        assert simulate(g, [u, v], params).events == live
+
+
+@pytest.mark.parametrize("seed", [0, 1, -3, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+def test_kernel_seeds_like_random(compiled, monkeypatch, seed):
+    """The kernel's MT19937 state after seeding is random.Random(seed)'s."""
+    run, states = _kernel.load(), []
+
+    def spy(*args):
+        code = run(*args)
+        states.append(tuple((ctypes.c_uint32 * 625).from_address(args[12])))
+        return code
+
+    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    simulate(make_graph(1, []), [0.5], SimParams(0.5, seed, max_events=0))
+    assert states == [random.Random(seed).getstate()[1]]
+
+
+VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ops=st.lists(VALUES, min_size=1, max_size=10).map(lambda v: v + v[: len(v) // 2]),
+    # the census's bins number ceil(1/eps), so eps stays away from 0
+    eps=st.sampled_from([0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0])
+    | st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**64),
+)
+def test_mixed_values_agree(compiled, ops, eps, seed):
+    """Signed zeros, subnormals and repeated values, on both sides of eps = 1/2."""
+    g = path_graph(len(ops))
+    with pytest.MonkeyPatch.context() as m:
+        _assert_backends_agree(m, g, ops, SimParams(eps, seed, max_events=300))
+
+
+def test_default_limit_run_fills_many_trace_points(compiled, monkeypatch):
+    g = torus_graph(24, 24)
+    params = SimParams(1.0, 7)
+    _assert_backends_agree(monkeypatch, g, random_initial(g, 7), params)
+    report = simulate(g, random_initial(g, 7), params)
+    assert report.events >= 2**16 and len(report.opinion_trace) >= 18
+    assert len(report.opinion_trace) <= DEFAULT_MAX_EVENTS.bit_length() + 2
 
 
 def test_weights_must_match_the_graph(compiled):
@@ -236,3 +346,53 @@ def test_source_compiles_without_warnings(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert os.path.getsize(out) > 0
+
+
+# comparisons run again on the build instrumented by AddressSanitizer; the
+# named graphs' stops include runs that fill every trace slot
+ASAN_CASES = (
+    "named_graphs and (single or torus) or many_seeds or golden_cases"
+    " or exact_liveness or seeds_like_random or mixed_values or default_limit"
+)
+ASAN_PLUGIN = """
+from pathlib import Path
+from ctvoter import _kernel
+
+_kernel.FLAGS = _kernel.FLAGS + ("-fsanitize=address", "-fno-omit-frame-pointer")
+_kernel.CACHE_DIR = Path({cache!r})
+if _kernel.load() is None:
+    raise RuntimeError("the instrumented event kernel did not build or load")
+"""
+
+
+def test_kernel_is_memory_safe_under_asan(tmp_path):
+    if shutil.which(_kernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    found = subprocess.run(
+        [_kernel.COMPILER, "-print-file-name=libasan.so"], capture_output=True, text=True
+    )
+    libasan = found.stdout.strip()
+    if found.returncode != 0 or not os.path.isabs(libasan) or not os.path.exists(libasan):
+        pytest.skip("no libasan")
+    (tmp_path / "asan_kernel.py").write_text(ASAN_PLUGIN.format(cache=str(tmp_path)))
+    tests = Path(__file__).resolve().parent
+    src = Path(_kernel.__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        LD_PRELOAD=libasan,
+        ASAN_OPTIONS="detect_leaks=0",
+        # Python's buffers from malloc, where the sanitizer can see their bounds
+        PYTHONMALLOC="malloc",
+        PYTHONPATH=os.pathsep.join(map(str, (tmp_path, src, tests))),
+    )
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "asan_kernel", "-p", "no:cacheprovider"]
+    result = subprocess.run(
+        [*cmd, str(Path(__file__).resolve()), "-k", ASAN_CASES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=900,
+    )
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
+    assert " passed" in result.stdout and "skipped" not in result.stdout
+    assert len(list(tmp_path.glob("_kernel-*.so"))) == 1
