@@ -224,12 +224,33 @@ def test_kernel_seeds_like_random(compiled, monkeypatch, seed):
 
     def spy(*args):
         code = run(*args)
+        # args[12] is ct_run_events' generator state, 624 words and the position
         states.append(tuple((ctypes.c_uint32 * 625).from_address(args[12])))
         return code
 
     monkeypatch.setattr(_kernel, "load", lambda: spy)
     simulate(make_graph(1, []), [0.5], SimParams(0.5, seed, max_events=0))
     assert states == [random.Random(seed).getstate()[1]]
+
+
+def test_one_kernel_call_per_replicate(compiled, monkeypatch):
+    """One call without an observer; with the census, one per trace point."""
+    run, pauses = _kernel.load(), []
+
+    def spy(*args):
+        pauses.append(args[-1])  # the pause flag
+        return run(*args)
+
+    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    g = path_graph(20)
+    init = random_initial(g, 1)
+    report = simulate(g, init, SimParams(0.75, 2))
+    assert pauses == [False] and len(report.opinion_trace) > 5
+    pauses.clear()
+    coupled = simulate_coupled(g, init, SimParams(0.75, 2))
+    samples = len(coupled.census_trace)
+    assert samples == len(report.opinion_trace)
+    assert set(pauses) == {True} and samples <= len(pauses) <= samples + 1
 
 
 VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
