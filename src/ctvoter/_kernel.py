@@ -19,12 +19,9 @@ import os
 import subprocess
 import sys
 import threading
-import weakref
 from pathlib import Path
 
-import numpy as np
-
-from .graphs import Graph
+from .graphs import Graph, edge_arrays, memo
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
@@ -85,26 +82,15 @@ def load():
     return run
 
 
-_graph_pointers: dict[int, tuple] = {}
-
-
 def graph_pointers(g: Graph) -> tuple[int, ...]:
-    """Addresses of g's int32 arrays e1, e2, inc_start and inc_edge, built once per Graph.
+    """Addresses of graphs.edge_arrays(g), taken once per Graph.
 
-    e1 and e2 are the edge endpoints; inc_start and inc_edge are the CSR
-    incidence, which lists each vertex's edges in increasing index order, the
-    order in which the Python loop visits them. The cache keeps the arrays
+    The incidence lists each vertex's edges in increasing index order, the
+    order in which the Python loop visits them. The memo keeps the arrays
     alive while g is.
     """
-    cached = _graph_pointers.get(id(g))
-    if cached is None:
-        ends = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
-        inc_edge = (np.argsort(ends.ravel(), kind="stable") // 2).astype(np.int32)
-        inc_start = np.zeros(g.n_vertices + 1, dtype=np.int32)
-        np.cumsum(np.bincount(ends.ravel(), minlength=g.n_vertices), out=inc_start[1:])
-        kept = (ends[:, 0].copy(), ends[:, 1].copy(), inc_start, inc_edge)
-        cached = (tuple(a.ctypes.data for a in kept), kept)
-        _graph_pointers[id(g)] = cached
-        # drop the entry when g is collected, before its id can be reused
-        weakref.finalize(g, _graph_pointers.pop, id(g), None)
-    return cached[0]
+    return memo(g, "kernel_pointers", _addresses)
+
+
+def _addresses(g: Graph) -> tuple[int, ...]:
+    return tuple(a.ctypes.data for a in edge_arrays(g))

@@ -120,11 +120,16 @@ def extremist_count(config, epsilon: float) -> int:
     return sum(1 for v in config if v <= lo or v >= epsilon)
 
 
-def _validate_initial(g: Graph, init) -> list[float]:
-    ops = [float(v) for v in init]
-    if len(ops) != g.n_vertices:
+def _validate_initial(g: Graph, init) -> np.ndarray:
+    """init as a C-contiguous float64 array of one opinion per vertex, each in [0, 1].
+
+    The range is checked on the array's min and max, so NaN fails too. The
+    result may share memory with init, so it is never written to.
+    """
+    ops = np.asarray(init, dtype=np.float64, order="C")
+    if ops.shape != (g.n_vertices,):
         raise ValueError("initial configuration length != vertex count")
-    if any(not 0.0 <= v <= 1.0 for v in ops):
+    if not (0.0 <= ops.min() and ops.max() <= 1.0):
         raise ValueError("opinions must lie in [0, 1]")
     return ops
 
@@ -145,18 +150,20 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
 
 
 def _run_events(
-    g: Graph, ops: list[float], params: SimParams, on_event=None, on_sample=None, weights=None
+    g: Graph, ops: np.ndarray, params: SimParams, on_event=None, on_sample=None, weights=None
 ) -> SimReport:
     """The event loop behind simulate and simulate_coupled.
 
-    All draws come from random.Random(params.seed) in a fixed order per
-    event: the holding time, then the edge index among the currently active
-    edges, then the direction coin (below 1/2 copies the lower-index endpoint
-    onto the higher, otherwise the reverse). Identical seeds give identical
-    runs. An edge is live iff its endpoints' exact difference is nonzero and
-    below eps (_live). If weights (a float64 array, one entry per edge) is
-    given, it is evolved in place by the coupled rule: the fired edge is set
-    to exactly 0.0 and every other edge at the updated vertex gains (if the
+    ops is the array returned by _validate_initial; it is copied, never
+    written to (the Python loop evolves a list made from it). All draws come
+    from random.Random(params.seed) in a fixed order per event: the holding
+    time, then the edge index among the currently active edges, then the
+    direction coin (below 1/2 copies the lower-index endpoint onto the
+    higher, otherwise the reverse). Identical seeds give identical runs. An
+    edge is live iff its endpoints' exact difference is nonzero and below
+    eps (_live). If weights (a float64 array, one entry per edge) is given,
+    it is evolved in place by the coupled rule: the fired edge is set to
+    exactly 0.0 and every other edge at the updated vertex gains (if the
     vertex is its higher endpoint) or loses the vertex's change of opinion.
     After each event, on_event(t, n_events, opinions, weights) is called
     with the live lists. The opinion and extremist traces are sampled at
@@ -174,6 +181,7 @@ def _run_events(
     if run is not None:
         return _compiled_events(run, g, ops, params, on_sample, weights)
 
+    ops = ops.tolist()
     eps = params.epsilon
     track_extremists = eps > 0.5
     opinion_trace = []
@@ -192,7 +200,7 @@ def _run_events(
     return SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
 
 
-def _compiled_events(run, g: Graph, ops: list[float], params: SimParams, on_sample, weights):
+def _compiled_events(run, g: Graph, ops: np.ndarray, params: SimParams, on_sample, weights):
     """Run the compiled kernel over one replicate; returns its SimReport.
 
     The kernel's buffers are array.array objects: buffer_info() gives an
@@ -212,7 +220,8 @@ def _compiled_events(run, g: Graph, ops: list[float], params: SimParams, on_samp
     seed = abs(params.seed)
     # the 32-bit little-endian words of abs(seed), which random.seed hands to init_by_array
     key = array.array("I", [seed >> s & 0xFFFFFFFF for s in range(0, seed.bit_length() or 1, 32)])
-    x = array.array("d", ops)
+    x = array.array("d")
+    x.frombytes(memoryview(ops).cast("B"))  # one copy of the validated opinions
     work = array.array("i", [0]) * (2 * m + 625)  # active, pos, generator state
     state = array.array("q", [0, 0, 0])  # events, active edges, samples
     sample_events, counts, extremists = (array.array("q", [0]) * cap for _ in range(3))
@@ -370,7 +379,7 @@ def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
-    ops = _validate_initial(g, init)
+    ops = _validate_initial(g, init).tolist()
     processed = 0
     for eidx, direction in script:
         if not 0 <= eidx < g.n_edges:

@@ -16,6 +16,7 @@ points, so both share one event stream and drawing order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,15 +26,26 @@ from .common import ceil_recip
 from .dynamics import SimParams, SimReport, _run_events, _validate_initial
 # unused here, but the benchmark's tracer (perfbench/child.py) rebinds this name
 from .dynamics import extremist_count  # noqa: F401
-from .graphs import Graph, is_connected
+from .graphs import Graph, edge_arrays, is_connected
 
 EMPTY = 0
 BOUNDARY = -1
+# most nonempty edge types a census counts, so eps >= 2**-16: a census row
+# holds ceil_recip(eps) + 1 counts, and a tinier eps would make rows of
+# millions of columns (or overflow) for a handful of edges
+MAX_CENSUS_TYPES = 2**16
 
 
 def weights_from_opinions(g: Graph, config) -> np.ndarray:
-    """Per-edge signed difference under the canonical i < j orientation."""
-    return np.array([config[j] - config[i] for i, j in g.edges])
+    """Per-edge signed difference config[j] - config[i] under the canonical i < j orientation.
+
+    One float64 subtraction per edge, as in Python arithmetic, so the
+    weights are bit for bit those of the scalar expression.
+    """
+    x = np.asarray(config, dtype=np.float64)
+    e1, e2 = edge_arrays(g)[:2]
+    # take gathers by the int32 indices without first converting them to intp
+    return x.take(e2) - x.take(e1)
 
 
 def classify_edge(weight: float, eps: float) -> int:
@@ -77,14 +89,33 @@ class EdgeCensus:
         return sum(self.counts) + self.boundary_count
 
 
+@functools.lru_cache(maxsize=256)
+def _census_types(eps: float) -> int:
+    """ceil_recip(eps), the number of nonempty types in a census at eps.
+
+    Rejects eps <= 0 and an eps with more than MAX_CENSUS_TYPES types, that
+    is eps < 2**-16. Cached per eps, so the exact rational arithmetic runs
+    once per threshold, not at every trace point.
+    """
+    j_cap = ceil_recip(eps)
+    if j_cap > MAX_CENSUS_TYPES:
+        raise ValueError(
+            f"the census needs eps >= 2**-16 (at most {MAX_CENSUS_TYPES} edge types), "
+            f"got eps={eps!r}"
+        )
+    return j_cap
+
+
 def census(weights, eps: float) -> EdgeCensus:
     """Count weights per type with the binning of classify_edge, vectorised.
 
     Every step is one correctly rounded IEEE-754 operation per weight, the
-    same as in classify_edge, so both agree on every input. Rejects eps <= 0,
-    a non-finite weight, and a type above ceil_recip(eps).
+    same as in classify_edge, so both agree on every input. The census has
+    ceil_recip(eps) + 1 counts. Before reading the weights it rejects eps <=
+    0 and eps < 2**-16 (more than MAX_CENSUS_TYPES types); then a
+    non-finite weight and a type above ceil_recip(eps).
     """
-    j_cap = ceil_recip(eps)
+    j_cap = _census_types(eps)
     a = np.abs(np.asarray(weights, dtype=np.float64))
     if not np.isfinite(a).all():
         raise ValueError("census requires finite weights")
@@ -116,13 +147,17 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     on_event(time, n_events, opinions, weights) with live lists, and runs
     the Python event loop. The census trace is sampled at the opinion
     trace's points (event indices 1, 2, 4, ... plus the initial and final
-    states); the census needs eps > 0 and is skipped for frozen dynamics.
-    Only the final weights are returned.
+    states); the census is skipped for frozen dynamics (eps = 0), and an eps
+    in (0, 2**-16), whose census would exceed MAX_CENSUS_TYPES types, is
+    rejected with ValueError before any compute. Only the final weights are
+    returned.
     """
+    eps = params.epsilon
+    if eps > 0.0:
+        _census_types(eps)
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
-    eps = params.epsilon
     weights = weights_from_opinions(g, ops)
     census_trace = []
 

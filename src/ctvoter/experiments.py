@@ -297,12 +297,19 @@ def write_snapshot(config, width: int, height: int, path) -> None:
 
 def report_to_doc(report: ExperimentReport) -> dict:
     """JSON-style document: spec, records (without wall time), aggregates."""
-    records = []
-    for rec in report.records:
-        d = asdict(rec)
-        d.pop("wall_time")
-        d.pop("theta_inf_count")
-        records.append(d)
+    # built directly: asdict would deep-copy every field of every record
+    records = [
+        {
+            "replicate": rec.replicate,
+            "seed": rec.seed,
+            "nu": rec.nu,
+            "absorbed": rec.absorbed,
+            "consensus": rec.consensus,
+            "theta_inf_zero": rec.theta_inf_zero,
+            "events": rec.events,
+        }
+        for rec in report.records
+    ]
     return {"spec": asdict(report.spec), "records": records, "aggregates": report.aggregates}
 
 

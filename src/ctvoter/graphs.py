@@ -2,12 +2,16 @@
 
 Edges are always stored as (i, j) with i < j: the orientation induced by the
 total order on vertex indices. Graph values are immutable after construction
-and safe to share across threads/processes.
+and safe to share across threads/processes, so what is derived from a Graph
+alone is computed once per Graph object and memoised (see memo).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+
+import numpy as np
 
 EXACT_CHROMATIC_LIMIT = 16
 EXACT_CLIQUE_LIMIT = 32
@@ -171,7 +175,53 @@ def render_graph(g: Graph) -> str:
     return "\n".join(out) + "\n"
 
 
+_memo: dict[int, dict] = {}
+
+
+def memo(g: Graph, key: str, build):
+    """build(g), computed on the first call for this Graph object and key only.
+
+    Sound because Graph is frozen. The entries are keyed by id(g) and dropped
+    when g is collected, before its id can be reused; they keep what they
+    hold (the arrays whose addresses the event kernel reads) alive while g is.
+    """
+    entry = _memo.get(id(g))
+    if entry is None:
+        # setdefault, so that racing threads share one entry and its arrays
+        entry = _memo.setdefault(id(g), {})
+        weakref.finalize(g, _memo.pop, id(g), None)
+    try:
+        return entry[key]
+    except KeyError:
+        return entry.setdefault(key, build(g))
+
+
+def edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
+    """g's read-only int32 arrays e1, e2, inc_start and inc_edge, built once per Graph.
+
+    e1 and e2 are the edge endpoints (e1 < e2); inc_start and inc_edge are the
+    CSR incidence, which lists each vertex's edges in increasing index order.
+    """
+    return memo(g, "edge_arrays", _build_edge_arrays)
+
+
+def _build_edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
+    ends = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
+    inc_edge = (np.argsort(ends.ravel(), kind="stable") // 2).astype(np.int32)
+    inc_start = np.zeros(g.n_vertices + 1, dtype=np.int32)
+    np.cumsum(np.bincount(ends.ravel(), minlength=g.n_vertices), out=inc_start[1:])
+    arrays = (ends[:, 0].copy(), ends[:, 1].copy(), inc_start, inc_edge)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0; one search per Graph."""
+    return memo(g, "connected", _reaches_all)
+
+
+def _reaches_all(g: Graph) -> bool:
     seen = [False] * g.n_vertices
     stack = [0]
     seen[0] = True

@@ -15,6 +15,7 @@ from ctvoter import (
     random_initial,
     replay,
     simulate,
+    simulate_coupled,
     spawn_seed,
 )
 from ctvoter.dynamics import opinions_from_csv, opinions_to_csv
@@ -108,12 +109,44 @@ class TestSimulate:
         with pytest.raises(ValueError, match="connected"):
             simulate(g, [0.1, 0.2, 0.3, 0.4], SimParams(0.5, seed=1))
 
-    def test_rejects_bad_init(self):
+    @pytest.mark.parametrize(
+        "init, message",
+        [
+            ([0.1, 0.2], "length"),
+            ([0.1, 0.2, 0.3, 0.4], "length"),
+            ([[0.1], [0.2], [0.3]], "length"),
+            (np.full((3, 3), 0.5), "length"),
+            (0.5, "length"),
+            ([0.1, 0.2, 1.5], r"\[0, 1\]"),
+            ([0.1, -1e-300, 0.2], r"\[0, 1\]"),
+            ([0.1, math.nan, 0.2], r"\[0, 1\]"),
+            ([math.nan] * 3, r"\[0, 1\]"),
+            ([0.1, math.inf, 0.2], r"\[0, 1\]"),
+        ],
+        ids=repr,
+    )
+    def test_rejects_bad_init(self, init, message):
         g = path_graph(3)
-        with pytest.raises(ValueError):
-            simulate(g, [0.1, 0.2], SimParams(0.5, seed=1))
-        with pytest.raises(ValueError):
-            simulate(g, [0.1, 0.2, 1.5], SimParams(0.5, seed=1))
+        with pytest.raises(ValueError, match=message):
+            simulate(g, init, SimParams(0.5, seed=1))
+        with pytest.raises(ValueError, match=message):
+            replay(g, init, 0.5, [])
+
+    def test_hooks_and_replay_see_lists_and_leave_init_alone(self):
+        g = path_graph(6)
+        init = random_initial(g, 3)
+        before = init.copy()
+        seen = []
+
+        def hook(t, k, *live):
+            seen.extend(type(a) for a in live)
+
+        simulate(g, init, SimParams(1.0, seed=2), on_event=hook)
+        replay(g, init, 1.0, [(0, 1), (1, -1)], on_event=hook)
+        simulate_coupled(g, init, SimParams(1.0, seed=2), on_event=hook)
+        assert seen and set(seen) == {list}
+        simulate(g, init, SimParams(1.0, seed=2))
+        assert init.tobytes() == before.tobytes()
 
     def test_stop_by_max_events(self):
         g = path_graph(50)

@@ -21,9 +21,24 @@ from ctvoter import (
     weights_from_opinions,
 )
 from ctvoter.common import ceil_recip
-from ctvoter.edge_process import BOUNDARY, EMPTY, EdgeCensus, census_trace_to_csv
+from ctvoter import edge_process
+from ctvoter.edge_process import (
+    BOUNDARY,
+    EMPTY,
+    MAX_CENSUS_TYPES,
+    EdgeCensus,
+    census_trace_to_csv,
+)
 
 from conftest import GOLDEN_CASES, golden_run, random_connected_graph
+
+
+WEIGHT_GRAPHS = {
+    "single": make_graph(1, []),
+    "path:30": path_graph(30),
+    "torus:5x6": torus_graph(5, 6),
+    "star": make_graph(7, [(0, k) for k in range(6, 0, -1)]),
+}
 
 
 class TestWeights:
@@ -38,6 +53,23 @@ class TestWeights:
     def test_orientation_sign(self):
         w = weights_from_opinions(path_graph(2), [1.0, 0.0])
         assert w.tolist() == [-1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(WEIGHT_GRAPHS)),
+        values=st.lists(
+            st.sampled_from([-0.0, 0.0, 5e-324, 2**-1022, 1.0, 0.5]) | st.floats(0.0, 1.0),
+            min_size=30,
+            max_size=30,
+        ),
+        as_array=st.booleans(),
+    )
+    def test_bit_identical_to_scalar_differences(self, name, values, as_array):
+        g = WEIGHT_GRAPHS[name]
+        x = values[: g.n_vertices]
+        expected = np.array([x[j] - x[i] for i, j in g.edges], dtype=np.float64)
+        got = weights_from_opinions(g, np.array(x) if as_array else x)
+        assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 class TestClassify:
@@ -195,6 +227,36 @@ class TestCensusMatchesClassify:
             reference_census(weights, eps)
         with pytest.raises(ValueError):
             census(weights, eps)
+
+
+class TestCensusEpsLimit:
+    def test_limit_is_two_to_the_minus_16(self):
+        limit = 2**-16
+        assert ceil_recip(limit) == MAX_CENSUS_TYPES
+        assert census([0.5, -limit / 3], limit).counts[1] == 1
+        assert census([0.5], limit).n_types == MAX_CENSUS_TYPES
+        for eps in (math.nextafter(limit, 0.0), 1e-7, 5e-324):
+            with pytest.raises(ValueError, match="2\\*\\*-16"):
+                census([0.5], eps)
+            with pytest.raises(ValueError, match="2\\*\\*-16"):
+                census([], eps)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-7, math.nextafter(2**-16, 0.0)], ids=repr)
+    def test_simulate_coupled_rejects_before_any_compute(self, monkeypatch, eps):
+        calls = []
+        monkeypatch.setattr(edge_process, "is_connected", lambda g: calls.append(g))
+        with pytest.raises(ValueError, match="2\\*\\*-16"):
+            simulate_coupled(path_graph(2), [0.0, 0.5], SimParams(eps, 0))
+        assert calls == []
+
+    def test_simulate_coupled_at_the_limit_and_frozen(self):
+        g = path_graph(4)
+        init = [0.0, 2**-17, 0.5, 0.5 + 2**-18]
+        res = simulate_coupled(g, init, SimParams(2**-16, 3))
+        assert res.report.absorbed and res.report.events >= 2
+        assert all(cen.n_types == MAX_CENSUS_TYPES for _, _, cen in res.census_trace)
+        frozen = simulate_coupled(g, init, SimParams(0.0, 3))
+        assert frozen.census_trace == [] and frozen.report.events == 0
 
 
 class TestCoupledSimulation:

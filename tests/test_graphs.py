@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctvoter import graphs
+from ctvoter import SimParams, consensus_experiment, graphs, random_initial, simulate_coupled
 from ctvoter.graphs import (
     chromatic_number_exact,
     clique_peel,
     complete_graph,
     cycle_graph,
+    edge_arrays,
     enumerate_peels,
     generate_graph,
     greedy_coloring,
@@ -264,3 +266,47 @@ class TestValidation:
         g = make_graph(4, [(0, 1), (2, 3)])
         assert not is_connected(g)
         assert is_bipartite(g)
+
+
+class TestMemo:
+    def test_one_search_per_graph_across_a_batch(self, monkeypatch):
+        searched = []
+        search = graphs._reaches_all
+
+        def counted(g):
+            searched.append(g)
+            return search(g)
+
+        monkeypatch.setattr(graphs, "_reaches_all", counted)
+        g = path_graph(20)
+        report = consensus_experiment(g, 0.75, 50, 7)
+        assert len(report.records) == 50
+        for seed in range(3):
+            simulate_coupled(g, random_initial(g, seed), SimParams(0.75, seed))
+        assert searched == [g]
+        twin = path_graph(20)
+        assert is_connected(twin) and is_connected(twin)
+        assert searched == [g, twin]
+        assert {"connected", "edge_arrays"} <= set(graphs._memo[id(g)])
+
+    def test_entry_dropped_with_the_graph(self):
+        g = torus_graph(4, 5)
+        assert is_connected(g)
+        edge_arrays(g)
+        key = id(g)
+        assert key in graphs._memo
+        del g
+        gc.collect()
+        assert key not in graphs._memo
+
+    @pytest.mark.parametrize(
+        "g", [make_graph(1, []), path_graph(7), torus_graph(3, 4), petersen_graph()]
+    )
+    def test_edge_arrays(self, g):
+        e1, e2, inc_start, inc_edge = edge_arrays(g)
+        assert list(zip(e1.tolist(), e2.tolist())) == list(g.edges)
+        for v in range(g.n_vertices):
+            incident = [k for k, edge in enumerate(g.edges) if v in edge]
+            assert inc_edge[inc_start[v] : inc_start[v + 1]].tolist() == incident
+        assert all(not a.flags.writeable for a in (e1, e2, inc_start, inc_edge))
+        assert edge_arrays(g) is edge_arrays(g)

@@ -259,16 +259,22 @@ VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | 
 @settings(max_examples=150, deadline=None)
 @given(
     ops=st.lists(VALUES, min_size=1, max_size=10).map(lambda v: v + v[: len(v) // 2]),
-    # the census's bins number ceil(1/eps), so eps stays away from 0
     eps=st.sampled_from([0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0])
-    | st.floats(0.05, 1.0),
+    | st.sampled_from([5e-324, 1e-7, math.nextafter(2**-16, 0.0), 2**-16, 2e-5])
+    | st.floats(0.0, 1.0),
     seed=st.integers(0, 2**64),
 )
 def test_mixed_values_agree(compiled, ops, eps, seed):
-    """Signed zeros, subnormals and repeated values, on both sides of eps = 1/2."""
+    """Signed zeros, subnormals and repeated values, on both sides of eps = 1/2,
+    down to the census's limit eps = 2**-16; below it the coupled run is refused."""
     g = path_graph(len(ops))
+    params = SimParams(eps, seed, max_events=300)
+    if 0.0 < eps < 2**-16:
+        with pytest.raises(ValueError, match="census"):
+            simulate_coupled(g, ops, params)
+        return
     with pytest.MonkeyPatch.context() as m:
-        _assert_backends_agree(m, g, ops, SimParams(eps, seed, max_events=300))
+        _assert_backends_agree(m, g, ops, params)
 
 
 def test_default_limit_run_fills_many_trace_points(compiled, monkeypatch):
