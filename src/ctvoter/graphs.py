@@ -407,7 +407,8 @@ def clique_peel(g: Graph) -> CliquePeel:
     """Peel a greedily found maximal clique per step until no vertices remain.
 
     Any choice of maximal clique yields a valid coexistence upper bound; the
-    minimum over maximum-clique peels is enumerate_peels' job.
+    minimum over maximum-clique peels is statics.clique_upper_bound's
+    exact-enumerate mode.
     """
     masks = _neighbor_masks(g)
     remaining = (1 << g.n_vertices) - 1
@@ -423,11 +424,13 @@ def clique_peel(g: Graph) -> CliquePeel:
 
 
 def enumerate_peels(g: Graph) -> list[CliquePeel]:
-    """All maximum-clique peel sequences of g (N <= 12).
+    """All maximum-clique peel sequences of g (N <= 12), the tests' oracle.
 
-    Once a residual is edgeless every maximum clique is a single vertex and
-    all removal orders are equivalent, so one canonical (index-ordered) tail
-    is emitted instead of every permutation.
+    statics.clique_upper_bound finds the least peel value without this list;
+    the tests hold it to the minimum over these sequences. Once a residual
+    is edgeless every maximum clique is a single vertex and all removal
+    orders are equivalent, so one canonical (index-ordered) tail is emitted
+    instead of every permutation.
     """
     if g.n_vertices > PEEL_ENUM_LIMIT:
         raise ValueError(f"peel enumeration limited to {PEEL_ENUM_LIMIT} vertices")

@@ -9,6 +9,7 @@ come from proper colorings (lower) and clique peeling (upper).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,12 +23,17 @@ from .graphs import (
     Coloring,
     chromatic_number_exact,
     clique_peel,
-    enumerate_peels,
     greedy_coloring,
     is_proper_coloring,
+    _maximum_cliques,
+    _neighbor_masks,
     EXACT_CHROMATIC_LIMIT,
     PEEL_ENUM_LIMIT,
 )
+
+# unused here: kept bound so that callers which rebind statics.enumerate_peels
+# (perfbench/child.py in its traced runs) still find it
+from .graphs import enumerate_peels  # noqa: F401
 
 BRUTE_FORCE_LIMIT = 8
 
@@ -154,20 +160,32 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
     return complete_bound, complete
 
 
+def _clique_term(eps: float):
+    """A peeled clique's share of the bound: size -> min(size, ceil(1/eps)); size at eps=0."""
+    if eps == 0:
+        return lambda size: size
+    j_cap = ceil_recip(eps)
+    return lambda size: min(size, j_cap)
+
+
 def peel_value(peel, eps: float) -> int:
     """Sum over the peel of min(clique size, ceil(1/eps)); plain sizes at eps=0."""
-    if eps == 0:
-        return sum(size for _, size in peel.cliques)
-    j_cap = ceil_recip(eps)
-    return sum(min(size, j_cap) for _, size in peel.cliques)
+    term = _clique_term(eps)
+    return sum(term(size) for _, size in peel.cliques)
 
 
 def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     """Clique-peeling upper bound on the opinion index.
 
     greedy peels one greedily chosen maximal clique per step (any choice gives
-    a valid bound); exact-enumerate minimizes over every maximum-clique peel
-    sequence (N <= 12), the minimum the peeling theorem refers to.
+    a valid bound). exact-enumerate (N <= 12) is the minimum peel_value over
+    every maximum-clique peel sequence, the minimum the peeling theorem refers
+    to. It is found without listing the sequences: the value is a sum over
+    the peeled cliques, and the cliques a peel may take next depend only on
+    the vertices left, so the least value f(R) that peeling can add from a
+    residual vertex set R is the least term(|W|) + f(R - W) over the maximum
+    cliques W of R, memoised per R; f(R) = |R| once R has no edges.
+    graphs.enumerate_peels lists the sequences themselves, as a test oracle.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
@@ -175,27 +193,42 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
         return peel_value(clique_peel(g), eps)
     if mode != "exact-enumerate":
         raise ValueError(f"unknown mode {mode!r}")
-    return min(peel_value(p, eps) for p in enumerate_peels(g))
+    if g.n_vertices > PEEL_ENUM_LIMIT:
+        raise ValueError(f"exact peel minimum limited to {PEEL_ENUM_LIMIT} vertices")
+    term = _clique_term(eps)
+    masks = _neighbor_masks(g)
+
+    @functools.cache
+    def least(residual: int) -> int:
+        cliques = _maximum_cliques(masks, residual)
+        if cliques[0].bit_count() <= 1:
+            return residual.bit_count()  # no edges left: one singleton per vertex
+        return min(term(w.bit_count()) + least(residual & ~w) for w in cliques)
+
+    return least((1 << g.n_vertices) - 1)
 
 
-def _partitions_by_class_count(n: int) -> dict[int, list[list[list[int]]]]:
-    """All set partitions of range(n), grouped by number of classes."""
-    grouped: dict[int, list[list[list[int]]]] = {}
+@functools.cache
+def _partitions_by_class_count(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All set partitions of range(n), grouped by number of classes; built once per n.
 
-    def rec(i: int, classes: list[list[int]]) -> None:
+    Entry m lists the partitions with m classes, each as the class label of
+    every vertex (classes numbered in order of their least vertex). Tuples
+    throughout, so the shared cache cannot be changed by a caller.
+    """
+    grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    labels = [0] * n
+
+    def rec(i: int, m: int) -> None:
         if i == n:
-            grouped.setdefault(len(classes), []).append([list(c) for c in classes])
+            grouped[m].append(tuple(labels))
             return
-        for c in classes:
-            c.append(i)
-            rec(i + 1, classes)
-            c.pop()
-        classes.append([i])
-        rec(i + 1, classes)
-        classes.pop()
+        for c in range(m + 1):
+            labels[i] = c
+            rec(i + 1, max(m, c + 1))
 
-    rec(0, [])
-    return grouped
+    rec(0, 0)
+    return tuple(tuple(parts) for parts in grouped)
 
 
 def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
@@ -278,11 +311,7 @@ def brute_force_index(g: Graph, eps: float) -> int:
 
     grouped = _partitions_by_class_count(n)
     for m in range(n, 0, -1):
-        for classes in grouped.get(m, ()):
-            cls_of = [0] * n
-            for ci, members in enumerate(classes):
-                for v in members:
-                    cls_of[v] = ci
+        for cls_of in grouped[m]:
             qadj = [0] * m
             for i, j in g.edges:
                 a, b = cls_of[i], cls_of[j]

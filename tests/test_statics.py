@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctvoter import (
     Coloring,
@@ -17,11 +19,14 @@ from ctvoter import (
     index_lower_bound,
     is_absorbing,
     is_bipartite,
+    make_graph,
+    parse_graph_spec,
     path_graph,
 )
-from ctvoter.statics import BRUTE_FORCE_LIMIT
+from ctvoter.graphs import enumerate_peels
+from ctvoter.statics import BRUTE_FORCE_LIMIT, _partitions_by_class_count, peel_value
 
-from conftest import EPS_GRID, petersen_graph
+from conftest import EPS_GRID, petersen_graph, random_connected_graph
 
 
 class TestCompleteIndex:
@@ -165,6 +170,65 @@ class TestCliqueUpperBound:
                 )
 
 
+@st.composite
+def graphs_up_to_10(draw):
+    """Any graph on 1..10 vertices: edgeless, disconnected and dense ones too."""
+    n = draw(st.integers(1, 10))
+    density = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return make_graph(n, [e for e in pairs if rng.random() < density])
+
+
+_RECIPROCALS = st.integers(1, 12).map(lambda k: 1.0 / k)
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    _RECIPROCALS,
+    _RECIPROCALS.map(lambda e: math.nextafter(e, 0.0)),
+    _RECIPROCALS.map(lambda e: math.nextafter(e, 1.0)),
+    st.floats(0.0, 1.0),
+)
+
+
+def _enumerated_minimum(peels, eps):
+    return min(peel_value(p, eps) for p in peels)
+
+
+class TestExactPeelMinimum:
+    """The memoised residual-set search against the list of every peel sequence."""
+
+    @given(graphs_up_to_10(), THRESHOLDS)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_enumeration(self, g, eps):
+        want = _enumerated_minimum(enumerate_peels(g), eps)
+        assert clique_upper_bound(g, eps, "exact-enumerate") == want
+
+    @pytest.mark.parametrize("spec", ["cycle:11", "cycle:12", "petersen", "torus:3x3"])
+    def test_matches_enumeration_on_named_graphs(self, spec):
+        g = petersen_graph() if spec == "petersen" else parse_graph_spec(spec)
+        peels = enumerate_peels(g)
+        for eps in (0.2, 0.3, 0.5, 0.6):
+            want = _enumerated_minimum(peels, eps)
+            assert clique_upper_bound(g, eps, "exact-enumerate") == want, eps
+
+    def test_matches_enumeration_where_peels_differ(self):
+        # the named graphs above give every peel the same value; on these
+        # random ones the peel order matters at eps = 1 and eps = 1/2
+        differ = 0
+        for seed in range(40):
+            g = random_connected_graph(9, seed, extra_edge_prob=0.5)
+            peels = enumerate_peels(g)
+            for eps in (1.0, 0.5):
+                differ += len({peel_value(p, eps) for p in peels}) > 1
+                want = _enumerated_minimum(peels, eps)
+                assert clique_upper_bound(g, eps, "exact-enumerate") == want, (seed, eps)
+        assert differ >= 10
+
+    def test_size_limit(self):
+        with pytest.raises(ValueError, match="limited"):
+            clique_upper_bound(cycle_graph(13), 0.5, "exact-enumerate")
+
+
 class TestBruteForce:
     def test_k3(self):
         assert brute_force_index(complete_graph(3), 0.6) == 2
@@ -192,6 +256,25 @@ class TestBruteForce:
         for _, g in tiny_family:
             values = [brute_force_index(g, eps) for eps in EPS_GRID]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_cached_partitions_equal_fresh_ones(self):
+        stirling = {(0, 0): 1}
+        for n in range(BRUTE_FORCE_LIMIT + 1):
+            cached = _partitions_by_class_count(n)
+            assert _partitions_by_class_count(n) is cached
+            assert cached == _partitions_by_class_count.__wrapped__(n)
+            assert isinstance(cached, tuple)
+            for m, parts in enumerate(cached):
+                assert isinstance(parts, tuple)
+                stirling[n, m] = (
+                    1 if n == m == 0
+                    else m * stirling.get((n - 1, m), 0) + stirling.get((n - 1, m - 1), 0)
+                )
+                assert len(parts) == len(set(parts)) == stirling[n, m], (n, m)
+                for labels in parts:
+                    # classes are numbered in order of their least vertex
+                    assert isinstance(labels, tuple) and len(labels) == n
+                    assert [c for i, c in enumerate(labels) if c not in labels[:i]] == list(range(m))
 
 
 class TestBoundSandwich:
