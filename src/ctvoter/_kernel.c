@@ -6,7 +6,8 @@
  * seed as random.Random(seed) does, draws with CPython's rules for random(),
  * expovariate() and randrange(), in the same order per event, keeps the
  * active-edge array in the same order, and takes the opinion and extremist
- * trace samples itself. Every floating-point step is one IEEE-754 operation
+ * trace samples itself. It can log every event, from which dynamics replays
+ * per-event hooks. Every floating-point step is one IEEE-754 operation
  * as in Python, so it must be compiled without contraction into fused
  * multiply-adds and without fast-math.
  */
@@ -188,19 +189,23 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * 1, 2, 4, ... and at the final state if its clock differs from the last
  * sample's; sample s is written to trace_t[s] (clock), trace_k[s] (events),
  * trace_count[s] and, when eps > 1/2, trace_extremists[s]. Each trace array
- * needs room for bit_length(max_events) + 2 samples. The last sample is
- * always at the current clock, which is how a later call resumes it.
+ * needs room for bit_length(max_events) + 2 samples.
  *
- * With `pause` set the call returns CT_SAMPLE after every sample but the
- * final one, so that the caller can observe the state there; calling again
- * resumes the run.
+ * With log_cap > 0 the call also logs each event to log_t[state[3]] (its
+ * clock) and log_edge[state[3]] (the fired edge f, or ~f when its lower
+ * endpoint e1[f] was the target), counting in state[3], and returns
+ * CT_SAMPLE once log_cap events are logged. With `pause` set it returns
+ * CT_SAMPLE after every sample but the final one. Either way the caller can
+ * observe the state there, and calling again resumes the run at the last
+ * logged event's clock, or else the last sample's, and restarts the log.
  */
 int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                   const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
                   const uint32_t *key, int32_t key_length, double *ops, double *weights,
                   int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *trace_t,
                   int64_t *trace_k, int64_t *trace_count, int64_t *trace_extremists,
-                  double eps, double t_max, int64_t max_events, int32_t pause)
+                  double *log_t, int32_t *log_edge, int32_t log_cap, double eps, double t_max,
+                  int64_t max_events, int32_t pause)
 {
     struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, NULL, 1};
     while (((int64_t)1 << tr.bits) < 2 * (int64_t)n_vertices)
@@ -222,7 +227,7 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
                 active[n++] = f;
             }
         }
-        state[0] = events = 0;
+        state[0] = state[3] = events = 0;
         t = 0.0;
         take_sample(&tr, ops, n_vertices, eps, state, t);
         if (pause)
@@ -230,8 +235,9 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
     } else {
         events = state[0];
         n = state[1];
-        t = trace_t[state[2] - 1];
+        t = state[3] > 0 ? log_t[state[3] - 1] : trace_t[state[2] - 1];
     }
+    state[3] = 0;
     uint64_t next_trace = 1;
     while (next_trace <= (uint64_t)events)
         next_trace *= 2;
@@ -277,14 +283,22 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
                 pos[f] = -1;
             }
         }
+        int stop = 0;
+        if (log_cap > 0) {
+            log_t[state[3]] = t;
+            log_edge[state[3]] = src == e1[e] ? e : ~e;
+            stop = ++state[3] == log_cap;
+        }
         if ((uint64_t)events == next_trace) {
             state[0] = events;
             take_sample(&tr, ops, n_vertices, eps, state, t);
             next_trace *= 2;
-            if (pause) {
-                code = CT_SAMPLE;
-                goto out;
-            }
+            stop |= pause;
+        }
+        if (stop) {
+            state[0] = events;
+            code = CT_SAMPLE;
+            goto out;
         }
     }
     if (code == CT_LIMIT && n == 0)

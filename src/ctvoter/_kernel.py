@@ -35,6 +35,8 @@ NO_MEMORY, LIMIT, T_MAX, ABSORBED, SAMPLE = -1, 0, 1, 2, 3
 # largest event limit passed to the kernel, so that it fits an int64 with its
 # trace points; more events than this would take centuries to run
 MAX_EVENTS = 2**62
+# events per chunk of the kernel's event log, from which per-event hooks are replayed
+LOG_CHUNK = 4096
 
 log = logging.getLogger(__name__)
 
@@ -75,8 +77,8 @@ def load():
         return None
     pointer, int32 = ctypes.c_void_p, ctypes.c_int32
     run.argtypes = (
-        [pointer] * 4 + [int32, int32, pointer, int32] + [pointer] * 10
-        + [ctypes.c_double, ctypes.c_double, ctypes.c_int64, int32]
+        [pointer] * 4 + [int32, int32, pointer, int32] + [pointer] * 12
+        + [int32, ctypes.c_double, ctypes.c_double, ctypes.c_int64, int32]
     )
     run.restype = ctypes.c_int
     return run

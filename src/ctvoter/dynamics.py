@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .graphs import Graph, is_connected
+from .graphs import Graph, edge_arrays, is_connected
 
 DEFAULT_MAX_EVENTS = 10**10  # safety valve when only absorption is requested
 
@@ -139,8 +139,8 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
 
     on_event, if given, is called after each applied event as
     on_event(time, n_events, opinions) with the live opinion list (read-only).
-    A per-event hook runs the Python event loop; without one the compiled
-    loop runs when it is available, with identical results.
+    The hook does not change the run: the compiled loop runs when it is
+    available, and the hook is replayed from its event log.
     """
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
@@ -169,43 +169,96 @@ def _run_events(
     with the live lists. The opinion and extremist traces are sampled at
     event indices 1, 2, 4, ... plus the initial and final states, and
     on_sample(t, n_events, weights) is called at each of those points after
-    the traces, with the live weights (a list or an array) or None.
+    the traces and the hooks up to it, with the live weights (a list or an
+    array) or None.
 
-    Without on_event the compiled kernel of _kernel.c runs when it can be
-    built: one C call seeds the generator, runs the whole replicate and takes
-    the trace samples, or one call per trace point when on_sample observes
-    them. It is bit-exact with the Python loop, which is the reference and
-    the fallback.
+    The compiled kernel of _kernel.c runs whenever it can be built: one C
+    call seeds the generator, runs the whole replicate and takes the trace
+    samples, or one call per trace point when on_sample observes them and
+    per _kernel.LOG_CHUNK events when on_event does, whose hooks are
+    replayed from the kernel's event log. It is bit-exact with the Python
+    loop, which is the reference and the fallback.
     """
-    run = _kernel.load() if on_event is None else None
+    run = _kernel.load()
     if run is not None:
-        return _compiled_events(run, g, ops, params, on_sample, weights)
+        return _compiled_events(run, g, ops, params, on_event, on_sample, weights)
 
     ops = ops.tolist()
+    w = None if weights is None else weights.tolist()
+    edges = _edge_lists(g)
+    e1, e2, inc_start, inc_edge = edges
     eps = params.epsilon
     track_extremists = eps > 0.5
     opinion_trace = []
     extremist_trace = []
 
-    def sample(t: float, k: int, ops: list[float], weights) -> None:
+    def sample(t: float, k: int) -> None:
         opinion_trace.append((t, len(set(ops))))
         if track_extremists:
             extremist_trace.append((t, extremist_count(ops, eps)))
         if on_sample is not None:
-            on_sample(t, k, weights)
+            on_sample(t, k, w)
 
-    t, events, absorbed, live = _python_events(g, ops, params, on_event, sample, weights)
+    rng = random.Random(params.seed)
+    expo = rng.expovariate
+    randrange = rng.randrange
+    rand = rng.random
+    active = [f for f in range(g.n_edges) if _live(ops[e1[f]], ops[e2[f]], eps)]
+    pos = [-1] * g.n_edges
+    for p, f in enumerate(active):
+        pos[f] = p
+
+    t = 0.0
+    events = 0
+    t_max = params.t_max
+    max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
+
+    sample(t, events)
+    next_trace = 1
+    while active and events < max_events:
+        n = len(active)
+        dt = expo(2.0 * n)
+        if t_max is not None and t + dt > t_max:
+            t = t_max
+            break
+        t += dt
+        f = active[randrange(n)]
+        events += 1
+        tgt = _apply_event(ops, w, edges, eps, f if rand() < 0.5 else ~f, t, events, on_event)
+        for h in inc_edge[inc_start[tgt] : inc_start[tgt + 1]]:
+            live = _live(ops[e1[h]], ops[e2[h]], eps)
+            p = pos[h]
+            if live and p < 0:
+                pos[h] = len(active)
+                active.append(h)
+            elif not live and p >= 0:
+                last = active[-1]
+                active[p] = last
+                pos[last] = p
+                active.pop()
+                pos[h] = -1
+        if events == next_trace:
+            sample(t, events)
+            next_trace *= 2
+
     if opinion_trace[-1][0] != t:
-        sample(t, events, ops, live)
-    return SimReport(np.array(ops), t, events, absorbed, opinion_trace, extremist_trace)
+        sample(t, events)
+    if weights is not None:
+        weights[:] = w
+    return SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace)
 
 
-def _compiled_events(run, g: Graph, ops: np.ndarray, params: SimParams, on_sample, weights):
+def _compiled_events(
+    run, g: Graph, ops: np.ndarray, params: SimParams, on_event, on_sample, weights
+) -> SimReport:
     """Run the compiled kernel over one replicate; returns its SimReport.
 
     The kernel's buffers are array.array objects: buffer_info() gives an
     address in about 0.1 us, where numpy's .ctypes.data takes about 3 us, as
-    long as a short run's whole loop.
+    long as a short run's whole loop. With on_event the kernel logs each
+    event, and the hook is driven by replaying each chunk of the log on
+    lists with _apply_event; at the end the lists must equal the kernel's
+    opinions and weights bit for bit.
     """
     m = g.n_edges
     if weights is not None and not (
@@ -223,9 +276,14 @@ def _compiled_events(run, g: Graph, ops: np.ndarray, params: SimParams, on_sampl
     x = array.array("d")
     x.frombytes(memoryview(ops).cast("B"))  # one copy of the validated opinions
     work = array.array("i", [0]) * (2 * m + 625)  # active, pos, generator state
-    state = array.array("q", [0, 0, 0])  # events, active edges, samples
+    state = array.array("q", [0, 0, 0, 0])  # events, active edges, samples, logged events
     sample_events, counts, extremists = (array.array("q", [0]) * cap for _ in range(3))
     times = array.array("d", [0.0]) * cap
+    log_len = 0 if on_event is None else _kernel.LOG_CHUNK
+    log_t, log_edge = array.array("d", [0.0]) * log_len, array.array("i", [0]) * log_len
+    lists = None  # the opinions, weights and edge lists the log is replayed on
+    if on_event is not None:
+        lists = (ops.tolist(), None if weights is None else weights.tolist(), _edge_lists(g))
     w = work.buffer_info()[0]
     # the buffers stay referenced here for as long as the kernel uses them
     args = (
@@ -244,24 +302,33 @@ def _compiled_events(run, g: Graph, ops: np.ndarray, params: SimParams, on_sampl
         sample_events.buffer_info()[0],
         counts.buffer_info()[0],
         extremists.buffer_info()[0],
+        log_t.buffer_info()[0],
+        log_edge.buffer_info()[0],
+        log_len,
         eps,
         t_max,
         max_events,
         on_sample is not None,
     )
-    code = run(*args)
-    if on_sample is not None:
-        seen = 0
-        while True:
+    code = _kernel.SAMPLE
+    seen = 0
+    while code == _kernel.SAMPLE:
+        code = run(*args)
+        if code == _kernel.NO_MEMORY:
+            raise MemoryError("event kernel could not allocate its scratch table")
+        first = state[0] - state[3]
+        for j in range(state[3]):
+            _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
+        if on_sample is not None:
             for s in range(seen, state[2]):
                 on_sample(times[s], sample_events[s], weights)
             seen = state[2]
-            if code != _kernel.SAMPLE:
-                break
-            code = run(*args)
-    if code == _kernel.NO_MEMORY:
-        raise MemoryError("event kernel could not allocate its scratch table")
-    events, active_edges, samples = state
+    if on_event is not None and any(
+        a is not None and array.array("d", a).tobytes() != b.tobytes()
+        for a, b in zip(lists, (x, weights))
+    ):
+        raise RuntimeError("the replayed event log does not match the kernel's final state")
+    events, active_edges, samples = state[:3]
     t = times[samples - 1]
     opinion_trace = list(zip(times[:samples], counts[:samples]))
     extremist_trace = list(zip(times[:samples], extremists[:samples])) if eps > 0.5 else []
@@ -270,131 +337,62 @@ def _compiled_events(run, g: Graph, ops: np.ndarray, params: SimParams, on_sampl
     )
 
 
-def _weight_rule(g: Graph, ops: list[float], weights: list[float] | None, on_event):
-    """Per-event observer of the Python loop: the coupled weight rule, then on_event."""
-    edges = g.edges
-
-    def observe(t, k, eidx, tgt, old, tgt_edges) -> None:
-        if weights is not None:
-            delta = ops[tgt] - old
-            for f in tgt_edges:
-                if f == eidx:
-                    weights[f] = 0.0
-                elif edges[f][1] == tgt:
-                    weights[f] += delta
-                else:
-                    weights[f] -= delta
-        if on_event is not None:
-            on_event(t, k, ops, weights)
-
-    return observe
+def _edge_lists(g: Graph) -> tuple[list[int], ...]:
+    """graphs.edge_arrays(g) as lists, which Python indexes fastest."""
+    return tuple(a.tolist() for a in edge_arrays(g))
 
 
-def _python_events(g: Graph, ops: list[float], params: SimParams, on_event, sample, weights):
-    """The reference loop; evolves ops and weights in place.
+def _apply_event(ops, weights, edges, eps, code, t, k, on_event):
+    """Apply one event to the lists ops and weights, then call on_event; returns the target.
 
-    Returns (t, events, absorbed, the weights as a list or None).
+    code is the fired edge f, or ~f when its lower endpoint edges[0][f] is
+    the target; edges is _edge_lists(g). If f is live the target takes the
+    source's opinion, and the coupled weight rule updates weights unless it
+    is None: f's weight is set to exactly 0.0 and every other edge at the
+    target gains (if the target is its higher endpoint) or loses the
+    target's change of opinion. The compiled kernel states the same rule.
     """
-    w = None if weights is None else weights.tolist()
-    observe = None
-    if w is not None or on_event is not None:
-        observe = _weight_rule(g, ops, w, on_event)
-    eps = params.epsilon
-    rng = random.Random(params.seed)
-    expo = rng.expovariate
-    randrange = rng.randrange
-    rand = rng.random
-
-    m = g.n_edges
-    e1 = [i for i, _ in g.edges]
-    e2 = [j for _, j in g.edges]
-    incident = [[] for _ in range(g.n_vertices)]
-    for idx in range(m):
-        incident[e1[idx]].append(idx)
-        incident[e2[idx]].append(idx)
-
-    active: list[int] = []
-    pos = [-1] * m
-    for idx in range(m):
-        if _live(ops[e1[idx]], ops[e2[idx]], eps):
-            pos[idx] = len(active)
-            active.append(idx)
-
-    t = 0.0
-    events = 0
-    t_max = params.t_max
-    max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
-
-    sample(t, events, ops, w)
-    next_trace = 1
-    while active and events < max_events:
-        n = len(active)
-        dt = expo(2.0 * n)
-        if t_max is not None and t + dt > t_max:
-            t = t_max
-            break
-        t += dt
-        eidx = active[randrange(n)]
-        if rand() < 0.5:
-            src, tgt = e1[eidx], e2[eidx]
-        else:
-            src, tgt = e2[eidx], e1[eidx]
+    e1, e2, inc_start, inc_edge = edges
+    f = code if code >= 0 else ~code
+    src, tgt = (e1[f], e2[f]) if code >= 0 else (e2[f], e1[f])
+    if _live(ops[e1[f]], ops[e2[f]], eps):
         old = ops[tgt]
         ops[tgt] = ops[src]
-        events += 1
-        tgt_edges = incident[tgt]
-        for f in tgt_edges:
-            d = ops[e1[f]] - ops[e2[f]]
-            # the plain test is exact unless |d| == eps; _live settles that case
-            if -eps < d < eps:
-                live = d != 0.0
-            else:
-                live = (d == eps or d == -eps) and _live(ops[e1[f]], ops[e2[f]], eps)
-            p = pos[f]
-            if live and p < 0:
-                pos[f] = len(active)
-                active.append(f)
-            elif not live and p >= 0:
-                last = active[-1]
-                active[p] = last
-                pos[last] = p
-                active.pop()
-                pos[f] = -1
-        if observe is not None:
-            observe(t, events, eidx, tgt, old, tgt_edges)
-        if events == next_trace:
-            sample(t, events, ops, w)
-            next_trace *= 2
-
-    if w is not None:
-        weights[:] = w
-    return t, events, not active, w
+        if weights is not None:
+            delta = ops[tgt] - old
+            for h in inc_edge[inc_start[tgt] : inc_start[tgt + 1]]:
+                if h == f:
+                    weights[h] = 0.0
+                elif e2[h] == tgt:
+                    weights[h] += delta
+                else:
+                    weights[h] -= delta
+    if on_event is not None:
+        on_event(t, k, ops, weights)
+    return tgt
 
 
 def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:
     """Apply an explicit (edge_index, direction) event list; no randomness.
 
-    Inactive edges are no-ops, exactly as in simulate. Scripted events carry
-    no clock, so report.time counts processed events.
+    Direction 1 copies the lower-index endpoint onto the higher, -1 the
+    reverse. Inactive edges are no-ops, exactly as in simulate. Scripted
+    events carry no clock, so report.time counts processed events.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon out of range [0, 1]")
     ops = _validate_initial(g, init).tolist()
+    edges = _edge_lists(g)
+    hook = None if on_event is None else lambda t, k, ops, _: on_event(t, k, ops)
     processed = 0
     for eidx, direction in script:
         if not 0 <= eidx < g.n_edges:
             raise ValueError(f"invalid edge index {eidx}")
         if direction not in (1, -1):
             raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-        i, j = g.edges[eidx]
-        if _live(ops[i], ops[j], epsilon):
-            if direction == 1:
-                ops[j] = ops[i]
-            else:
-                ops[i] = ops[j]
         processed += 1
-        if on_event is not None:
-            on_event(float(processed), processed, ops)
+        code = eidx if direction == 1 else ~eidx
+        _apply_event(ops, None, edges, epsilon, code, float(processed), processed, hook)
     final = np.array(ops)
     return SimReport(
         final_opinions=final,

@@ -144,8 +144,8 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     trajectory and report equal simulate's for the same seed; the kernel
     also applies the weight rule (the fired edge is zeroed exactly, never by
     subtraction). on_event, if given, is called after each event as
-    on_event(time, n_events, opinions, weights) with live lists, and runs
-    the Python event loop. The census trace is sampled at the opinion
+    on_event(time, n_events, opinions, weights) with live lists, replayed
+    from the kernel's event log. The census trace is sampled at the opinion
     trace's points (event indices 1, 2, 4, ... plus the initial and final
     states); the census is skipped for frozen dynamics (eps = 0), and an eps
     in (0, 2**-16), whose census would exceed MAX_CENSUS_TYPES types, is

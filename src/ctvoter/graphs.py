@@ -45,7 +45,6 @@ class CliquePeel:
     """Sequence of disjoint cliques removed from a graph until no vertices remain."""
 
     cliques: tuple[tuple[frozenset[int], int], ...]
-    residual_vertices: int
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(size for _, size in self.cliques)
@@ -287,14 +286,15 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     return all(coloring.colors[i] != coloring.colors[j] for i, j in g.edges)
 
 
-def chromatic_number_exact(g: Graph, limit: int = EXACT_CHROMATIC_LIMIT) -> Coloring:
+def chromatic_number_exact(g: Graph) -> Coloring:
     """Optimal coloring by backtracking; n_colors is the chromatic number.
 
-    Raises ValueError past `limit` so callers can fall back to greedy_coloring.
+    Raises ValueError past EXACT_CHROMATIC_LIMIT vertices so callers can fall
+    back to greedy_coloring.
     """
     n = g.n_vertices
-    if n > limit:
-        raise ValueError(f"exact coloring limited to {limit} vertices (got {n})")
+    if n > EXACT_CHROMATIC_LIMIT:
+        raise ValueError(f"exact coloring limited to {EXACT_CHROMATIC_LIMIT} vertices (got {n})")
     if g.n_edges == 0:
         return Coloring((0,) * n, 1)
     upper = greedy_coloring(g)
@@ -420,7 +420,7 @@ def clique_peel(g: Graph) -> CliquePeel:
             wmask |= 1 << v
         remaining &= ~wmask
         cliques.append((w, len(w)))
-    return CliquePeel(tuple(cliques), 0)
+    return CliquePeel(tuple(cliques))
 
 
 def enumerate_peels(g: Graph) -> list[CliquePeel]:
@@ -445,11 +445,11 @@ def enumerate_peels(g: Graph) -> list[CliquePeel]:
 
     def rec(vmask: int, acc: list[tuple[frozenset[int], int]]) -> None:
         if vmask == 0:
-            out.append(CliquePeel(tuple(acc), 0))
+            out.append(CliquePeel(tuple(acc)))
             return
         if not has_edge(vmask):
             tail = acc + [(frozenset([v]), 1) for v in _mask_to_set(vmask)]
-            out.append(CliquePeel(tuple(tail), 0))
+            out.append(CliquePeel(tuple(tail)))
             return
         for wmask in _maximum_cliques(masks, vmask):
             members = frozenset(_mask_to_set(wmask))

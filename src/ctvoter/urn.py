@@ -128,14 +128,3 @@ def closed_form_Y(balls_per_box: int, n: int, n_boxes_above: int) -> UrnState:
         counts[3] = m - half
     return UrnState(tuple(counts), n)
 
-
-def trajectory_to_csv(trajectory) -> str:
-    """CSV with columns step, box0..boxJ."""
-    if not trajectory:
-        return "step\n"
-    j_top = trajectory[0].n_boxes - 1
-    header = "step," + ",".join(f"box{j}" for j in range(j_top + 1))
-    rows = [header]
-    for state in trajectory:
-        rows.append(f"{state.step}," + ",".join(str(c) for c in state.counts))
-    return "\n".join(rows) + "\n"

@@ -221,7 +221,6 @@ def _check_peel(g, peel):
         seen |= members
         remaining -= members
     assert not remaining
-    assert peel.residual_vertices == 0
 
 
 class TestCliquePeel:

@@ -7,12 +7,15 @@ the loader to check the fallback and the reuse of a cached build; one runs
 the comparisons again on a build instrumented by AddressSanitizer.
 """
 
+import array
 import ctypes
+import hashlib
 import json
 import logging
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -253,6 +256,99 @@ def test_one_kernel_call_per_replicate(compiled, monkeypatch):
     assert set(pauses) == {True} and samples <= len(pauses) <= samples + 1
 
 
+LOG_CHUNK = _kernel.LOG_CHUNK
+# max_events around the log's chunk boundaries; the chunks fill at events 2**12
+# and 2**13, which are trace points, and at 3 * 2**12, which is not
+CHUNK_STOPS = {
+    "under_one_chunk": LOG_CHUNK - 1,
+    "one_chunk": LOG_CHUNK,
+    "over_one_chunk": LOG_CHUNK + 1,
+    "two_chunks": 2 * LOG_CHUNK,
+    "over_three_chunks": 3 * LOG_CHUNK + 1,
+}
+# torus:12x12 at eps 0.75 from random_initial(g, 0) absorbs after 12485 events
+HOOK_GRAPH = torus_graph(12, 12)
+HOOK_INIT = random_initial(HOOK_GRAPH, 0)
+
+
+def _hooked_run(params, coupled: bool) -> tuple:
+    """Per-event (t, k, digest of the opinion and weight bytes) seen by an
+    on_event hook, then the run's report JSON, final weights and census trace."""
+    records = []
+
+    def hook(t, k, ops, weights=()):
+        data = array.array("d", ops).tobytes() + array.array("d", weights).tobytes()
+        records.append((t, k, hashlib.blake2b(data).digest()))
+
+    if coupled:
+        res = simulate_coupled(HOOK_GRAPH, HOOK_INIT, params, on_event=hook)
+        return records, json.dumps(res.report.to_dict()), res.weights.tobytes(), res.census_trace
+    report = simulate(HOOK_GRAPH, HOOK_INIT, params, on_event=hook)
+    return records, json.dumps(report.to_dict())
+
+
+@pytest.mark.parametrize("coupled", [False, True], ids=["plain", "coupled"])
+@pytest.mark.parametrize("max_events", CHUNK_STOPS.values(), ids=CHUNK_STOPS.keys())
+def test_hook_log_matches_python_loop(compiled, request, coupled, max_events):
+    params = SimParams(0.75, 0, max_events=max_events)
+    kernel = _hooked_run(params, coupled)
+    request.getfixturevalue("python_loop")
+    assert kernel == _hooked_run(params, coupled)
+    records = kernel[0]
+    assert [k for _, k, _ in records] == list(range(1, max_events + 1))
+    if coupled and max_events >= LOG_CHUNK:
+        # the first chunk fills on the census pause at trace point LOG_CHUNK
+        assert LOG_CHUNK in [k for _, k, _ in kernel[3]]
+
+
+def test_hook_log_stops_at_t_max_after_a_log_pause(compiled, request):
+    """t_max between events 3 * LOG_CHUNK and the next: the run resumes after
+    its third log pause, at that chunk's last clock, and stops at t_max."""
+    last = 3 * LOG_CHUNK
+    records = _hooked_run(SimParams(0.75, 0, max_events=last + 1), coupled=False)[0]
+    t_max = (records[last - 1][0] + records[last][0]) / 2
+    kernel = [_hooked_run(SimParams(0.75, 0, t_max=t_max), coupled) for coupled in (False, True)]
+    assert len(kernel[0][0]) == last and json.loads(kernel[0][1])["time"] == t_max
+    request.getfixturevalue("python_loop")
+    assert kernel == [_hooked_run(SimParams(0.75, 0, t_max=t_max), c) for c in (False, True)]
+
+
+def test_hooked_run_calls_the_kernel(compiled, monkeypatch):
+    """A hook is replayed from the kernel's log: one call per chunk and one to finish."""
+    run, log_lengths = _kernel.load(), []
+
+    def spy(*args):
+        log_lengths.append(args[-5])  # log_cap
+        return run(*args)
+
+    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    seen = []
+    params = SimParams(0.75, 0, max_events=2 * LOG_CHUNK + 1)
+    simulate(HOOK_GRAPH, HOOK_INIT, params, on_event=lambda t, k, ops: seen.append(k))
+    assert log_lengths == [LOG_CHUNK] * 3
+    assert seen == list(range(1, 2 * LOG_CHUNK + 2))
+
+
+def test_replay_that_diverges_from_the_kernel_raises(compiled, monkeypatch):
+    from ctvoter import dynamics
+
+    monkeypatch.setattr(dynamics, "_live", lambda a, b, eps: False)
+    with pytest.raises(RuntimeError, match="replayed event log"):
+        simulate(HOOK_GRAPH, HOOK_INIT, SimParams(0.75, 0, max_events=10), on_event=print)
+
+
+def test_ctypes_signature_matches_the_c_prototype(compiled):
+    """load().argtypes has one entry of the matching kind per parameter of
+    ct_run_events in _kernel.c; a mismatch would corrupt memory, not fail."""
+    found = re.search(r"^int ct_run_events\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
+    params = [" ".join(p.split()) for p in found.group(1).split(",")]
+    kinds = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    expected = [ctypes.c_void_p if "*" in p else kinds[p.split()[0]] for p in params]
+    run = _kernel.load()
+    assert list(run.argtypes) == expected, params
+    assert run.restype is ctypes.c_int
+
+
 VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
 
 
@@ -380,6 +476,7 @@ def test_source_compiles_without_warnings(tmp_path):
 ASAN_CASES = (
     "named_graphs and (single or torus) or many_seeds or golden_cases"
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
+    " or hook_log_matches and coupled and over_one_chunk"
 )
 ASAN_PLUGIN = """
 from pathlib import Path

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctvoter import UrnState, closed_form_Y, play_random, play_strategy_S, uniform_start
-from ctvoter.urn import trajectory_to_csv
 
 
 class TestStrategyS:
@@ -128,12 +127,3 @@ class TestDominationLink:
             assert final_empty <= 3 * cap
         assert checked >= 45  # the filter almost never rejects at this scale
 
-
-class TestTrajectoryCsv:
-    def test_header_and_rows(self):
-        _, traj = play_strategy_S(2, 3)
-        text = trajectory_to_csv(traj)
-        lines = text.splitlines()
-        assert lines[0] == "step,box0,box1,box2,box3"
-        assert len(lines) == len(traj) + 1
-        assert lines[1] == "0,0,2,2,2"
