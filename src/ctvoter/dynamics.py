@@ -279,10 +279,10 @@ def _compiled_events(
     state = array.array("q", [0, 0, 0, 0])  # events, active edges, samples, logged events
     sample_events, counts, extremists = (array.array("q", [0]) * cap for _ in range(3))
     times = array.array("d", [0.0]) * cap
-    log_len = 0 if on_event is None else _kernel.LOG_CHUNK
-    log_t, log_edge = array.array("d", [0.0]) * log_len, array.array("i", [0]) * log_len
-    lists = None  # the opinions, weights and edge lists the log is replayed on
-    if on_event is not None:
+    log_len = 0
+    if on_event is not None:  # the event log, and the lists it is replayed on
+        log_len = _kernel.LOG_CHUNK
+        log_t, log_edge = array.array("d", [0.0]) * log_len, array.array("i", [0]) * log_len
         lists = (ops.tolist(), None if weights is None else weights.tolist(), _edge_lists(g))
     w = work.buffer_info()[0]
     # the buffers stay referenced here for as long as the kernel uses them
@@ -302,8 +302,8 @@ def _compiled_events(
         sample_events.buffer_info()[0],
         counts.buffer_info()[0],
         extremists.buffer_info()[0],
-        log_t.buffer_info()[0],
-        log_edge.buffer_info()[0],
+        None if on_event is None else log_t.buffer_info()[0],
+        None if on_event is None else log_edge.buffer_info()[0],
         log_len,
         eps,
         t_max,
@@ -316,9 +316,10 @@ def _compiled_events(
         code = run(*args)
         if code == _kernel.NO_MEMORY:
             raise MemoryError("event kernel could not allocate its scratch table")
-        first = state[0] - state[3]
-        for j in range(state[3]):
-            _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
+        if on_event is not None:
+            first = state[0] - state[3]
+            for j in range(state[3]):
+                _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
         if on_sample is not None:
             for s in range(seen, state[2]):
                 on_sample(times[s], sample_events[s], weights)
@@ -328,7 +329,7 @@ def _compiled_events(
         for a, b in zip(lists, (x, weights))
     ):
         raise RuntimeError("the replayed event log does not match the kernel's final state")
-    events, active_edges, samples = state[:3]
+    events, active_edges, samples, _ = state
     t = times[samples - 1]
     opinion_trace = list(zip(times[:samples], counts[:samples]))
     extremist_trace = list(zip(times[:samples], extremists[:samples])) if eps > 0.5 else []
