@@ -7,9 +7,11 @@
  * expovariate() and randrange(), in the same order per event, keeps the
  * active-edge array in the same order, and takes the opinion and extremist
  * trace samples itself. It can log every event, from which dynamics replays
- * per-event hooks. Every floating-point step is one IEEE-754 operation
- * as in Python, so it must be compiled without contraction into fused
- * multiply-adds and without fast-math.
+ * per-event hooks. ct_run_replicates runs a batch of the replicates of
+ * experiments.run_replicate in one call, drawing each initial configuration
+ * as numpy's default_rng does. Every floating-point step is one IEEE-754
+ * operation as in Python, so it must be compiled without contraction into
+ * fused multiply-adds and without fast-math.
  */
 
 #include <math.h>
@@ -132,15 +134,13 @@ struct trace {
 };
 
 /*
- * Append one sample of the n opinions at clock t: the event count state[0],
- * the number of distinct opinions under == (so -0.0 and 0.0 are one value,
- * as in a Python set) and, when eps > 1/2, the number of opinions outside
- * (1 - eps, eps); state[2] counts the samples. The distinct count hashes
- * the bit patterns into the table with linear probing; all-ones, a NaN,
- * marks an empty slot.
+ * Count the n opinions: out[0] gets the number of distinct opinions under ==
+ * (so -0.0 and 0.0 are one value, as in a Python set) and out[1] the number
+ * outside (1 - eps, eps). The distinct count hashes the bit patterns into
+ * the table with linear probing; all-ones, a NaN, marks an empty slot.
  */
-static void take_sample(const struct trace *tr, const double *ops, int32_t n, double eps,
-                        int64_t *state, double t)
+static void census(const struct trace *tr, const double *ops, int32_t n, double eps,
+                   int64_t out[2])
 {
     const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << tr->bits) - 1;
     uint64_t *table = tr->table;
@@ -160,19 +160,42 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
         }
         extremists += v <= lo || v >= eps;
     }
+    out[0] = distinct;
+    out[1] = extremists;
+}
+
+/*
+ * Append one sample of the n opinions at clock t: the event count state[0],
+ * the distinct count and, when eps > 1/2, the extremist count of census();
+ * state[2] counts the samples.
+ */
+static void take_sample(const struct trace *tr, const double *ops, int32_t n, double eps,
+                        int64_t *state, double t)
+{
+    int64_t counts[2];
+    census(tr, ops, n, eps, counts);
     int64_t s = state[2]++;
     tr->t[s] = t;
     tr->k[s] = state[0];
-    tr->count[s] = distinct;
+    tr->count[s] = counts[0];
     if (eps > 0.5)
-        tr->extremists[s] = extremists;
+        tr->extremists[s] = counts[1];
+}
+
+/* The smallest table of 2**bits >= 2n words, or NULL. */
+static uint64_t *alloc_table(struct trace *tr, int32_t n)
+{
+    tr->bits = 1;
+    while (((int64_t)1 << tr->bits) < 2 * (int64_t)n)
+        tr->bits++;
+    tr->table = malloc(((size_t)1 << tr->bits) * sizeof *tr->table);
+    return tr->table;
 }
 
 /*
  * Run the process on a graph with n vertices and m edges until max_events
  * events have run, the clock would pass t_max (then the clock is set to
- * t_max) or no edge is active; returns CT_LIMIT, CT_T_MAX or CT_ABSORBED, or
- * CT_NO_MEMORY if the scratch table cannot be allocated.
+ * t_max) or no edge is active; returns CT_LIMIT, CT_T_MAX or CT_ABSORBED.
  *
  * Edge f joins e1[f] < e2[f]; the edges at vertex v, in increasing index
  * order, are inc_edge[inc_start[v] .. inc_start[v + 1]). The run's state
@@ -187,8 +210,8 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * key_length 32-bit little-endian words of abs(seed) ({0} for 0), builds the
  * active set and samples the initial state. Samples are taken at events 0,
  * 1, 2, 4, ... and at the final state if its clock differs from the last
- * sample's; sample s is written to trace_t[s] (clock), trace_k[s] (events),
- * trace_count[s] and, when eps > 1/2, trace_extremists[s]. Each trace array
+ * sample's; sample s is written to tr->t[s] (clock), tr->k[s] (events),
+ * tr->count[s] and, when eps > 1/2, tr->extremists[s]. Each trace array
  * needs room for bit_length(max_events) + 2 samples.
  *
  * With log_cap > 0 the call also logs each event to log_t[state[3]] (its
@@ -199,21 +222,14 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * observe the state there, and calling again resumes the run at the last
  * logged event's clock, or else the last sample's, and restarts the log.
  */
-int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
-                  const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
-                  const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                  int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *trace_t,
-                  int64_t *trace_k, int64_t *trace_count, int64_t *trace_extremists,
-                  double *log_t, int32_t *log_edge, int32_t log_cap, double eps, double t_max,
-                  int64_t max_events, int32_t pause)
+static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
+                      const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
+                      const uint32_t *key, int32_t key_length, double *ops, double *weights,
+                      int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state,
+                      const struct trace *tr, double *log_t, int32_t *log_edge,
+                      int32_t log_cap, double eps, double t_max, int64_t max_events,
+                      int32_t pause)
 {
-    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, NULL, 1};
-    while (((int64_t)1 << tr.bits) < 2 * (int64_t)n_vertices)
-        tr.bits++;
-    tr.table = malloc(((size_t)1 << tr.bits) * sizeof *tr.table);
-    if (tr.table == NULL)
-        return CT_NO_MEMORY;
-
     int64_t events, n;
     double t;
     int code = CT_SAMPLE;
@@ -229,13 +245,13 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
         }
         state[0] = state[3] = events = 0;
         t = 0.0;
-        take_sample(&tr, ops, n_vertices, eps, state, t);
+        take_sample(tr, ops, n_vertices, eps, state, t);
         if (pause)
             goto out;
     } else {
         events = state[0];
         n = state[1];
-        t = state[3] > 0 ? log_t[state[3] - 1] : trace_t[state[2] - 1];
+        t = state[3] > 0 ? log_t[state[3] - 1] : tr->t[state[2] - 1];
     }
     state[3] = 0;
     uint64_t next_trace = 1;
@@ -291,7 +307,7 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
         }
         if ((uint64_t)events == next_trace) {
             state[0] = events;
-            take_sample(&tr, ops, n_vertices, eps, state, t);
+            take_sample(tr, ops, n_vertices, eps, state, t);
             next_trace *= 2;
             stop |= pause;
         }
@@ -304,10 +320,176 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
     if (code == CT_LIMIT && n == 0)
         code = CT_ABSORBED;
     state[0] = events;
-    if (trace_t[state[2] - 1] != t)
-        take_sample(&tr, ops, n_vertices, eps, state, t);
+    if (tr->t[state[2] - 1] != t)
+        take_sample(tr, ops, n_vertices, eps, state, t);
 out:
     state[1] = n;
+    return code;
+}
+
+/*
+ * run_events with the trace arrays trace_t, trace_k, trace_count and
+ * trace_extremists and a scratch table of its own; returns CT_NO_MEMORY if
+ * the table cannot be allocated.
+ */
+int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
+                  const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
+                  const uint32_t *key, int32_t key_length, double *ops, double *weights,
+                  int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *trace_t,
+                  int64_t *trace_k, int64_t *trace_count, int64_t *trace_extremists,
+                  double *log_t, int32_t *log_edge, int32_t log_cap, double eps, double t_max,
+                  int64_t max_events, int32_t pause)
+{
+    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, NULL, 1};
+    if (alloc_table(&tr, n_vertices) == NULL)
+        return CT_NO_MEMORY;
+    int code = run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key, key_length, ops,
+                          weights, active, pos, mt, state, &tr, log_t, log_edge, log_cap, eps,
+                          t_max, max_events, pause);
     free(tr.table);
+    return code;
+}
+
+/* common.spawn_seed: child seed number `index` of a 64-bit master seed (SplitMix64). */
+static uint64_t spawn_seed(uint64_t master, uint64_t index)
+{
+    uint64_t z = master + (index + 1) * 0x9E3779B97F4A7C15ULL;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    return z ^ (z >> 31);
+}
+
+/* The hash and the mix of numpy's SeedSequence, on 32-bit words. */
+static uint32_t seq_hashmix(uint32_t value, uint32_t *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875U;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static uint32_t seq_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddU * x - 0x4973f715U * y;
+    return r ^ (r >> 16);
+}
+
+/*
+ * numpy's SeedSequence(seed).generate_state(4, np.uint64) for a seed below
+ * 2**64: its entropy, the one or two 32-bit little-endian words of the seed
+ * ({0} for 0), is mixed into a pool of four words, which is hashed out to
+ * eight words, read as four little-endian 64-bit words.
+ */
+static void seed_sequence(uint64_t seed, uint64_t state[4])
+{
+    uint32_t entropy[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    int n_entropy = seed >> 32 ? 2 : 1;
+    uint32_t pool[4], hash_const = 0x43b0d7e5U;
+    for (int i = 0; i < 4; i++)
+        pool[i] = seq_hashmix(i < n_entropy ? entropy[i] : 0, &hash_const);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = seq_mix(pool[dst], seq_hashmix(pool[src], &hash_const));
+    uint32_t words[8], hash = 0x8b51f9ddU;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % 4] ^ hash;
+        hash *= 0x58f38dedU;
+        v *= hash;
+        words[i] = v ^ (v >> 16);
+    }
+    for (int i = 0; i < 4; i++)
+        state[i] = words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
+}
+
+typedef unsigned __int128 u128;
+
+/* numpy's PCG64: a 128-bit LCG with the XSL-RR output function. */
+struct pcg64 {
+    u128 state, inc;
+};
+
+static const u128 PCG_MULT = (u128)2549297995355413924ULL << 64 | 4865540595714422341ULL;
+
+static uint64_t pcg64_next(struct pcg64 *rng)
+{
+    rng->state = rng->state * PCG_MULT + rng->inc;
+    uint64_t x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+/*
+ * n opinions drawn as np.random.default_rng(seed).random(n): PCG64 seeded
+ * from the SeedSequence's four words (the initial state from words 0 and 1,
+ * the stream from 2 and 3, high word first) as pcg64_srandom_r does, and
+ * each opinion the top 53 bits of one output over 2**53.
+ */
+static void draw_uniform(double *ops, int32_t n, uint64_t seed)
+{
+    uint64_t s[4];
+    seed_sequence(seed, s);
+    struct pcg64 rng = {0, ((u128)s[2] << 64 | s[3]) << 1 | 1};
+    pcg64_next(&rng);
+    rng.state += (u128)s[0] << 64 | s[1];
+    pcg64_next(&rng);
+    for (int32_t i = 0; i < n; i++)
+        ops[i] = (double)(pcg64_next(&rng) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/*
+ * Run `reps` replicates of experiments.run_replicate on one graph (as in
+ * ct_run_events) at one eps, t_max and max_events. Replicate r with seed
+ * seeds[r] starts from the opinions default_rng(spawn_seed(seeds[r], 0))
+ * draws and runs on the event stream random.Random(spawn_seed(seeds[r], 1)).
+ * It writes out[4r] (its events), out[4r + 1] (its stop code: CT_LIMIT,
+ * CT_T_MAX or CT_ABSORBED), out[4r + 2] (its distinct final opinions) and
+ * out[4r + 3] (its final opinions outside (1 - eps, eps)). If `final` is not
+ * NULL, replicate 0's n final opinions are copied to it. The buffers are
+ * allocated once and reused by every replicate; returns 0, or CT_NO_MEMORY
+ * if they cannot be allocated.
+ */
+int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
+                      const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
+                      const uint64_t *seeds, int64_t reps, double eps, double t_max,
+                      int64_t max_events, int64_t *out, double *final)
+{
+    size_t n = (size_t)n_vertices, m = (size_t)n_edges, cap = 2;
+    for (int64_t k = max_events; k > 0; k >>= 1)
+        cap++; /* bit_length(max_events) + 2 samples */
+    struct trace tr = {malloc(cap * sizeof(double)), malloc(3 * cap * sizeof(int64_t)), NULL,
+                       NULL, NULL, 1};
+    double *ops = malloc((n + 1) * sizeof *ops);
+    int32_t *active = malloc((2 * m + MT_N + 1) * sizeof *active);
+    int code = CT_NO_MEMORY;
+    if (tr.t == NULL || tr.k == NULL || ops == NULL || active == NULL ||
+        alloc_table(&tr, n_vertices) == NULL)
+        goto out;
+    tr.count = tr.k + cap;
+    tr.extremists = tr.k + 2 * cap;
+    int32_t *pos = active + m;
+    uint32_t *mt = (uint32_t *)(pos + m);
+    int64_t state[4];
+    for (int64_t r = 0; r < reps; r++) {
+        draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
+        uint64_t seed = spawn_seed(seeds[r], 1);
+        uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+        state[2] = 0;
+        int64_t *rep = out + 4 * r;
+        rep[1] = run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
+                            seed >> 32 ? 2 : 1, ops, NULL, active, pos, mt, state, &tr, NULL,
+                            NULL, 0, eps, t_max, max_events, 0);
+        rep[0] = state[0];
+        census(&tr, ops, n_vertices, eps, rep + 2);
+        if (r == 0 && final != NULL)
+            memcpy(final, ops, n * sizeof *ops);
+    }
+    code = 0;
+out:
+    free(tr.t);
+    free(tr.k);
+    free(tr.table);
+    free(ops);
+    free(active);
     return code;
 }

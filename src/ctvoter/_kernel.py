@@ -30,7 +30,7 @@ COMPILER = "cc"
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
-# return codes of ct_run_events
+# return codes of ct_run_events, and stop codes of ct_run_replicates
 NO_MEMORY, LIMIT, T_MAX, ABSORBED, SAMPLE = -1, 0, 1, 2, 3
 # largest event limit passed to the kernel, so that it fits an int64 with its
 # trace points; more events than this would take centuries to run
@@ -39,6 +39,21 @@ MAX_EVENTS = 2**62
 LOG_CHUNK = 4096
 
 log = logging.getLogger(__name__)
+
+_pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
+# argument types of the library's entry points, one per parameter in _kernel.c
+SIGNATURES = {
+    "ct_run_events": (
+        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 12
+        + [_int32, _double, _double, _int64, _int32]
+    ),
+    "ct_run_replicates": (
+        [_pointer] * 4 + [_int32, _int32, _pointer, _int64, _double, _double, _int64]
+        + [_pointer] * 2
+    ),
+}
+# the typed entry points of the library load() returned last, by name
+entry_points: dict = {}
 
 
 def library_path() -> Path:
@@ -63,25 +78,32 @@ def _build(path: Path) -> None:
 
 @functools.cache
 def load():
-    """The compiled ct_run_events, built if not cached; None if unavailable."""
+    """The compiled ct_run_events, built if not cached; None if unavailable.
+
+    Every entry point in SIGNATURES is typed and kept in entry_points.
+    """
     try:
         path = library_path()
         if not path.exists():
             _build(path)
-        run = ctypes.CDLL(str(path)).ct_run_events
+        lib = ctypes.CDLL(str(path))
+        functions = {name: getattr(lib, name) for name in SIGNATURES}
     except subprocess.CalledProcessError as exc:
         log.warning("event kernel failed to compile, using the Python loop:\n%s", exc.stderr)
         return None
     except (OSError, AttributeError) as exc:
         log.warning("event kernel unavailable, using the Python loop: %s", exc)
         return None
-    pointer, int32 = ctypes.c_void_p, ctypes.c_int32
-    run.argtypes = (
-        [pointer] * 4 + [int32, int32, pointer, int32] + [pointer] * 12
-        + [int32, ctypes.c_double, ctypes.c_double, ctypes.c_int64, int32]
-    )
-    run.restype = ctypes.c_int
-    return run
+    for name, function in functions.items():
+        function.argtypes = SIGNATURES[name]
+        function.restype = ctypes.c_int
+    entry_points.update(functions)
+    return functions["ct_run_events"]
+
+
+def replicates():
+    """The compiled ct_run_replicates; None when load() is None."""
+    return None if load() is None else entry_points["ct_run_replicates"]
 
 
 def graph_pointers(g: Graph) -> tuple[int, ...]:

@@ -5,20 +5,26 @@ i = grid_index * reps + replicate (the replicate itself when the grid is a
 single threshold), and each replicate splits its seed once more into an
 initial-configuration stream and an event stream.
 Records are keyed by replicate index, so serial and parallel execution
-produce identical reports.
+produce identical reports. With the compiled kernel, one call runs all the
+replicates of a threshold (or of a pool chunk), initial draws included;
+without it each replicate runs through run_replicate.
 """
 
 from __future__ import annotations
 
+import array
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .common import spawn_seed
+from . import _kernel
+from .common import MASK64, spawn_seed
 from .dynamics import (
+    DEFAULT_MAX_EVENTS,
     SimParams,
     count_opinions,
     extremist_count,
@@ -51,9 +57,11 @@ class ReplicateRecord:
     theta_inf_zero: bool | None
     events: int
     # informational fields, excluded from serialized reports (wall time is not
-    # reproducible; the extremist count is recomputable from the seed)
+    # reproducible; the extremist count and the stop reason are recomputable
+    # from the seed)
     wall_time: float = 0.0
     theta_inf_count: int | None = None
+    stop_reason: str | None = None  # "absorbed", "t_max" or "max_events"
 
 
 @dataclass
@@ -88,37 +96,122 @@ def run_replicate(
     return init, simulate(g, init, params)
 
 
+def _stop_reason(report, t_max: float | None) -> str:
+    """Why a run stopped: "absorbed", "t_max" or "max_events"."""
+    if report.absorbed:
+        return "absorbed"
+    if t_max is not None and report.time == t_max:
+        return "t_max"
+    return "max_events"
+
+
+STOP_REASONS = {_kernel.ABSORBED: "absorbed", _kernel.T_MAX: "t_max", _kernel.LIMIT: "max_events"}
+
+
+def _record(task, nu: int, absorbed: bool, extremists: int, events: int, wall: float, stop: str):
+    """The ReplicateRecord of a task, given its final counts."""
+    _, eps, index, rep_seed, _, _ = task
+    theta_count = extremists if eps > 0.5 and absorbed else None
+    return ReplicateRecord(
+        replicate=index,
+        seed=rep_seed,
+        nu=nu,
+        absorbed=absorbed,
+        consensus=nu == 1,
+        theta_inf_zero=None if theta_count is None else theta_count == 0,
+        events=events,
+        wall_time=wall,
+        theta_inf_count=theta_count,
+        stop_reason=stop,
+    )
+
+
 def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
     g, eps, index, rep_seed, t_max, want_final = args
     start = time.perf_counter()
     _, report = run_replicate(g, eps, rep_seed, t_max=t_max)
-    nu = count_opinions(report.final_opinions)
-    theta_zero = None
-    theta_count = None
-    if eps > 0.5 and report.absorbed:
-        theta_count = extremist_count(report.final_opinions, eps)
-        theta_zero = theta_count == 0
-    record = ReplicateRecord(
-        replicate=index,
-        seed=rep_seed,
-        nu=nu,
-        absorbed=report.absorbed,
-        consensus=nu == 1,
-        theta_inf_zero=theta_zero,
-        events=report.events,
-        wall_time=time.perf_counter() - start,
-        theta_inf_count=theta_count,
+    final = report.final_opinions
+    nu = count_opinions(final)
+    extremists = extremist_count(final, eps) if eps > 0.5 and report.absorbed else 0
+    wall = time.perf_counter() - start
+    record = _record(
+        args, nu, report.absorbed, extremists, report.events, wall, _stop_reason(report, t_max)
     )
-    final = [float(v) for v in report.final_opinions] if want_final else None
-    return record, final
+    return record, [float(v) for v in final] if want_final else None
+
+
+def _run_chunk(tasks) -> list[tuple[ReplicateRecord, list | None]]:
+    """(record, final) of tasks that share one graph, threshold and t_max.
+
+    One call of the compiled ct_run_replicates runs them all, initial draws
+    included, and copies out the first task's final opinions, the only ones
+    a chunk may want. It raises what run_replicate would, before any
+    compute. Each record's wall time is the chunk's over its length. Without
+    the compiled kernel each task runs through _replicate_worker.
+    """
+    run = _kernel.replicates()
+    if run is None:
+        return [_replicate_worker(task) for task in tasks]
+    start = time.perf_counter()
+    g, eps, _, _, t_max, want_final = tasks[0]
+    SimParams(eps, 0, t_max=t_max)
+    if not is_connected(g):
+        raise ValueError("dynamics require a connected graph")
+    n, reps = g.n_vertices, len(tasks)
+    # spawn_seed reduces its master seed mod 2**64 first, so the kernel can too
+    seeds = array.array("Q", [task[3] & MASK64 for task in tasks])
+    out = array.array("q", bytes(32 * reps))  # events, stop code, nu, extremists
+    final = array.array("d", bytes(8 * n)) if want_final else None
+    code = run(
+        *_kernel.graph_pointers(g),
+        n,
+        g.n_edges,
+        seeds.buffer_info()[0],
+        reps,
+        eps,
+        math.inf if t_max is None else t_max,
+        min(DEFAULT_MAX_EVENTS, _kernel.MAX_EVENTS),
+        out.buffer_info()[0],
+        None if final is None else final.buffer_info()[0],
+    )
+    if code == _kernel.NO_MEMORY:
+        raise MemoryError("event kernel could not allocate its replicate buffers")
+    wall = (time.perf_counter() - start) / reps
+    results = [
+        (_record(task, nu, stop == _kernel.ABSORBED, ext, events, wall, STOP_REASONS[stop]), None)
+        for task, events, stop, nu, ext in zip(tasks, out[::4], out[1::4], out[2::4], out[3::4])
+    ]
+    if final is not None:
+        results[0] = (results[0][0], final.tolist())
+    return results
+
+
+def _chunks(tasks, size: int):
+    """Runs of at most size consecutive tasks with one graph, threshold and
+    t_max; a task that wants its final opinions starts a new run."""
+    chunk = []
+    for task in tasks:
+        if chunk and (
+            len(chunk) == size
+            or task[5]
+            or task[0] is not chunk[0][0]
+            or (task[1], task[4]) != (chunk[0][1], chunk[0][4])
+        ):
+            yield chunk
+            chunk = []
+        chunk.append(task)
+    if chunk:
+        yield chunk
 
 
 def _run_batch(tasks, workers: int):
+    """(record, final) per task, in order: one _run_chunk per threshold, or
+    per pool chunk of about len(tasks) / (4 * workers) tasks."""
     if workers <= 1:
-        return [_replicate_worker(t) for t in tasks]
+        return [result for chunk in _chunks(tasks, len(tasks)) for result in _run_chunk(chunk)]
+    size = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(tasks) // (workers * 4))
-        return list(pool.map(_replicate_worker, tasks, chunksize=chunk))
+        return [r for results in pool.map(_run_chunk, _chunks(tasks, size)) for r in results]
 
 
 def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=None):

@@ -8,6 +8,7 @@ alone is computed once per Graph object and memoised (see memo).
 
 from __future__ import annotations
 
+import heapq
 import weakref
 from dataclasses import dataclass
 
@@ -263,22 +264,32 @@ def _neighbor_masks(g: Graph) -> list[int]:
 
 
 def greedy_coloring(g: Graph) -> Coloring:
-    """DSATUR greedy coloring: proper, not necessarily optimal."""
+    """DSATUR greedy coloring: proper, not necessarily optimal.
+
+    The next vertex is the most saturated uncolored one, ties broken on
+    degree then on the lower index: the least key (-saturation, -degree, v)
+    of a heap that gets a new entry whenever a saturation grows. Saturation
+    never falls, so an entry whose saturation is not its vertex's current
+    one, or whose vertex is colored, is stale and skipped.
+    """
     n = g.n_vertices
     colors = [-1] * n
     neighbor_colors = [set() for _ in range(n)]
-    for _ in range(n):
-        # most saturated uncolored vertex; tie-break on degree then index
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
-        )
+    heap = [(0, -g.degree(v), v) for v in range(n)]
+    heapq.heapify(heap)
+    while heap:
+        neg_sat, neg_deg, v = heapq.heappop(heap)
+        if colors[v] >= 0 or -neg_sat != len(neighbor_colors[v]):
+            continue
         c = 0
         while c in neighbor_colors[v]:
             c += 1
         colors[v] = c
         for u in g.adjacency[v]:
-            neighbor_colors[u].add(c)
+            seen = neighbor_colors[u]
+            if colors[u] < 0 and c not in seen:
+                seen.add(c)
+                heapq.heappush(heap, (-len(seen), -g.degree(u), u))
     return Coloring(tuple(colors), max(colors) + 1)
 
 

@@ -168,6 +168,35 @@ class TestColoring:
         with pytest.raises(ValueError, match="limited"):
             chromatic_number_exact(torus_graph(5, 5))
 
+    @staticmethod
+    def _quadratic_dsatur(g):
+        """The DSATUR of greedy_coloring by a max over every uncolored vertex."""
+        n = g.n_vertices
+        colors = [-1] * n
+        neighbor_colors = [set() for _ in range(n)]
+        for _ in range(n):
+            v = max(
+                (u for u in range(n) if colors[u] < 0),
+                key=lambda u: (len(neighbor_colors[u]), g.degree(u), -u),
+            )
+            c = 0
+            while c in neighbor_colors[v]:
+                c += 1
+            colors[v] = c
+            for u in g.adjacency[v]:
+                neighbor_colors[u].add(c)
+        return graphs.Coloring(tuple(colors), max(colors) + 1)
+
+    def test_heap_dsatur_matches_the_quadratic_one(self, tiny_family):
+        rng = random.Random(11)
+        cases = [g for _, g in tiny_family] + [petersen_graph(), torus_graph(7, 9)]
+        for n in (10, 40, 120, 300):
+            cases += [path_graph(n), cycle_graph(n)]
+            for p in (0.0, 1 / n, 4 / n, 0.3):
+                cases.append(random_connected_graph(n, rng.randrange(2**32), p))
+        for g in cases:
+            assert greedy_coloring(g) == self._quadratic_dsatur(g)
+
 
 class TestCliques:
     def test_k6(self):

@@ -9,6 +9,7 @@ the comparisons again on a build instrumented by AddressSanitizer.
 
 import array
 import ctypes
+import dataclasses
 import hashlib
 import json
 import logging
@@ -43,7 +44,8 @@ from ctvoter import (
     spawn_seed,
     torus_graph,
 )
-from ctvoter import _kernel
+from ctvoter import _kernel, dynamics, experiments
+from ctvoter.common import MASK64
 from ctvoter.dynamics import DEFAULT_MAX_EVENTS, _live
 
 import test_golden
@@ -256,6 +258,138 @@ def test_one_kernel_call_per_replicate(compiled, monkeypatch):
     assert set(pauses) == {True} and samples <= len(pauses) <= samples + 1
 
 
+def _unspawn(seed: int) -> int:
+    """The master m with spawn_seed(m, 0) == seed: SplitMix64's output function undone."""
+
+    def unshift(z: int, k: int) -> int:  # inverse of z ^ (z >> k)
+        r = z
+        for _ in range(64 // k):
+            r = z ^ (r >> k)
+        return r
+
+    z = unshift(seed, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
+    z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
+    return (unshift(z, 30) - 0x9E3779B97F4A7C15) & MASK64
+
+
+def _kernel_draw(n: int, seed: int) -> bytes:
+    """The kernel's initial draw from seed: the final opinions of a batch
+    replicate at eps 0, where no edge is live and no event runs."""
+    task = (path_graph(n), 0.0, 0, _unspawn(seed), None, True)
+    ((record, final),) = experiments._run_chunk([task])
+    assert record.events == 0 and record.stop_reason == "absorbed"
+    return array.array("d", final).tobytes()
+
+
+DRAW_SIZES = (1, 2, 20, 4097)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_batch_draw_is_numpys(compiled, seed):
+    assert spawn_seed(_unspawn(seed), 0) == seed
+    for n in DRAW_SIZES:
+        assert _kernel_draw(n, seed) == random_initial(path_graph(n), seed).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(DRAW_SIZES))
+def test_batch_draw_is_numpys_for_any_seed(compiled, seed, n):
+    assert _kernel_draw(n, seed) == random_initial(path_graph(n), seed).tobytes()
+
+
+BATCH_EPS = (0.0, 0.3, 1 / 3, 0.5, 0.75, 1.0)
+BATCH_T_MAX = (None, 0.0, 20.0)
+BATCH_REPS = (1, 2, 37)
+
+
+def _batch_tasks(g, eps, t_max, reps, master=5):
+    return [(g, eps, i, spawn_seed(master, i), t_max, i == 0) for i in range(reps)]
+
+
+def _comparable(results):
+    """Records without their wall times, and the finals' bytes."""
+    return [
+        (dataclasses.replace(rec, wall_time=0.0), None if fin is None else array.array("d", fin))
+        for rec, fin in results
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+@pytest.mark.parametrize("eps", BATCH_EPS, ids=repr)
+def test_batch_matches_replicate_worker(compiled, name, eps):
+    """One kernel call per threshold gives the records and the first final
+    of one run_replicate per task."""
+    g = GRAPHS[name]
+    for t_max in BATCH_T_MAX:
+        for reps in BATCH_REPS:
+            tasks = _batch_tasks(g, eps, t_max, reps)
+            batch = _comparable(experiments._run_batch(tasks, 1))
+            assert batch == _comparable(map(experiments._replicate_worker, tasks))
+            assert batch[0][1] is not None and all(fin is None for _, fin in batch[1:])
+
+
+def test_pooled_batch_matches_serial(compiled):
+    tasks = [
+        task
+        for name in sorted(GRAPHS)
+        for eps in BATCH_EPS
+        for t_max in BATCH_T_MAX
+        for task in _batch_tasks(GRAPHS[name], eps, t_max, 37)
+    ]
+    serial = _comparable(experiments._run_batch(tasks, 1))
+    assert _comparable(experiments._run_batch(tasks, 2)) == serial
+    assert serial == _comparable(map(experiments._replicate_worker, tasks))
+
+
+def _spy_batches(monkeypatch) -> list:
+    run, calls = _kernel.replicates(), []
+
+    def spy(*args):
+        calls.append(args[7])  # reps
+        return run(*args)
+
+    monkeypatch.setitem(_kernel.entry_points, "ct_run_replicates", spy)
+    return calls
+
+
+def test_one_kernel_call_per_threshold(compiled, monkeypatch):
+    calls = _spy_batches(monkeypatch)
+    experiments.consensus_experiment(path_graph(20), 0.75, 50, 1)
+    assert calls == [50]
+    calls.clear()
+    experiments.sweep_experiment(3, 4, (0.2, 0.5, 1.0), 5.0, 7, 1)
+    assert calls == [7, 7, 7]
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backend):
+    calls = _spy_batches(monkeypatch)
+    if backend == "python_loop":
+        request.getfixturevalue(backend)
+    two_paths = make_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="connected graph"):
+        experiments._run_batch(_batch_tasks(two_paths, 0.5, None, 3), 1)
+    with pytest.raises(ValueError, match="t_max"):
+        experiments._run_batch(_batch_tasks(path_graph(3), 0.5, -1.0, 3), 1)
+    with pytest.raises(ValueError, match="epsilon"):
+        experiments._run_batch(_batch_tasks(path_graph(3), 1.5, None, 3), 1)
+    assert calls == []
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_stop_reasons(compiled, monkeypatch, request, backend):
+    if backend == "python_loop":
+        request.getfixturevalue(backend)
+    for module in (dynamics, experiments):
+        monkeypatch.setattr(module, "DEFAULT_MAX_EVENTS", 5)
+    g = torus_graph(5, 6)
+    cells = {"absorbed": (0.0, None), "t_max": (1.0, 0.0), "max_events": (1.0, None)}
+    for reason, (eps, t_max) in cells.items():
+        results = experiments._run_batch(_batch_tasks(g, eps, t_max, 3), 1)
+        assert [rec.stop_reason for rec, _ in results] == [reason] * 3
+        assert all(rec.events == (5 if reason == "max_events" else 0) for rec, _ in results)
+
+
 LOG_CHUNK = _kernel.LOG_CHUNK
 # max_events around the log's chunk boundaries; the chunks fill at events 2**12
 # and 2**13, which are trace points, and at 3 * 2**12, which is not
@@ -338,15 +472,17 @@ def test_replay_that_diverges_from_the_kernel_raises(compiled, monkeypatch):
 
 
 def test_ctypes_signature_matches_the_c_prototype(compiled):
-    """load().argtypes has one entry of the matching kind per parameter of
-    ct_run_events in _kernel.c; a mismatch would corrupt memory, not fail."""
-    found = re.search(r"^int ct_run_events\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
-    params = [" ".join(p.split()) for p in found.group(1).split(",")]
+    """Each entry point's argtypes has one entry of the matching kind per
+    parameter in _kernel.c; a mismatch would corrupt memory, not fail."""
+    found = re.findall(r"^int (ct_\w+)\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
+    assert sorted(name for name, _ in found) == sorted(_kernel.entry_points)
     kinds = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
-    expected = [ctypes.c_void_p if "*" in p else kinds[p.split()[0]] for p in params]
-    run = _kernel.load()
-    assert list(run.argtypes) == expected, params
-    assert run.restype is ctypes.c_int
+    for name, text in found:
+        params = [" ".join(p.split()) for p in text.split(",")]
+        expected = [ctypes.c_void_p if "*" in p else kinds[p.split()[0]] for p in params]
+        assert list(_kernel.entry_points[name].argtypes) == expected, (name, params)
+        assert _kernel.entry_points[name].restype is ctypes.c_int
+    assert _kernel.load() is _kernel.entry_points["ct_run_events"]
 
 
 VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
@@ -477,6 +613,7 @@ ASAN_CASES = (
     "named_graphs and (single or torus) or many_seeds or golden_cases"
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
     " or hook_log_matches and coupled and over_one_chunk"
+    " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
 )
 ASAN_PLUGIN = """
 from pathlib import Path

@@ -1,7 +1,8 @@
-"""Guards for the benchmark tooling that reaches into ctvoter by name."""
+"""Guards for what reaches into ctvoter by name: the benchmark tooling and the kernel binding."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -28,3 +29,15 @@ def test_traced_benchmark_rebinds_only_existing_names():
         if not hasattr(importlib.import_module(f"ctvoter.{module}"), attr)
     ]
     assert not missing, f"perfbench/child.py rebinds names ctvoter no longer has: {missing}"
+
+
+def test_every_kernel_entry_point_is_typed_with_its_parameter_count():
+    """_kernel.load() types each ct_* function of _kernel.c from SIGNATURES;
+    a wrong argument count there corrupts memory instead of failing."""
+    from ctvoter import _kernel
+
+    found = re.findall(r"^int (ct_\w+)\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
+    counts = {name: len(params.split(",")) for name, params in found}
+    assert counts and counts == {name: len(a) for name, a in _kernel.SIGNATURES.items()}
+    if _kernel.load() is not None:
+        assert {name: len(f.argtypes) for name, f in _kernel.entry_points.items()} == counts
