@@ -139,8 +139,8 @@ struct trace {
  * outside (1 - eps, eps). The distinct count hashes the bit patterns into
  * the table with linear probing; all-ones, a NaN, marks an empty slot.
  */
-static void census(const struct trace *tr, const double *ops, int32_t n, double eps,
-                   int64_t out[2])
+static void count_opinions(const struct trace *tr, const double *ops, int32_t n, double eps,
+                           int64_t out[2])
 {
     const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << tr->bits) - 1;
     uint64_t *table = tr->table;
@@ -166,14 +166,14 @@ static void census(const struct trace *tr, const double *ops, int32_t n, double 
 
 /*
  * Append one sample of the n opinions at clock t: the event count state[0],
- * the distinct count and, when eps > 1/2, the extremist count of census();
- * state[2] counts the samples.
+ * the distinct count and, when eps > 1/2, the extremist count of
+ * count_opinions(); state[2] counts the samples.
  */
 static void take_sample(const struct trace *tr, const double *ops, int32_t n, double eps,
                         int64_t *state, double t)
 {
     int64_t counts[2];
-    census(tr, ops, n, eps, counts);
+    count_opinions(tr, ops, n, eps, counts);
     int64_t s = state[2]++;
     tr->t[s] = t;
     tr->k[s] = state[0];
@@ -480,7 +480,7 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
                             seed >> 32 ? 2 : 1, ops, NULL, active, pos, mt, state, &tr, NULL,
                             NULL, 0, eps, t_max, max_events, 0);
         rep[0] = state[0];
-        census(&tr, ops, n_vertices, eps, rep + 2);
+        count_opinions(&tr, ops, n_vertices, eps, rep + 2);
         if (r == 0 && final != NULL)
             memcpy(final, ops, n * sizeof *ops);
     }

@@ -105,7 +105,7 @@ def _stop_reason(report, t_max: float | None) -> str:
     return "max_events"
 
 
-STOP_REASONS = {_kernel.ABSORBED: "absorbed", _kernel.T_MAX: "t_max", _kernel.LIMIT: "max_events"}
+_STOP_REASONS = {_kernel.ABSORBED: "absorbed", _kernel.T_MAX: "t_max", _kernel.LIMIT: "max_events"}
 
 
 def _record(task, nu: int, absorbed: bool, extremists: int, events: int, wall: float, stop: str):
@@ -178,7 +178,7 @@ def _run_chunk(tasks) -> list[tuple[ReplicateRecord, list | None]]:
         raise MemoryError("event kernel could not allocate its replicate buffers")
     wall = (time.perf_counter() - start) / reps
     results = [
-        (_record(task, nu, stop == _kernel.ABSORBED, ext, events, wall, STOP_REASONS[stop]), None)
+        (_record(task, nu, stop == _kernel.ABSORBED, ext, events, wall, _STOP_REASONS[stop]), None)
         for task, events, stop, nu, ext in zip(tasks, out[::4], out[1::4], out[2::4], out[3::4])
     ]
     if final is not None:
