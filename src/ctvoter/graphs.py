@@ -278,7 +278,7 @@ def greedy_coloring(g: Graph) -> Coloring:
     heap = [(0, -g.degree(v), v) for v in range(n)]
     heapq.heapify(heap)
     while heap:
-        neg_sat, neg_deg, v = heapq.heappop(heap)
+        neg_sat, _, v = heapq.heappop(heap)
         if colors[v] >= 0 or -neg_sat != len(neighbor_colors[v]):
             continue
         c = 0
