@@ -1,15 +1,16 @@
 /*
  * Compiled event loop of the threshold voter process (see dynamics.py).
  *
- * ct_run_events runs one whole run of dynamics._run_events in one call and is
- * bit-exact with its Python loop: it seeds CPython's MT19937 from the integer
- * seed as random.Random(seed) does, draws with CPython's rules for random(),
- * expovariate() and randrange(), in the same order per event, keeps the
- * active-edge array in the same order, and takes the opinion and extremist
- * trace samples itself. It can log every event, from which dynamics replays
- * per-event hooks. ct_run_replicates runs a batch of the replicates of
- * experiments.run_replicate in one call, drawing each initial configuration
- * as numpy's default_rng does. Every floating-point step is one IEEE-754
+ * ct_run_events runs dynamics._run_events in one call, or pauses at an event
+ * count the caller chooses, and is bit-exact with its Python loop: it seeds
+ * CPython's MT19937 from the integer seed as random.Random(seed) does, draws
+ * with CPython's rules for random(), expovariate() and randrange(), in the
+ * same order per event, keeps the active-edge array in the same order, and
+ * takes the opinion and extremist trace samples itself. It can log every
+ * event, from which dynamics replays per-event hooks. ct_run_replicates runs
+ * a batch of the replicates of experiments.run_replicate in one call, drawing
+ * each initial configuration as numpy's default_rng does and counting only
+ * the final opinions. Every floating-point step is one IEEE-754
  * operation as in Python, so it must be compiled without contraction into
  * fused multiply-adds and without fast-math.
  */
@@ -23,7 +24,7 @@
 #define MT_N 624
 #define MT_M 397
 
-enum { CT_NO_MEMORY = -1, CT_LIMIT = 0, CT_T_MAX = 1, CT_ABSORBED = 2, CT_SAMPLE = 3 };
+enum { CT_NO_MEMORY = -1, CT_LIMIT = 0, CT_T_MAX = 1, CT_ABSORBED = 2, CT_PAUSE = 3 };
 
 /* CPython's init_genrand; mt[MT_N] holds the position in the state. */
 static void init_genrand(uint32_t *mt, uint32_t s)
@@ -125,13 +126,21 @@ static int live(double a, double b, double eps)
     return d > 0.0 ? err < 0.0 : err > 0.0;
 }
 
-/* The trace arrays of a run and the scratch table of its distinct counts. */
-struct trace {
-    double *t;
-    int64_t *k, *count, *extremists;
-    uint64_t *table; /* 2**bits >= 2n words */
+/* A scratch hash table of 2**bits >= 2n words for count_opinions(). */
+struct table {
+    uint64_t *words;
     int bits;
 };
+
+/* The smallest table for n opinions, or NULL. */
+static uint64_t *alloc_table(struct table *tb, int32_t n)
+{
+    tb->bits = 1;
+    while (((int64_t)1 << tb->bits) < 2 * (int64_t)n)
+        tb->bits++;
+    tb->words = malloc(((size_t)1 << tb->bits) * sizeof *tb->words);
+    return tb->words;
+}
 
 /*
  * Count the n opinions: out[0] gets the number of distinct opinions under ==
@@ -139,11 +148,11 @@ struct trace {
  * outside (1 - eps, eps). The distinct count hashes the bit patterns into
  * the table with linear probing; all-ones, a NaN, marks an empty slot.
  */
-static void count_opinions(const struct trace *tr, const double *ops, int32_t n, double eps,
+static void count_opinions(const struct table *tb, const double *ops, int32_t n, double eps,
                            int64_t out[2])
 {
-    const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << tr->bits) - 1;
-    uint64_t *table = tr->table;
+    const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << tb->bits) - 1;
+    uint64_t *table = tb->words;
     double lo = 1.0 - eps;
     int64_t distinct = 0, extremists = 0;
     memset(table, 0xff, (mask + 1) * sizeof *table);
@@ -151,7 +160,7 @@ static void count_opinions(const struct trace *tr, const double *ops, int32_t n,
         double v = ops[i] + 0.0; /* -0.0 + 0.0 is 0.0 */
         uint64_t key;
         memcpy(&key, &v, sizeof key);
-        uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> (64 - tr->bits);
+        uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> (64 - tb->bits);
         while (table[h] != empty && table[h] != key)
             h = (h + 1) & mask;
         if (table[h] == empty) {
@@ -164,76 +173,71 @@ static void count_opinions(const struct trace *tr, const double *ops, int32_t n,
     out[1] = extremists;
 }
 
+/* The trace arrays of a run, and the table its samples are counted with. */
+struct trace {
+    double *t;
+    int64_t *k, *count, *extremists;
+    struct table table;
+};
+
 /*
- * Append one sample of the n opinions at clock t: the event count state[0],
+ * Append sample *samples of the n opinions at clock t after `events` events:
  * the distinct count and, when eps > 1/2, the extremist count of
- * count_opinions(); state[2] counts the samples.
+ * count_opinions().
  */
 static void take_sample(const struct trace *tr, const double *ops, int32_t n, double eps,
-                        int64_t *state, double t)
+                        int64_t *samples, double t, int64_t events)
 {
     int64_t counts[2];
-    count_opinions(tr, ops, n, eps, counts);
-    int64_t s = state[2]++;
+    count_opinions(&tr->table, ops, n, eps, counts);
+    int64_t s = (*samples)++;
     tr->t[s] = t;
-    tr->k[s] = state[0];
+    tr->k[s] = events;
     tr->count[s] = counts[0];
     if (eps > 0.5)
         tr->extremists[s] = counts[1];
-}
-
-/* The smallest table of 2**bits >= 2n words, or NULL. */
-static uint64_t *alloc_table(struct trace *tr, int32_t n)
-{
-    tr->bits = 1;
-    while (((int64_t)1 << tr->bits) < 2 * (int64_t)n)
-        tr->bits++;
-    tr->table = malloc(((size_t)1 << tr->bits) * sizeof *tr->table);
-    return tr->table;
 }
 
 /*
  * Run the process on a graph with n vertices and m edges until max_events
  * events have run, the clock would pass t_max (then the clock is set to
  * t_max) or no edge is active; returns CT_LIMIT, CT_T_MAX or CT_ABSORBED.
+ * The call pauses instead, returning CT_PAUSE, when `until` events have run
+ * and none of these has happened; calling again resumes the run.
  *
  * Edge f joins e1[f] < e2[f]; the edges at vertex v, in increasing index
  * order, are inc_edge[inc_start[v] .. inc_start[v + 1]). The run's state
  * lives in the caller's buffers and is updated in place: opinions `ops`
  * (n), the active edges active[0..state[1]) with positions `pos` (m each,
  * -1 when inactive), the generator `mt` (625 words), the event count
- * state[0] and the sample count state[2]. If `weights` is not NULL it holds
- * the coupled edge weights: the fired edge is set to 0.0 and the other edges
- * at the target gain or lose the target's change by orientation.
+ * state[0], the sample count state[2] and the clock *clock. If `weights` is
+ * not NULL it holds the coupled edge weights: the fired edge is set to 0.0
+ * and the other edges at the target gain or lose the target's change by
+ * orientation.
  *
- * A call with state[2] == 0 starts the run: it seeds `mt` from `key`, the
- * key_length 32-bit little-endian words of abs(seed) ({0} for 0), builds the
- * active set and samples the initial state. Samples are taken at events 0,
- * 1, 2, 4, ... and at the final state if its clock differs from the last
- * sample's; sample s is written to tr->t[s] (clock), tr->k[s] (events),
- * tr->count[s] and, when eps > 1/2, tr->extremists[s]. Each trace array
- * needs room for bit_length(max_events) + 2 samples.
+ * A call with state[1] < 0 starts the run: it seeds `mt` from `key`, the
+ * key_length 32-bit little-endian words of abs(seed) ({0} for 0), and builds
+ * the active set. If `tr` is not NULL, samples are taken at events 0, 1, 2,
+ * 4, ... and at the final state if its clock differs from the last sample's;
+ * sample s is written to tr->t[s] (clock), tr->k[s] (events), tr->count[s]
+ * and, when eps > 1/2, tr->extremists[s]. Each trace array needs room for
+ * bit_length(max_events) + 2 samples.
  *
- * With log_cap > 0 the call also logs each event to log_t[state[3]] (its
- * clock) and log_edge[state[3]] (the fired edge f, or ~f when its lower
- * endpoint e1[f] was the target), counting in state[3], and returns
- * CT_SAMPLE once log_cap events are logged. With `pause` set it returns
- * CT_SAMPLE after every sample but the final one. Either way the caller can
- * observe the state there, and calling again resumes the run at the last
- * logged event's clock, or else the last sample's, and restarts the log.
+ * If log_t is not NULL, the call logs its j-th event to log_t[j - 1] (its
+ * clock) and log_edge[j - 1] (the fired edge f, or ~f when its lower
+ * endpoint e1[f] was the target); the log needs room for the events up to
+ * `until`.
  */
 static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                       const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
                       const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                      int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state,
-                      const struct trace *tr, double *log_t, int32_t *log_edge,
-                      int32_t log_cap, double eps, double t_max, int64_t max_events,
-                      int32_t pause)
+                      int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *clock,
+                      const struct trace *tr, double *log_t, int32_t *log_edge, double eps,
+                      double t_max, int64_t max_events, int64_t until)
 {
     int64_t events, n;
     double t;
-    int code = CT_SAMPLE;
-    if (state[2] == 0) {
+    if (state[1] < 0) {
         init_by_array(mt, key, (size_t)key_length);
         n = 0;
         for (int32_t f = 0; f < n_edges; f++) {
@@ -243,23 +247,26 @@ static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
                 active[n++] = f;
             }
         }
-        state[0] = state[3] = events = 0;
+        state[2] = events = 0;
         t = 0.0;
-        take_sample(tr, ops, n_vertices, eps, state, t);
-        if (pause)
-            goto out;
+        if (tr != NULL)
+            take_sample(tr, ops, n_vertices, eps, &state[2], t, events);
     } else {
         events = state[0];
         n = state[1];
-        t = state[3] > 0 ? log_t[state[3] - 1] : tr->t[state[2] - 1];
+        t = *clock;
     }
-    state[3] = 0;
+    const int64_t first = events;
     uint64_t next_trace = 1;
     while (next_trace <= (uint64_t)events)
         next_trace *= 2;
 
-    code = CT_LIMIT;
+    int code = CT_LIMIT;
     while (n > 0 && events < max_events) {
+        if (events == until) {
+            code = CT_PAUSE;
+            goto out;
+        }
         double dt = -log(1.0 - random53(mt)) / (2.0 * (double)n);
         if (t + dt > t_max) {
             t = t_max;
@@ -299,31 +306,23 @@ static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
                 pos[f] = -1;
             }
         }
-        int stop = 0;
-        if (log_cap > 0) {
-            log_t[state[3]] = t;
-            log_edge[state[3]] = src == e1[e] ? e : ~e;
-            stop = ++state[3] == log_cap;
+        if (log_t != NULL) {
+            log_t[events - first - 1] = t;
+            log_edge[events - first - 1] = src == e1[e] ? e : ~e;
         }
-        if ((uint64_t)events == next_trace) {
-            state[0] = events;
-            take_sample(tr, ops, n_vertices, eps, state, t);
+        if (tr != NULL && (uint64_t)events == next_trace) {
+            take_sample(tr, ops, n_vertices, eps, &state[2], t, events);
             next_trace *= 2;
-            stop |= pause;
-        }
-        if (stop) {
-            state[0] = events;
-            code = CT_SAMPLE;
-            goto out;
         }
     }
     if (code == CT_LIMIT && n == 0)
         code = CT_ABSORBED;
-    state[0] = events;
-    if (tr->t[state[2] - 1] != t)
-        take_sample(tr, ops, n_vertices, eps, state, t);
+    if (tr != NULL && tr->t[state[2] - 1] != t)
+        take_sample(tr, ops, n_vertices, eps, &state[2], t, events);
 out:
+    state[0] = events;
     state[1] = n;
+    *clock = t;
     return code;
 }
 
@@ -335,18 +334,18 @@ out:
 int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                   const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
                   const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                  int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *trace_t,
-                  int64_t *trace_k, int64_t *trace_count, int64_t *trace_extremists,
-                  double *log_t, int32_t *log_edge, int32_t log_cap, double eps, double t_max,
-                  int64_t max_events, int32_t pause)
+                  int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *clock,
+                  double *trace_t, int64_t *trace_k, int64_t *trace_count,
+                  int64_t *trace_extremists, double *log_t, int32_t *log_edge, double eps,
+                  double t_max, int64_t max_events, int64_t until)
 {
-    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, NULL, 1};
-    if (alloc_table(&tr, n_vertices) == NULL)
+    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, {NULL, 1}};
+    if (alloc_table(&tr.table, n_vertices) == NULL)
         return CT_NO_MEMORY;
     int code = run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key, key_length, ops,
-                          weights, active, pos, mt, state, &tr, log_t, log_edge, log_cap, eps,
-                          t_max, max_events, pause);
-    free(tr.table);
+                          weights, active, pos, mt, state, clock, &tr, log_t, log_edge, eps,
+                          t_max, max_events, until);
+    free(tr.table.words);
     return code;
 }
 
@@ -454,41 +453,34 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
                       const uint64_t *seeds, int64_t reps, double eps, double t_max,
                       int64_t max_events, int64_t *out, double *final)
 {
-    size_t n = (size_t)n_vertices, m = (size_t)n_edges, cap = 2;
-    for (int64_t k = max_events; k > 0; k >>= 1)
-        cap++; /* bit_length(max_events) + 2 samples */
-    struct trace tr = {malloc(cap * sizeof(double)), malloc(3 * cap * sizeof(int64_t)), NULL,
-                       NULL, NULL, 1};
+    size_t n = (size_t)n_vertices, m = (size_t)n_edges;
+    struct table table = {NULL, 1};
     double *ops = malloc((n + 1) * sizeof *ops);
     int32_t *active = malloc((2 * m + MT_N + 1) * sizeof *active);
     int code = CT_NO_MEMORY;
-    if (tr.t == NULL || tr.k == NULL || ops == NULL || active == NULL ||
-        alloc_table(&tr, n_vertices) == NULL)
+    if (ops == NULL || active == NULL || alloc_table(&table, n_vertices) == NULL)
         goto out;
-    tr.count = tr.k + cap;
-    tr.extremists = tr.k + 2 * cap;
     int32_t *pos = active + m;
     uint32_t *mt = (uint32_t *)(pos + m);
-    int64_t state[4];
+    int64_t state[3];
+    double clock;
     for (int64_t r = 0; r < reps; r++) {
         draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
         uint64_t seed = spawn_seed(seeds[r], 1);
         uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-        state[2] = 0;
+        state[1] = -1;
         int64_t *rep = out + 4 * r;
         rep[1] = run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
-                            seed >> 32 ? 2 : 1, ops, NULL, active, pos, mt, state, &tr, NULL,
-                            NULL, 0, eps, t_max, max_events, 0);
+                            seed >> 32 ? 2 : 1, ops, NULL, active, pos, mt, state, &clock, NULL,
+                            NULL, NULL, eps, t_max, max_events, max_events);
         rep[0] = state[0];
-        count_opinions(&tr, ops, n_vertices, eps, rep + 2);
+        count_opinions(&table, ops, n_vertices, eps, rep + 2);
         if (r == 0 && final != NULL)
             memcpy(final, ops, n * sizeof *ops);
     }
     code = 0;
 out:
-    free(tr.t);
-    free(tr.k);
-    free(tr.table);
+    free(table.words);
     free(ops);
     free(active);
     return code;

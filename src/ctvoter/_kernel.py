@@ -31,7 +31,9 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 # return codes of ct_run_events, and stop codes of ct_run_replicates
-NO_MEMORY, LIMIT, T_MAX, ABSORBED, SAMPLE = -1, 0, 1, 2, 3
+NO_MEMORY, LIMIT, T_MAX, ABSORBED, PAUSE = -1, 0, 1, 2, 3
+# why a run stopped, by stop code
+STOP_REASONS = {ABSORBED: "absorbed", T_MAX: "t_max", LIMIT: "max_events"}
 # largest event limit passed to the kernel, so that it fits an int64 with its
 # trace points; more events than this would take centuries to run
 MAX_EVENTS = 2**62
@@ -44,8 +46,8 @@ _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_in
 # argument types of the library's entry points, one per parameter in _kernel.c
 SIGNATURES = {
     "ct_run_events": (
-        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 12
-        + [_int32, _double, _double, _int64, _int32]
+        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 13
+        + [_double, _double, _int64, _int64]
     ),
     "ct_run_replicates": (
         [_pointer] * 4 + [_int32, _int32, _pointer, _int64, _double, _double, _int64]

@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from . import dynamics, experiments, graphs, statics, urn
+from .common import check_epsilon
 
 
 class UsageError(Exception):
@@ -40,12 +41,6 @@ def _resolve_graph(args) -> graphs.Graph:
         text = Path(args.graph_file).read_text()
         return graphs.load_graph(text)
     raise UsageError("a graph is required (--graph or --graph-file)")
-
-
-def _check_eps(value: float) -> float:
-    if not 0.0 <= value <= 1.0:
-        raise UsageError("epsilon out of range")
-    return value
 
 
 def _check_batch(args) -> None:
@@ -134,7 +129,7 @@ def build_parser() -> _Parser:
 
 def _cmd_simulate(args) -> int:
     g = _resolve_graph(args)
-    eps = _check_eps(args.eps)
+    eps = check_epsilon(args.eps)
     seed = _resolve_seed(args)
     t_max = args.t_max
     if args.to_absorption and t_max is not None:
@@ -153,7 +148,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_index(args) -> int:
     g = _resolve_graph(args)
-    eps = _check_eps(args.eps)
+    eps = check_epsilon(args.eps)
     bounds = statics.index_bounds(g, eps)
     doc = json.dumps(bounds.to_dict(), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(doc)
@@ -170,7 +165,7 @@ def _cmd_index(args) -> int:
 def _cmd_consensus(args) -> int:
     _check_batch(args)
     g = _resolve_graph(args)
-    eps = _check_eps(args.eps)
+    eps = check_epsilon(args.eps)
     seed = _resolve_seed(args)
     report = experiments.consensus_experiment(g, eps, args.reps, seed, workers=args.workers)
     _emit_report(report, _out_dir(args))
@@ -184,7 +179,7 @@ def _cmd_coexistence(args) -> int:
     is_path = g.n_edges == g.n_vertices - 1 and graphs.is_connected(g)
     if not is_path or any(g.degree(v) > 2 for v in range(g.n_vertices)):
         raise UsageError("coexistence experiment runs on a path graph")
-    eps = _check_eps(args.eps)
+    eps = check_epsilon(args.eps)
     seed = _resolve_seed(args)
     report = experiments.coexistence_experiment(
         g.n_vertices, eps, args.reps, seed, workers=args.workers
@@ -216,7 +211,7 @@ def _cmd_sweep(args) -> int:
     if not grid:
         raise UsageError("empty --eps-grid")
     for eps in grid:
-        _check_eps(eps)
+        check_epsilon(eps)
     if len(set(grid)) != len(grid):
         raise UsageError(f"duplicate threshold in --eps-grid {args.eps_grid!r}")
     if args.snapshot and len({_snapshot_name(eps) for eps in grid}) != len(grid):

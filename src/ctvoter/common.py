@@ -23,6 +23,13 @@ def spawn_seed(master: int, index: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
+def check_epsilon(eps: float) -> float:
+    """eps, if it lies in [0, 1]; ValueError otherwise, NaN included."""
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError("epsilon out of range [0, 1]")
+    return eps
+
+
 def ceil_recip(eps: float) -> int:
     """Least integer not less than 1/eps, exact on the binary value of eps.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
+from .common import check_epsilon
 from .graphs import Graph, edge_arrays, is_connected
 
 DEFAULT_MAX_EVENTS = 10**10  # safety valve when only absorption is requested
@@ -44,8 +45,11 @@ class SimParams:
         # random.Random hashes any other object, and the kernel seeds from int keys only
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon out of range [0, 1]")
+        if self.max_events is not None and (
+            not isinstance(self.max_events, int) or isinstance(self.max_events, bool)
+        ):
+            raise TypeError(f"max_events must be an int, got {type(self.max_events).__name__}")
+        check_epsilon(self.epsilon)
         # written so that NaN fails too; inf is allowed and means no limit
         if self.t_max is not None and not self.t_max >= 0:
             raise ValueError("t_max must be >= 0")
@@ -61,6 +65,8 @@ class SimReport:
     absorbed: bool
     opinion_trace: list[tuple[float, int]] = field(default_factory=list)
     extremist_trace: list[tuple[float, int]] = field(default_factory=list)
+    # "absorbed", "t_max" or "max_events" (_kernel.STOP_REASONS); not serialized
+    stop_reason: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -174,10 +180,10 @@ def _run_events(
 
     The compiled kernel of _kernel.c runs whenever it can be built: one C
     call seeds the generator, runs the whole replicate and takes the trace
-    samples, or one call per trace point when on_sample observes them and
-    per _kernel.LOG_CHUNK events when on_event does, whose hooks are
-    replayed from the kernel's event log. It is bit-exact with the Python
-    loop, which is the reference and the fallback.
+    samples. Observers make it pause: on_sample at each trace point, and
+    on_event every _kernel.LOG_CHUNK events, whose hooks are replayed from
+    the kernel's event log. It is bit-exact with the Python loop, which is
+    the reference and the fallback.
     """
     run = _kernel.load()
     if run is not None:
@@ -215,11 +221,13 @@ def _run_events(
 
     sample(t, events)
     next_trace = 1
+    stop = _kernel.LIMIT
     while active and events < max_events:
         n = len(active)
         dt = expo(2.0 * n)
         if t_max is not None and t + dt > t_max:
             t = t_max
+            stop = _kernel.T_MAX
             break
         t += dt
         f = active[randrange(n)]
@@ -245,7 +253,9 @@ def _run_events(
         sample(t, events)
     if weights is not None:
         weights[:] = w
-    return SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace)
+    # the loop breaks at t_max only while an edge is active
+    reason = _kernel.STOP_REASONS[stop if active else _kernel.ABSORBED]
+    return SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace, reason)
 
 
 def _compiled_events(
@@ -255,10 +265,12 @@ def _compiled_events(
 
     The kernel's buffers are array.array objects: buffer_info() gives an
     address in about 0.1 us, where numpy's .ctypes.data takes about 3 us, as
-    long as a short run's whole loop. With on_event the kernel logs each
-    event, and the hook is driven by replaying each chunk of the log on
-    lists with _apply_event; at the end the lists must equal the kernel's
-    opinions and weights bit for bit.
+    long as a short run's whole loop. Each call runs until the least event
+    count an observer wants to see: the next trace point for on_sample, the
+    end of the log chunk for on_event. With on_event the kernel logs each
+    event, and the hook is driven by replaying the log on lists with
+    _apply_event; at the end the lists must equal the kernel's opinions and
+    weights bit for bit.
     """
     m = g.n_edges
     if weights is not None and not (
@@ -276,17 +288,17 @@ def _compiled_events(
     x = array.array("d")
     x.frombytes(memoryview(ops).cast("B"))  # one copy of the validated opinions
     work = array.array("i", [0]) * (2 * m + 625)  # active, pos, generator state
-    state = array.array("q", [0, 0, 0, 0])  # events, active edges, samples, logged events
+    state = array.array("q", [0, -1, 0])  # events, active edges (-1 to start), samples
+    clock = array.array("d", [0.0])
     sample_events, counts, extremists = (array.array("q", [0]) * cap for _ in range(3))
     times = array.array("d", [0.0]) * cap
-    log_len = 0
     if on_event is not None:  # the event log, and the lists it is replayed on
-        log_len = _kernel.LOG_CHUNK
-        log_t, log_edge = array.array("d", [0.0]) * log_len, array.array("i", [0]) * log_len
+        log_t = array.array("d", [0.0]) * _kernel.LOG_CHUNK
+        log_edge = array.array("i", [0]) * _kernel.LOG_CHUNK
         lists = (ops.tolist(), None if weights is None else weights.tolist(), _edge_lists(g))
     w = work.buffer_info()[0]
     # the buffers stay referenced here for as long as the kernel uses them
-    args = (
+    args = [
         *_kernel.graph_pointers(g),
         g.n_vertices,
         m,
@@ -298,27 +310,33 @@ def _compiled_events(
         w + 4 * m,
         w + 8 * m,
         state.buffer_info()[0],
+        clock.buffer_info()[0],
         times.buffer_info()[0],
         sample_events.buffer_info()[0],
         counts.buffer_info()[0],
         extremists.buffer_info()[0],
         None if on_event is None else log_t.buffer_info()[0],
         None if on_event is None else log_edge.buffer_info()[0],
-        log_len,
         eps,
         t_max,
         max_events,
-        on_sample is not None,
-    )
-    code = _kernel.SAMPLE
+        max_events,  # until
+    ]
+    code = _kernel.PAUSE
     seen = 0
-    while code == _kernel.SAMPLE:
+    while code == _kernel.PAUSE:
+        first = state[0]
+        until = max_events
+        if on_sample is not None:
+            until = min(until, 1 << first.bit_length() if seen else 0)
+        if on_event is not None:
+            until = min(until, first + _kernel.LOG_CHUNK)
+        args[-1] = until
         code = run(*args)
         if code == _kernel.NO_MEMORY:
             raise MemoryError("event kernel could not allocate its scratch table")
         if on_event is not None:
-            first = state[0] - state[3]
-            for j in range(state[3]):
+            for j in range(state[0] - first):
                 _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
         if on_sample is not None:
             for s in range(seen, state[2]):
@@ -329,12 +347,12 @@ def _compiled_events(
         for a, b in zip(lists, (x, weights))
     ):
         raise RuntimeError("the replayed event log does not match the kernel's final state")
-    events, active_edges, samples, _ = state
-    t = times[samples - 1]
+    events, active_edges, samples = state
     opinion_trace = list(zip(times[:samples], counts[:samples]))
     extremist_trace = list(zip(times[:samples], extremists[:samples])) if eps > 0.5 else []
     return SimReport(
-        np.frombuffer(x), t, events, active_edges == 0, opinion_trace, extremist_trace
+        np.frombuffer(x), clock[0], events, active_edges == 0, opinion_trace, extremist_trace,
+        _kernel.STOP_REASONS[code],
     )
 
 
@@ -380,8 +398,7 @@ def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:
     reverse. Inactive edges are no-ops, exactly as in simulate. Scripted
     events carry no clock, so report.time counts processed events.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon out of range [0, 1]")
+    check_epsilon(epsilon)
     ops = _validate_initial(g, init).tolist()
     edges = _edge_lists(g)
     hook = None if on_event is None else lambda t, k, ops, _: on_event(t, k, ops)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernel
-from .common import MASK64, spawn_seed
+from .common import MASK64, check_epsilon, spawn_seed
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
@@ -96,21 +96,10 @@ def run_replicate(
     return init, simulate(g, init, params)
 
 
-def _stop_reason(report, t_max: float | None) -> str:
-    """Why a run stopped: "absorbed", "t_max" or "max_events"."""
-    if report.absorbed:
-        return "absorbed"
-    if t_max is not None and report.time == t_max:
-        return "t_max"
-    return "max_events"
-
-
-_STOP_REASONS = {_kernel.ABSORBED: "absorbed", _kernel.T_MAX: "t_max", _kernel.LIMIT: "max_events"}
-
-
-def _record(task, nu: int, absorbed: bool, extremists: int, events: int, wall: float, stop: str):
-    """The ReplicateRecord of a task, given its final counts."""
+def _record(task, nu: int, extremists: int, events: int, wall: float, stop: str):
+    """The ReplicateRecord of a task, given its final counts and stop reason."""
     _, eps, index, rep_seed, _, _ = task
+    absorbed = stop == "absorbed"
     theta_count = extremists if eps > 0.5 and absorbed else None
     return ReplicateRecord(
         replicate=index,
@@ -134,9 +123,7 @@ def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
     nu = count_opinions(final)
     extremists = extremist_count(final, eps) if eps > 0.5 and report.absorbed else 0
     wall = time.perf_counter() - start
-    record = _record(
-        args, nu, report.absorbed, extremists, report.events, wall, _stop_reason(report, t_max)
-    )
+    record = _record(args, nu, extremists, report.events, wall, report.stop_reason)
     return record, [float(v) for v in final] if want_final else None
 
 
@@ -178,7 +165,7 @@ def _run_chunk(tasks) -> list[tuple[ReplicateRecord, list | None]]:
         raise MemoryError("event kernel could not allocate its replicate buffers")
     wall = (time.perf_counter() - start) / reps
     results = [
-        (_record(task, nu, stop == _kernel.ABSORBED, ext, events, wall, _STOP_REASONS[stop]), None)
+        (_record(task, nu, ext, events, wall, _kernel.STOP_REASONS[stop]), None)
         for task, events, stop, nu, ext in zip(tasks, out[::4], out[1::4], out[2::4], out[3::4])
     ]
     if final is not None:
@@ -275,8 +262,7 @@ def coexistence_experiment(
     n: int, eps: float, reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
     """Absorbing runs on the n-vertex path; opinion-retention statistics."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("epsilon out of range [0, 1]")
+    check_epsilon(eps)
     g = path_graph(n)
     records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
     nus = [rec.nu for rec in records]
@@ -352,8 +338,7 @@ def degree_bound_check(
     Also records the retained fraction nu/N per absorbing run, exploratory
     output for the bounded-degree retention conjecture (no pass/fail).
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("epsilon out of range [0, 1]")
+    check_epsilon(eps)
     records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
     # a replicate whose initial state was already absorbing runs zero events
     nonabsorbing = [0.0 if rec.events == 0 else 1.0 for rec in records]

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .common import ceil_recip
-from .dynamics import is_absorbing
+from .common import ceil_recip, check_epsilon
+from .dynamics import count_opinions, is_absorbing
 from .graphs import (
     Graph,
     Coloring,
@@ -140,8 +140,7 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
     coloring bound is the number of distinct opinions in the witness that
     coloring_construction builds from it.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("epsilon out of range [0, 1]")
+    check_epsilon(eps)
     n = g.n_vertices
     if eps == 0:
         return n, (np.linspace(0.0, 1.0, n) if n > 1 else np.array([0.5]))
@@ -152,9 +151,9 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
     else:
         coloring = greedy_coloring(g)
     witness = coloring_construction(g, coloring, eps)
-    color_bound = len(set(witness.tolist()))
+    color_bound = count_opinions(witness)
     complete = _complete_comparison_witness(n, eps)
-    complete_bound = len(set(complete.tolist()))
+    complete_bound = count_opinions(complete)
     if color_bound >= complete_bound:
         return color_bound, witness
     return complete_bound, complete
@@ -187,8 +186,7 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     cliques W of R, memoised per R; f(R) = |R| once R has no edges.
     graphs.enumerate_peels lists the sequences themselves, as a test oracle.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("epsilon out of range [0, 1]")
+    check_epsilon(eps)
     if mode == "greedy":
         return peel_value(clique_peel(g), eps)
     if mode != "exact-enumerate":
@@ -297,8 +295,7 @@ def brute_force_index(g: Graph, eps: float) -> int:
     strictly exceed eps; k_allow is computed by exact rational comparison so
     boundary thresholds are decided on the true binary value of eps.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("epsilon out of range [0, 1]")
+    check_epsilon(eps)
     n = g.n_vertices
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")

@@ -62,6 +62,11 @@ class TestSimulate:
         assert code == 1
         assert "epsilon out of range" in err
 
+    def test_nan_eps_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "index", "--graph", "path:3", "--eps", "nan")
+        assert code == 1
+        assert "epsilon out of range" in err
+
     def test_nan_t_max_rejected(self, capsys, tmp_path):
         out_dir = tmp_path / "run"
         code, _, err = run_cli(

@@ -163,6 +163,42 @@ class TestSimulate:
         with pytest.raises(TypeError, match="seed must be an int"):
             SimParams(0.5, seed=seed)
 
+    @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+    @pytest.mark.parametrize(
+        "max_events", [10.0, 2.5, float("nan"), True, np.int64(3), "3"], ids=repr
+    )
+    def test_rejects_non_int_max_events(self, request, backend, max_events):
+        if backend == "python_loop":
+            request.getfixturevalue(backend)
+        g = path_graph(5)
+        with pytest.raises(TypeError, match="max_events must be an int"):
+            simulate(g, random_initial(g, 1), SimParams(0.5, seed=1, max_events=max_events))
+
+    @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+    def test_stop_reason(self, request, backend):
+        if backend == "python_loop":
+            request.getfixturevalue(backend)
+        g = path_graph(50)
+        init = random_initial(g, 1)
+        full = simulate(g, init, SimParams(1.0, seed=1))
+        cases = [
+            ("absorbed", SimParams(1.0, seed=1)),
+            ("absorbed", SimParams(1.0, seed=1, max_events=full.events)),
+            ("t_max", SimParams(1.0, seed=1, t_max=0.05)),
+            ("t_max", SimParams(1.0, seed=1, t_max=0.0)),
+            ("max_events", SimParams(1.0, seed=1, max_events=10)),
+            ("max_events", SimParams(1.0, seed=1, max_events=0)),
+        ]
+        for reason, params in cases:
+            reports = [
+                simulate(g, init, params),
+                simulate(g, init, params, on_event=lambda t, k, ops: None),
+                simulate_coupled(g, init, params).report,
+            ]
+            for r in reports:
+                assert r.stop_reason == reason, (params, r.events)
+                assert r.absorbed == (reason == "absorbed")
+
     def test_stop_by_t_max(self):
         g = path_graph(200)
         r = simulate(g, random_initial(g, 1), SimParams(1.0, seed=1, t_max=0.05))
@@ -269,4 +305,5 @@ class TestSerialization:
             "opinion_trace",
             "extremist_trace",
         }
+        assert r.stop_reason == "absorbed"
         assert len(doc["final_opinions"]) == 5

@@ -5,10 +5,15 @@ import numpy as np
 import pytest
 
 from ctvoter import (
+    SimParams,
+    brute_force_index,
+    clique_upper_bound,
     coexistence_experiment,
     consensus_experiment,
     degree_bound_check,
+    index_lower_bound,
     path_graph,
+    replay,
     spawn_seed,
     sweep_experiment,
     write_snapshot,
@@ -22,6 +27,23 @@ from ctvoter.experiments import (
 )
 
 from conftest import random_connected_graph
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, math.nan, math.inf], ids=repr)
+def test_epsilon_range_rule_everywhere(eps):
+    g = path_graph(3)
+    calls = [
+        lambda: SimParams(eps, 1),
+        lambda: replay(g, [0.1, 0.2, 0.3], eps, []),
+        lambda: index_lower_bound(g, eps),
+        lambda: clique_upper_bound(g, eps),
+        lambda: brute_force_index(g, eps),
+        lambda: coexistence_experiment(3, eps, 2, 1),
+        lambda: degree_bound_check(g, eps, 2, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"epsilon out of range \[0, 1\]"):
+            call()
 
 
 class TestSeedSplitting:

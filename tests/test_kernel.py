@@ -238,24 +238,37 @@ def test_kernel_seeds_like_random(compiled, monkeypatch, seed):
     assert states == [random.Random(seed).getstate()[1]]
 
 
-def test_one_kernel_call_per_replicate(compiled, monkeypatch):
-    """One call without an observer; with the census, one per trace point."""
-    run, pauses = _kernel.load(), []
+def _spy_untils(monkeypatch) -> list:
+    """The event count `until` that each ct_run_events call may run to."""
+    run, untils = _kernel.load(), []
 
     def spy(*args):
-        pauses.append(args[-1])  # the pause flag
+        untils.append(args[-1])
         return run(*args)
 
     monkeypatch.setattr(_kernel, "load", lambda: spy)
+    return untils
+
+
+def test_one_kernel_call_per_replicate(compiled, monkeypatch):
+    """One call without an observer; the census pauses at each trace point."""
+    untils = _spy_untils(monkeypatch)
     g = path_graph(20)
     init = random_initial(g, 1)
     report = simulate(g, init, SimParams(0.75, 2))
-    assert pauses == [False] and len(report.opinion_trace) > 5
-    pauses.clear()
+    assert untils == [DEFAULT_MAX_EVENTS] and len(report.opinion_trace) > 5
+    untils.clear()
+    simulate(g, init, SimParams(0.75, 2, max_events=7))
+    assert untils == [7]
+    untils.clear()
     coupled = simulate_coupled(g, init, SimParams(0.75, 2))
-    samples = len(coupled.census_trace)
-    assert samples == len(report.opinion_trace)
-    assert set(pauses) == {True} and samples <= len(pauses) <= samples + 1
+    points = [k for _, k, _ in coupled.census_trace]
+    assert [t for t, _, _ in coupled.census_trace] == [t for t, _ in report.opinion_trace]
+    # 0, 1, 2, 4, ...: each call but the last pauses at a trace point, and
+    # the last runs past the final event count to absorption
+    assert untils == [0] + [1 << j for j in range(len(untils) - 1)]
+    assert untils[:-1] == points[: len(untils) - 1]
+    assert untils[-2] < report.events <= untils[-1] and points[-1] == report.events
 
 
 def _unspawn(seed: int) -> int:
@@ -448,19 +461,23 @@ def test_hook_log_stops_at_t_max_after_a_log_pause(compiled, request):
 
 
 def test_hooked_run_calls_the_kernel(compiled, monkeypatch):
-    """A hook is replayed from the kernel's log: one call per chunk and one to finish."""
-    run, log_lengths = _kernel.load(), []
-
-    def spy(*args):
-        log_lengths.append(args[-5])  # log_cap
-        return run(*args)
-
-    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    """A hook is replayed from the kernel's log: each call runs to the end of
+    a log chunk or to max_events; with the census too, to whichever of the
+    next chunk end and the next trace point comes first."""
+    untils = _spy_untils(monkeypatch)
     seen = []
-    params = SimParams(0.75, 0, max_events=2 * LOG_CHUNK + 1)
+    last = 3 * LOG_CHUNK + 1
+    params = SimParams(0.75, 0, max_events=last)
     simulate(HOOK_GRAPH, HOOK_INIT, params, on_event=lambda t, k, ops: seen.append(k))
-    assert log_lengths == [LOG_CHUNK] * 3
-    assert seen == list(range(1, 2 * LOG_CHUNK + 2))
+    assert untils == [LOG_CHUNK, 2 * LOG_CHUNK, 3 * LOG_CHUNK, last]
+    assert seen == list(range(1, last + 1))
+    untils.clear()
+    seen.clear()
+    coupled = simulate_coupled(HOOK_GRAPH, HOOK_INIT, params, on_event=lambda *a: seen.append(a[1]))
+    points = [0] + [1 << j for j in range((2 * LOG_CHUNK).bit_length())]
+    assert untils == points + [3 * LOG_CHUNK, last]
+    assert [k for _, k, _ in coupled.census_trace] == points + [last]
+    assert seen == list(range(1, last + 1))
 
 
 def test_replay_that_diverges_from_the_kernel_raises(compiled, monkeypatch):
@@ -608,11 +625,12 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 # comparisons run again on the build instrumented by AddressSanitizer; the
-# named graphs' stops include runs that fill every trace slot
+# named graphs' stops include runs that fill every trace slot, and the hook
+# cases every way a call pauses and resumes
 ASAN_CASES = (
     "named_graphs and (single or torus) or many_seeds or golden_cases"
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
-    " or hook_log_matches and coupled and over_one_chunk"
+    " or hook_log or hooked_run or one_kernel_call"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
 )
 ASAN_PLUGIN = """
