@@ -208,33 +208,41 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * Edge f joins e1[f] < e2[f]; the edges at vertex v, in increasing index
  * order, are inc_edge[inc_start[v] .. inc_start[v + 1]). The run's state
  * lives in the caller's buffers and is updated in place: opinions `ops`
- * (n), the active edges active[0..state[1]) with positions `pos` (m each,
- * -1 when inactive), the generator `mt` (625 words), the event count
- * state[0], the sample count state[2] and the clock *clock. If `weights` is
- * not NULL it holds the coupled edge weights: the fired edge is set to 0.0
- * and the other edges at the target gain or lose the target's change by
- * orientation.
+ * (n), the scratch `work` of 2m + 625 words (the active edges
+ * active[0..state[1]), their positions pos (m each, -1 when inactive), then
+ * the generator's 625 words), the event count state[0], the sample count
+ * state[2] and the clock *clock. If `weights` is not NULL it holds the
+ * coupled edge weights: the fired edge is set to 0.0 and the other edges at
+ * the target gain or lose the target's change by orientation.
  *
- * A call with state[1] < 0 starts the run: it seeds `mt` from `key`, the
- * key_length 32-bit little-endian words of abs(seed) ({0} for 0), and builds
- * the active set. If `tr` is not NULL, samples are taken at events 0, 1, 2,
- * 4, ... and at the final state if its clock differs from the last sample's;
- * sample s is written to tr->t[s] (clock), tr->k[s] (events), tr->count[s]
- * and, when eps > 1/2, tr->extremists[s]. Each trace array needs room for
- * bit_length(max_events) + 2 samples.
+ * A call with state[1] < 0 starts the run: it seeds the generator from
+ * `key`, the key_length 32-bit little-endian words of abs(seed) ({0} for 0),
+ * and builds the active set. If trace_t is not NULL, samples are taken at
+ * events 0, 1, 2, 4, ... and at the final state if its clock differs from
+ * the last sample's; sample s is written to trace_t[s] (clock), trace_k[s]
+ * (events), trace_count[s] and, when eps > 1/2, trace_extremists[s]. Each
+ * trace array needs room for bit_length(max_events) + 2 samples. The
+ * samples are counted in a scratch table of the call's own; returns
+ * CT_NO_MEMORY if it cannot be allocated.
  *
  * If log_t is not NULL, the call logs its j-th event to log_t[j - 1] (its
  * clock) and log_edge[j - 1] (the fired edge f, or ~f when its lower
  * endpoint e1[f] was the target); the log needs room for the events up to
  * `until`.
  */
-static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
-                      const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
-                      const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                      int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *clock,
-                      const struct trace *tr, double *log_t, int32_t *log_edge, double eps,
-                      double t_max, int64_t max_events, int64_t until)
+int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
+                  const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
+                  const uint32_t *key, int32_t key_length, double *ops, double *weights,
+                  int32_t *work, int64_t *state, double *clock, double *trace_t,
+                  int64_t *trace_k, int64_t *trace_count, int64_t *trace_extremists,
+                  double *log_t, int32_t *log_edge, double eps, double t_max,
+                  int64_t max_events, int64_t until)
 {
+    int32_t *active = work, *pos = work + n_edges;
+    uint32_t *mt = (uint32_t *)(pos + n_edges);
+    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, {NULL, 1}};
+    if (trace_t != NULL && alloc_table(&tr.table, n_vertices) == NULL)
+        return CT_NO_MEMORY;
     int64_t events, n;
     double t;
     if (state[1] < 0) {
@@ -249,8 +257,8 @@ static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
         }
         state[2] = events = 0;
         t = 0.0;
-        if (tr != NULL)
-            take_sample(tr, ops, n_vertices, eps, &state[2], t, events);
+        if (trace_t != NULL)
+            take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
     } else {
         events = state[0];
         n = state[1];
@@ -310,41 +318,19 @@ static int run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
             log_t[events - first - 1] = t;
             log_edge[events - first - 1] = src == e1[e] ? e : ~e;
         }
-        if (tr != NULL && (uint64_t)events == next_trace) {
-            take_sample(tr, ops, n_vertices, eps, &state[2], t, events);
+        if (trace_t != NULL && (uint64_t)events == next_trace) {
+            take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
             next_trace *= 2;
         }
     }
     if (code == CT_LIMIT && n == 0)
         code = CT_ABSORBED;
-    if (tr != NULL && tr->t[state[2] - 1] != t)
-        take_sample(tr, ops, n_vertices, eps, &state[2], t, events);
+    if (trace_t != NULL && trace_t[state[2] - 1] != t)
+        take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
 out:
     state[0] = events;
     state[1] = n;
     *clock = t;
-    return code;
-}
-
-/*
- * run_events with the trace arrays trace_t, trace_k, trace_count and
- * trace_extremists and a scratch table of its own; returns CT_NO_MEMORY if
- * the table cannot be allocated.
- */
-int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
-                  const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
-                  const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                  int32_t *active, int32_t *pos, uint32_t *mt, int64_t *state, double *clock,
-                  double *trace_t, int64_t *trace_k, int64_t *trace_count,
-                  int64_t *trace_extremists, double *log_t, int32_t *log_edge, double eps,
-                  double t_max, int64_t max_events, int64_t until)
-{
-    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, {NULL, 1}};
-    if (alloc_table(&tr.table, n_vertices) == NULL)
-        return CT_NO_MEMORY;
-    int code = run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key, key_length, ops,
-                          weights, active, pos, mt, state, clock, &tr, log_t, log_edge, eps,
-                          t_max, max_events, until);
     free(tr.table.words);
     return code;
 }
@@ -444,7 +430,8 @@ static void draw_uniform(double *ops, int32_t n, uint64_t seed)
  * It writes out[4r] (its events), out[4r + 1] (its stop code: CT_LIMIT,
  * CT_T_MAX or CT_ABSORBED), out[4r + 2] (its distinct final opinions) and
  * out[4r + 3] (its final opinions outside (1 - eps, eps)). If `final` is not
- * NULL, replicate 0's n final opinions are copied to it. The buffers are
+ * NULL, replicate 0's n final opinions are copied to it. Each replicate is
+ * one ct_run_events call without trace, log or weights. The buffers are
  * allocated once and reused by every replicate; returns 0, or CT_NO_MEMORY
  * if they cannot be allocated.
  */
@@ -456,12 +443,10 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
     size_t n = (size_t)n_vertices, m = (size_t)n_edges;
     struct table table = {NULL, 1};
     double *ops = malloc((n + 1) * sizeof *ops);
-    int32_t *active = malloc((2 * m + MT_N + 1) * sizeof *active);
+    int32_t *work = malloc((2 * m + MT_N + 1) * sizeof *work);
     int code = CT_NO_MEMORY;
-    if (ops == NULL || active == NULL || alloc_table(&table, n_vertices) == NULL)
+    if (ops == NULL || work == NULL || alloc_table(&table, n_vertices) == NULL)
         goto out;
-    int32_t *pos = active + m;
-    uint32_t *mt = (uint32_t *)(pos + m);
     int64_t state[3];
     double clock;
     for (int64_t r = 0; r < reps; r++) {
@@ -470,9 +455,9 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
         uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
         state[1] = -1;
         int64_t *rep = out + 4 * r;
-        rep[1] = run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
-                            seed >> 32 ? 2 : 1, ops, NULL, active, pos, mt, state, &clock, NULL,
-                            NULL, NULL, eps, t_max, max_events, max_events);
+        rep[1] = ct_run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
+                               seed >> 32 ? 2 : 1, ops, NULL, work, state, &clock, NULL, NULL,
+                               NULL, NULL, NULL, NULL, eps, t_max, max_events, max_events);
         rep[0] = state[0];
         count_opinions(&table, ops, n_vertices, eps, rep + 2);
         if (r == 0 && final != NULL)
@@ -482,6 +467,6 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
 out:
     free(table.words);
     free(ops);
-    free(active);
+    free(work);
     return code;
 }

@@ -46,7 +46,7 @@ _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_in
 # argument types of the library's entry points, one per parameter in _kernel.c
 SIGNATURES = {
     "ct_run_events": (
-        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 13
+        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 11
         + [_double, _double, _int64, _int64]
     ),
     "ct_run_replicates": (
@@ -54,8 +54,6 @@ SIGNATURES = {
         + [_pointer] * 2
     ),
 }
-# the typed entry points of the library load() returned last, by name
-entry_points: dict = {}
 
 
 def library_path() -> Path:
@@ -80,10 +78,8 @@ def _build(path: Path) -> None:
 
 @functools.cache
 def load():
-    """The compiled ct_run_events, built if not cached; None if unavailable.
-
-    Every entry point in SIGNATURES is typed and kept in entry_points.
-    """
+    """The library's entry points by name, each typed from SIGNATURES; the
+    library is built if not cached. None if unavailable."""
     try:
         path = library_path()
         if not path.exists():
@@ -99,13 +95,7 @@ def load():
     for name, function in functions.items():
         function.argtypes = SIGNATURES[name]
         function.restype = ctypes.c_int
-    entry_points.update(functions)
-    return functions["ct_run_events"]
-
-
-def replicates():
-    """The compiled ct_run_replicates; None when load() is None."""
-    return None if load() is None else entry_points["ct_run_replicates"]
+    return functions
 
 
 def graph_pointers(g: Graph) -> tuple[int, ...]:

@@ -185,9 +185,9 @@ def _run_events(
     the kernel's event log. It is bit-exact with the Python loop, which is
     the reference and the fallback.
     """
-    run = _kernel.load()
-    if run is not None:
-        return _compiled_events(run, g, ops, params, on_event, on_sample, weights)
+    lib = _kernel.load()
+    if lib is not None:
+        return _compiled_events(lib["ct_run_events"], g, ops, params, on_event, on_sample, weights)
 
     ops = ops.tolist()
     w = None if weights is None else weights.tolist()
@@ -296,7 +296,6 @@ def _compiled_events(
         log_t = array.array("d", [0.0]) * _kernel.LOG_CHUNK
         log_edge = array.array("i", [0]) * _kernel.LOG_CHUNK
         lists = (ops.tolist(), None if weights is None else weights.tolist(), _edge_lists(g))
-    w = work.buffer_info()[0]
     # the buffers stay referenced here for as long as the kernel uses them
     args = [
         *_kernel.graph_pointers(g),
@@ -306,9 +305,7 @@ def _compiled_events(
         len(key),
         x.buffer_info()[0],
         None if weights is None else weights.ctypes.data,
-        w,
-        w + 4 * m,
-        w + 8 * m,
+        work.buffer_info()[0],
         state.buffer_info()[0],
         clock.buffer_info()[0],
         times.buffer_info()[0],

@@ -6,8 +6,9 @@ single threshold), and each replicate splits its seed once more into an
 initial-configuration stream and an event stream.
 Records are keyed by replicate index, so serial and parallel execution
 produce identical reports. With the compiled kernel, one call runs all the
-replicates of a threshold (or of a pool chunk), initial draws included;
-without it each replicate runs through run_replicate.
+replicates of a cell (a threshold, or a piece of one under a pool),
+initial draws included; without it each replicate runs through
+run_replicate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernel
-from .common import MASK64, check_epsilon, spawn_seed
+from .common import check_epsilon, spawn_seed
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
@@ -79,6 +80,15 @@ def mean_and_radius(values) -> tuple[float, float]:
     return float(arr.mean()), float(3.0 * arr.std(ddof=1) / np.sqrt(arr.size))
 
 
+def _checked_params(g: Graph, eps: float, seed: int, t_max=None, max_events=None) -> SimParams:
+    """SimParams(eps, seed, t_max, max_events) of a run on g; raises on bad
+    parameters or a disconnected graph, before any compute."""
+    params = SimParams(eps, seed, t_max=t_max, max_events=max_events)
+    if not is_connected(g):
+        raise ValueError("dynamics require a connected graph")
+    return params
+
+
 def run_replicate(
     g: Graph,
     eps: float,
@@ -89,16 +99,16 @@ def run_replicate(
     """One seeded replicate: random initial opinions, then simulate.
 
     The replicate seed splits into spawn_seed(rep_seed, 0) for the initial
-    configuration and spawn_seed(rep_seed, 1) for the event stream.
+    configuration and spawn_seed(rep_seed, 1) for the event stream. The
+    parameters and the graph are checked before the initial draw.
     """
+    params = _checked_params(g, eps, spawn_seed(rep_seed, 1), t_max, max_events)
     init = random_initial(g, spawn_seed(rep_seed, 0))
-    params = SimParams(eps, spawn_seed(rep_seed, 1), t_max=t_max, max_events=max_events)
     return init, simulate(g, init, params)
 
 
-def _record(task, nu: int, extremists: int, events: int, wall: float, stop: str):
-    """The ReplicateRecord of a task, given its final counts and stop reason."""
-    _, eps, index, rep_seed, _, _ = task
+def _record(eps, index, rep_seed, nu: int, extremists: int, events: int, wall: float, stop: str):
+    """The ReplicateRecord of a replicate, given its final counts and stop reason."""
     absorbed = stop == "absorbed"
     theta_count = extremists if eps > 0.5 and absorbed else None
     return ReplicateRecord(
@@ -123,37 +133,38 @@ def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
     nu = count_opinions(final)
     extremists = extremist_count(final, eps) if eps > 0.5 and report.absorbed else 0
     wall = time.perf_counter() - start
-    record = _record(args, nu, extremists, report.events, wall, report.stop_reason)
+    record = _record(eps, index, rep_seed, nu, extremists, report.events, wall, report.stop_reason)
     return record, [float(v) for v in final] if want_final else None
 
 
-def _run_chunk(tasks) -> list[tuple[ReplicateRecord, list | None]]:
-    """(record, final) of tasks that share one graph, threshold and t_max.
+def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
+    """(record, final) of the replicates of a cell, in order.
 
-    One call of the compiled ct_run_replicates runs them all, initial draws
-    included, and copies out the first task's final opinions, the only ones
-    a chunk may want. It raises what run_replicate would, before any
-    compute. Each record's wall time is the chunk's over its length. Without
-    the compiled kernel each task runs through _replicate_worker.
+    A cell (g, eps, t_max, first, seeds, keep_final) is the replicates first,
+    first + 1, ... with seeds `seeds` on one graph at one threshold and
+    t_max, which _run_grid has checked; keep_final asks for the first
+    replicate's final opinions. One call of the compiled ct_run_replicates
+    runs them all, initial draws included. Each record's wall time is the
+    call's over the cell's length. Without the compiled kernel each
+    replicate runs through _replicate_worker.
     """
-    run = _kernel.replicates()
-    if run is None:
-        return [_replicate_worker(task) for task in tasks]
+    g, eps, t_max, first, seeds, keep_final = cell
+    lib = _kernel.load()
+    if lib is None:
+        return [
+            _replicate_worker((g, eps, first + r, seed, t_max, keep_final and r == 0))
+            for r, seed in enumerate(seeds)
+        ]
     start = time.perf_counter()
-    g, eps, _, _, t_max, want_final = tasks[0]
-    SimParams(eps, 0, t_max=t_max)
-    if not is_connected(g):
-        raise ValueError("dynamics require a connected graph")
-    n, reps = g.n_vertices, len(tasks)
-    # spawn_seed reduces its master seed mod 2**64 first, so the kernel can too
-    seeds = array.array("Q", [task[3] & MASK64 for task in tasks])
+    n, reps = g.n_vertices, len(seeds)
+    seed_words = array.array("Q", seeds)
     out = array.array("q", bytes(32 * reps))  # events, stop code, nu, extremists
-    final = array.array("d", bytes(8 * n)) if want_final else None
-    code = run(
+    final = array.array("d", bytes(8 * n)) if keep_final else None
+    code = lib["ct_run_replicates"](
         *_kernel.graph_pointers(g),
         n,
         g.n_edges,
-        seeds.buffer_info()[0],
+        seed_words.buffer_info()[0],
         reps,
         eps,
         math.inf if t_max is None else t_max,
@@ -164,41 +175,23 @@ def _run_chunk(tasks) -> list[tuple[ReplicateRecord, list | None]]:
     if code == _kernel.NO_MEMORY:
         raise MemoryError("event kernel could not allocate its replicate buffers")
     wall = (time.perf_counter() - start) / reps
+    counts = zip(seeds, out[::4], out[1::4], out[2::4], out[3::4])
     results = [
-        (_record(task, nu, ext, events, wall, _kernel.STOP_REASONS[stop]), None)
-        for task, events, stop, nu, ext in zip(tasks, out[::4], out[1::4], out[2::4], out[3::4])
+        (_record(eps, first + r, seed, nu, ext, events, wall, _kernel.STOP_REASONS[stop]), None)
+        for r, (seed, events, stop, nu, ext) in enumerate(counts)
     ]
     if final is not None:
         results[0] = (results[0][0], final.tolist())
     return results
 
 
-def _chunks(tasks, size: int):
-    """Runs of at most size consecutive tasks with one graph, threshold and
-    t_max; a task that wants its final opinions starts a new run."""
-    chunk = []
-    for task in tasks:
-        if chunk and (
-            len(chunk) == size
-            or task[5]
-            or task[0] is not chunk[0][0]
-            or (task[1], task[4]) != (chunk[0][1], chunk[0][4])
-        ):
-            yield chunk
-            chunk = []
-        chunk.append(task)
-    if chunk:
-        yield chunk
-
-
-def _run_batch(tasks, workers: int):
-    """(record, final) per task, in order: one _run_chunk per threshold, or
-    per pool chunk of about len(tasks) / (4 * workers) tasks."""
+def _run_batch(cells, workers: int):
+    """(record, final) of every replicate of the cells, in order; with
+    workers > 1 the cells run in a pool of that many processes."""
     if workers <= 1:
-        return [result for chunk in _chunks(tasks, len(tasks)) for result in _run_chunk(chunk)]
-    size = max(1, len(tasks) // (workers * 4))
+        return [result for cell in cells for result in _run_chunk(cell)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [r for results in pool.map(_run_chunk, _chunks(tasks, size)) for r in results]
+        return [r for results in pool.map(_run_chunk, cells) for r in results]
 
 
 def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=None):
@@ -206,13 +199,21 @@ def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=N
 
     Replicate index = grid_index * reps + r with seed spawn_seed(master_seed,
     index); final is the list of final opinions for r == 0, None otherwise.
+    Every threshold, t_max and the graph are checked before any replicate
+    runs. The grid is cut into cells (_run_chunk): one per threshold, or,
+    with workers > 1, pieces of each threshold of about len(grid) * reps /
+    (4 * workers) replicates, so that the pool's load stays even.
     """
-    tasks = []
-    for k, eps in enumerate(grid):
-        for r in range(reps):
-            index = k * reps + r
-            tasks.append((g, eps, index, spawn_seed(master_seed, index), t_max, r == 0))
-    return _run_batch(tasks, workers)
+    for eps in grid:
+        _checked_params(g, eps, 0, t_max)
+    size = max(1, reps if workers <= 1 else len(grid) * reps // (workers * 4))
+    seeds = [spawn_seed(master_seed, index) for index in range(len(grid) * reps)]
+    cells = [
+        (g, eps, t_max, k * reps + r, seeds[k * reps + r : k * reps + min(r + size, reps)], r == 0)
+        for k, eps in enumerate(grid)
+        for r in range(0, reps, size)
+    ]
+    return _run_batch(cells, workers)
 
 
 def consensus_experiment(
@@ -302,10 +303,13 @@ def sweep_experiment(
 
     Returns the combined report (replicate index = grid_index * reps + r) and
     one snapshot configuration per epsilon (the first replicate's final
-    state), ready for write_snapshot.
+    state), ready for write_snapshot. Each threshold may appear once in the
+    grid (0.0 and -0.0 are one threshold).
     """
-    g = torus_graph(width, height)
     grid = tuple(float(e) for e in eps_grid)
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"duplicate threshold in {grid!r}")
+    g = torus_graph(width, height)
     results = _run_grid(g, grid, reps, master_seed, workers, t_max)
     records = [rec for rec, _ in results]
     snapshots: dict[float, np.ndarray] = {}

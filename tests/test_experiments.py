@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from ctvoter import experiments
 from ctvoter import (
     SimParams,
     brute_force_index,
@@ -12,6 +13,7 @@ from ctvoter import (
     consensus_experiment,
     degree_bound_check,
     index_lower_bound,
+    make_graph,
     path_graph,
     replay,
     spawn_seed,
@@ -60,6 +62,25 @@ class TestSeedSplitting:
         b_init, b = run_replicate(g, 0.8, 55)
         assert np.array_equal(a_init, b_init)
         assert np.array_equal(a.final_opinions, b.final_opinions)
+
+    @pytest.mark.parametrize(
+        "g, kwargs, error",
+        [
+            (path_graph(3), {"eps": 1.5}, ValueError),
+            (path_graph(3), {"t_max": -1.0}, ValueError),
+            (path_graph(3), {"max_events": 2.5}, TypeError),
+            (make_graph(4, [(0, 1), (2, 3)]), {}, ValueError),
+        ],
+        ids=["eps", "t_max", "max_events", "disconnected"],
+    )
+    def test_run_replicate_checks_before_the_initial_draw(self, monkeypatch, g, kwargs, error):
+        def no_draw(*args):
+            pytest.fail("initial opinions drawn before the parameters were checked")
+
+        monkeypatch.setattr(experiments, "random_initial", no_draw)
+        kwargs = {"eps": 0.5, **kwargs}
+        with pytest.raises(error):
+            run_replicate(g, rep_seed=3, **kwargs)
 
 
 class TestConsensusExperiment:
@@ -110,6 +131,15 @@ class TestSweepExperiment:
         assert per[repr(1.0)]["mean_nu"] < 16.0
         assert set(snaps) == {0.0, 1.0}
         assert snaps[0.0].shape == (16,)
+
+    @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.0, -0.0), (0.2, 1.0, 0.2)], ids=repr)
+    def test_rejects_repeated_threshold(self, monkeypatch, grid):
+        def no_compute(*args):
+            pytest.fail("replicates ran before the grid was checked")
+
+        monkeypatch.setattr(experiments, "_run_grid", no_compute)
+        with pytest.raises(ValueError, match="duplicate threshold"):
+            sweep_experiment(3, 3, grid, t_max=1.0, reps=2, master_seed=1)
 
     def test_serial_parallel_identical(self):
         a, _ = sweep_experiment(3, 3, [0.5, 1.0], t_max=20.0, reps=4, master_seed=9, workers=1)

@@ -225,28 +225,29 @@ def test_liveness_matches_exact_oracle(compiled, eps, b, steps, swap):
 @pytest.mark.parametrize("seed", [0, 1, -3, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
 def test_kernel_seeds_like_random(compiled, monkeypatch, seed):
     """The kernel's MT19937 state after seeding is random.Random(seed)'s."""
-    run, states = _kernel.load(), []
+    lib, states = _kernel.load(), []
 
     def spy(*args):
-        code = run(*args)
-        # args[12] is ct_run_events' generator state, 624 words and the position
-        states.append(tuple((ctypes.c_uint32 * 625).from_address(args[12])))
+        code = lib["ct_run_events"](*args)
+        # ct_run_events' work buffer (args[10]) ends in the generator state,
+        # 624 words and the position, after 2 * n_edges (args[5]) words
+        states.append(tuple((ctypes.c_uint32 * 625).from_address(args[10] + 8 * args[5])))
         return code
 
-    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_events": spy})
     simulate(make_graph(1, []), [0.5], SimParams(0.5, seed, max_events=0))
     assert states == [random.Random(seed).getstate()[1]]
 
 
 def _spy_untils(monkeypatch) -> list:
     """The event count `until` that each ct_run_events call may run to."""
-    run, untils = _kernel.load(), []
+    lib, untils = _kernel.load(), []
 
     def spy(*args):
         untils.append(args[-1])
-        return run(*args)
+        return lib["ct_run_events"](*args)
 
-    monkeypatch.setattr(_kernel, "load", lambda: spy)
+    monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_events": spy})
     return untils
 
 
@@ -288,8 +289,8 @@ def _unspawn(seed: int) -> int:
 def _kernel_draw(n: int, seed: int) -> bytes:
     """The kernel's initial draw from seed: the final opinions of a batch
     replicate at eps 0, where no edge is live and no event runs."""
-    task = (path_graph(n), 0.0, 0, _unspawn(seed), None, True)
-    ((record, final),) = experiments._run_chunk([task])
+    cell = (path_graph(n), 0.0, None, 0, [_unspawn(seed)], True)
+    ((record, final),) = experiments._run_chunk(cell)
     assert record.events == 0 and record.stop_reason == "absorbed"
     return array.array("d", final).tobytes()
 
@@ -315,8 +316,13 @@ BATCH_T_MAX = (None, 0.0, 20.0)
 BATCH_REPS = (1, 2, 37)
 
 
-def _batch_tasks(g, eps, t_max, reps, master=5):
-    return [(g, eps, i, spawn_seed(master, i), t_max, i == 0) for i in range(reps)]
+def _worker_tasks(g, grid, t_max, reps, master=5):
+    """The _replicate_worker task of each replicate of _run_grid(g, grid, reps, master, ...)."""
+    return [
+        (g, eps, k * reps + r, spawn_seed(master, k * reps + r), t_max, r == 0)
+        for k, eps in enumerate(grid)
+        for r in range(reps)
+    ]
 
 
 def _comparable(results):
@@ -331,37 +337,35 @@ def _comparable(results):
 @pytest.mark.parametrize("eps", BATCH_EPS, ids=repr)
 def test_batch_matches_replicate_worker(compiled, name, eps):
     """One kernel call per threshold gives the records and the first final
-    of one run_replicate per task."""
+    of one run_replicate per replicate."""
     g = GRAPHS[name]
     for t_max in BATCH_T_MAX:
         for reps in BATCH_REPS:
-            tasks = _batch_tasks(g, eps, t_max, reps)
-            batch = _comparable(experiments._run_batch(tasks, 1))
+            batch = _comparable(experiments._run_grid(g, (eps,), reps, 5, 1, t_max))
+            tasks = _worker_tasks(g, (eps,), t_max, reps)
             assert batch == _comparable(map(experiments._replicate_worker, tasks))
             assert batch[0][1] is not None and all(fin is None for _, fin in batch[1:])
 
 
 def test_pooled_batch_matches_serial(compiled):
-    tasks = [
-        task
-        for name in sorted(GRAPHS)
-        for eps in BATCH_EPS
-        for t_max in BATCH_T_MAX
-        for task in _batch_tasks(GRAPHS[name], eps, t_max, 37)
-    ]
-    serial = _comparable(experiments._run_batch(tasks, 1))
-    assert _comparable(experiments._run_batch(tasks, 2)) == serial
-    assert serial == _comparable(map(experiments._replicate_worker, tasks))
+    """Pooled, each threshold's 37 replicates run in cells of 27 and 10."""
+    for name in sorted(GRAPHS):
+        for t_max in BATCH_T_MAX:
+            g = GRAPHS[name]
+            serial = _comparable(experiments._run_grid(g, BATCH_EPS, 37, 5, 1, t_max))
+            assert _comparable(experiments._run_grid(g, BATCH_EPS, 37, 5, 2, t_max)) == serial
+            tasks = _worker_tasks(g, BATCH_EPS, t_max, 37)
+            assert serial == _comparable(map(experiments._replicate_worker, tasks))
 
 
 def _spy_batches(monkeypatch) -> list:
-    run, calls = _kernel.replicates(), []
+    lib, calls = _kernel.load(), []
 
     def spy(*args):
         calls.append(args[7])  # reps
-        return run(*args)
+        return lib["ct_run_replicates"](*args)
 
-    monkeypatch.setitem(_kernel.entry_points, "ct_run_replicates", spy)
+    monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_replicates": spy})
     return calls
 
 
@@ -376,16 +380,29 @@ def test_one_kernel_call_per_threshold(compiled, monkeypatch):
 
 @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
 def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backend):
+    """A bad threshold anywhere in the grid, the last one included, raises
+    before the first replicate runs or a pool starts, serial and pooled."""
     calls = _spy_batches(monkeypatch)
     if backend == "python_loop":
         request.getfixturevalue(backend)
-    two_paths = make_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="connected graph"):
-        experiments._run_batch(_batch_tasks(two_paths, 0.5, None, 3), 1)
-    with pytest.raises(ValueError, match="t_max"):
-        experiments._run_batch(_batch_tasks(path_graph(3), 0.5, -1.0, 3), 1)
-    with pytest.raises(ValueError, match="epsilon"):
-        experiments._run_batch(_batch_tasks(path_graph(3), 1.5, None, 3), 1)
+    monkeypatch.setattr(experiments, "_replicate_worker", calls.append)
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a worker pool started before the grid was checked")
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    g = path_graph(3)
+    cases = {
+        "connected graph": (make_graph(4, [(0, 1), (2, 3)]), (0.5, 0.75), None),
+        "t_max": (g, (0.5, 0.75), -1.0),
+        "epsilon": (g, (0.5, 0.75, 1.5), None),
+    }
+    for workers in (1, 2):
+        for message, (graph, grid, t_max) in cases.items():
+            with pytest.raises(ValueError, match=message):
+                experiments._run_grid(graph, grid, 3, 1, workers, t_max)
+        with pytest.raises(ValueError, match="epsilon"):
+            experiments.sweep_experiment(8, 8, (0.2, 1.5), 5.0, 3, 1, workers)
     assert calls == []
 
 
@@ -398,7 +415,7 @@ def test_stop_reasons(compiled, monkeypatch, request, backend):
     g = torus_graph(5, 6)
     cells = {"absorbed": (0.0, None), "t_max": (1.0, 0.0), "max_events": (1.0, None)}
     for reason, (eps, t_max) in cells.items():
-        results = experiments._run_batch(_batch_tasks(g, eps, t_max, 3), 1)
+        results = experiments._run_grid(g, (eps,), 3, 5, 1, t_max)
         assert [rec.stop_reason for rec, _ in results] == [reason] * 3
         assert all(rec.events == (5 if reason == "max_events" else 0) for rec, _ in results)
 
@@ -492,14 +509,14 @@ def test_ctypes_signature_matches_the_c_prototype(compiled):
     """Each entry point's argtypes has one entry of the matching kind per
     parameter in _kernel.c; a mismatch would corrupt memory, not fail."""
     found = re.findall(r"^int (ct_\w+)\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
-    assert sorted(name for name, _ in found) == sorted(_kernel.entry_points)
+    lib = _kernel.load()
+    assert sorted(name for name, _ in found) == sorted(lib)
     kinds = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
     for name, text in found:
         params = [" ".join(p.split()) for p in text.split(",")]
         expected = [ctypes.c_void_p if "*" in p else kinds[p.split()[0]] for p in params]
-        assert list(_kernel.entry_points[name].argtypes) == expected, (name, params)
-        assert _kernel.entry_points[name].restype is ctypes.c_int
-    assert _kernel.load() is _kernel.entry_points["ct_run_events"]
+        assert list(lib[name].argtypes) == expected, (name, params)
+        assert lib[name].restype is ctypes.c_int
 
 
 VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)

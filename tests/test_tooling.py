@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -39,5 +40,16 @@ def test_every_kernel_entry_point_is_typed_with_its_parameter_count():
     found = re.findall(r"^int (ct_\w+)\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
     counts = {name: len(params.split(",")) for name, params in found}
     assert counts and counts == {name: len(a) for name, a in _kernel.SIGNATURES.items()}
-    if _kernel.load() is not None:
-        assert {name: len(f.argtypes) for name, f in _kernel.entry_points.items()} == counts
+    lib = _kernel.load()
+    if lib is not None:
+        assert {name: len(f.argtypes) for name, f in lib.items()} == counts
+
+
+def test_run_batch_takes_the_two_arguments_the_benchmark_passes():
+    """perfbench/child.py replaces experiments._run_batch by a timer,
+    timed_batch(tasks, workers), that calls it with those two arguments in
+    every benchmark run."""
+    from ctvoter import experiments
+
+    params = inspect.signature(experiments._run_batch).parameters.values()
+    assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
