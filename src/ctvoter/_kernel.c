@@ -13,18 +13,20 @@
  * the final opinions. Every floating-point step is one IEEE-754
  * operation as in Python, so it must be compiled without contraction into
  * fused multiply-adds and without fast-math.
+ *
+ * Every buffer belongs to the caller (_kernel.scratch sizes the scratch), so
+ * nothing here allocates memory and no call can fail.
  */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 #define MT_N 624
 #define MT_M 397
 
-enum { CT_NO_MEMORY = -1, CT_LIMIT = 0, CT_T_MAX = 1, CT_ABSORBED = 2, CT_PAUSE = 3 };
+enum { CT_LIMIT = 0, CT_T_MAX = 1, CT_ABSORBED = 2, CT_PAUSE = 3 };
 
 /* CPython's init_genrand; mt[MT_N] holds the position in the state. */
 static void init_genrand(uint32_t *mt, uint32_t s)
@@ -126,33 +128,20 @@ static int live(double a, double b, double eps)
     return d > 0.0 ? err < 0.0 : err > 0.0;
 }
 
-/* A scratch hash table of 2**bits >= 2n words for count_opinions(). */
-struct table {
-    uint64_t *words;
-    int bits;
-};
-
-/* The smallest table for n opinions, or NULL. */
-static uint64_t *alloc_table(struct table *tb, int32_t n)
-{
-    tb->bits = 1;
-    while (((int64_t)1 << tb->bits) < 2 * (int64_t)n)
-        tb->bits++;
-    tb->words = malloc(((size_t)1 << tb->bits) * sizeof *tb->words);
-    return tb->words;
-}
-
 /*
  * Count the n opinions: out[0] gets the number of distinct opinions under ==
  * (so -0.0 and 0.0 are one value, as in a Python set) and out[1] the number
- * outside (1 - eps, eps). The distinct count hashes the bit patterns into
- * the table with linear probing; all-ones, a NaN, marks an empty slot.
+ * outside (1 - eps, eps). The distinct count hashes the bit patterns with
+ * linear probing into the caller's table of 2**bits words, the least power
+ * of two >= 2n (at least 2); all-ones, a NaN, marks an empty slot.
  */
-static void count_opinions(const struct table *tb, const double *ops, int32_t n, double eps,
+static void count_opinions(uint64_t *table, const double *ops, int32_t n, double eps,
                            int64_t out[2])
 {
-    const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << tb->bits) - 1;
-    uint64_t *table = tb->words;
+    int bits = 1;
+    while (((int64_t)1 << bits) < 2 * (int64_t)n)
+        bits++;
+    const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << bits) - 1;
     double lo = 1.0 - eps;
     int64_t distinct = 0, extremists = 0;
     memset(table, 0xff, (mask + 1) * sizeof *table);
@@ -160,7 +149,7 @@ static void count_opinions(const struct table *tb, const double *ops, int32_t n,
         double v = ops[i] + 0.0; /* -0.0 + 0.0 is 0.0 */
         uint64_t key;
         memcpy(&key, &v, sizeof key);
-        uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> (64 - tb->bits);
+        uint64_t h = (key * 0x9E3779B97F4A7C15ULL) >> (64 - bits);
         while (table[h] != empty && table[h] != key)
             h = (h + 1) & mask;
         if (table[h] == empty) {
@@ -173,29 +162,25 @@ static void count_opinions(const struct table *tb, const double *ops, int32_t n,
     out[1] = extremists;
 }
 
-/* The trace arrays of a run, and the table its samples are counted with. */
+/* The trace arrays of a run, and the table its samples are counted in. */
 struct trace {
     double *t;
-    int64_t *k, *count, *extremists;
-    struct table table;
+    int64_t *rows;
+    uint64_t *table;
 };
 
 /*
  * Append sample *samples of the n opinions at clock t after `events` events:
- * the distinct count and, when eps > 1/2, the extremist count of
- * count_opinions().
+ * the clock to t[s] and the row rows[3s .. 3s + 3) = (events, distinct,
+ * extremists), the last two written by count_opinions().
  */
 static void take_sample(const struct trace *tr, const double *ops, int32_t n, double eps,
                         int64_t *samples, double t, int64_t events)
 {
-    int64_t counts[2];
-    count_opinions(&tr->table, ops, n, eps, counts);
-    int64_t s = (*samples)++;
+    int64_t s = (*samples)++, *row = tr->rows + 3 * s;
     tr->t[s] = t;
-    tr->k[s] = events;
-    tr->count[s] = counts[0];
-    if (eps > 0.5)
-        tr->extremists[s] = counts[1];
+    row[0] = events;
+    count_opinions(tr->table, ops, n, eps, row + 1);
 }
 
 /*
@@ -219,11 +204,11 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * `key`, the key_length 32-bit little-endian words of abs(seed) ({0} for 0),
  * and builds the active set. If trace_t is not NULL, samples are taken at
  * events 0, 1, 2, 4, ... and at the final state if its clock differs from
- * the last sample's; sample s is written to trace_t[s] (clock), trace_k[s]
- * (events), trace_count[s] and, when eps > 1/2, trace_extremists[s]. Each
- * trace array needs room for bit_length(max_events) + 2 samples. The
- * samples are counted in a scratch table of the call's own; returns
- * CT_NO_MEMORY if it cannot be allocated.
+ * the last sample's; sample s is written to trace_t[s] (clock) and to the
+ * row trace[3s .. 3s + 3) (events, distinct opinions, opinions outside
+ * (1 - eps, eps)). Both need room for bit_length(max_events) + 2 samples,
+ * and the opinions are counted in `table` (see count_opinions); neither
+ * table nor trace is used when trace_t is NULL.
  *
  * If log_t is not NULL, the call logs its j-th event to log_t[j - 1] (its
  * clock) and log_edge[j - 1] (the fired edge f, or ~f when its lower
@@ -233,16 +218,13 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
 int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                   const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
                   const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                  int32_t *work, int64_t *state, double *clock, double *trace_t,
-                  int64_t *trace_k, int64_t *trace_count, int64_t *trace_extremists,
-                  double *log_t, int32_t *log_edge, double eps, double t_max,
-                  int64_t max_events, int64_t until)
+                  int32_t *work, uint64_t *table, int64_t *state, double *clock,
+                  double *trace_t, int64_t *trace, double *log_t, int32_t *log_edge, double eps,
+                  double t_max, int64_t max_events, int64_t until)
 {
     int32_t *active = work, *pos = work + n_edges;
     uint32_t *mt = (uint32_t *)(pos + n_edges);
-    struct trace tr = {trace_t, trace_k, trace_count, trace_extremists, {NULL, 1}};
-    if (trace_t != NULL && alloc_table(&tr.table, n_vertices) == NULL)
-        return CT_NO_MEMORY;
+    struct trace tr = {trace_t, trace, table};
     int64_t events, n;
     double t;
     if (state[1] < 0) {
@@ -270,11 +252,7 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
         next_trace *= 2;
 
     int code = CT_LIMIT;
-    while (n > 0 && events < max_events) {
-        if (events == until) {
-            code = CT_PAUSE;
-            goto out;
-        }
+    while (n > 0 && events < max_events && events != until) {
         double dt = -log(1.0 - random53(mt)) / (2.0 * (double)n);
         if (t + dt > t_max) {
             t = t_max;
@@ -323,15 +301,14 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
             next_trace *= 2;
         }
     }
-    if (code == CT_LIMIT && n == 0)
-        code = CT_ABSORBED;
-    if (trace_t != NULL && trace_t[state[2] - 1] != t)
+    /* the loop ran out of active edges, of events, or up to `until`, in that order */
+    if (code == CT_LIMIT)
+        code = n == 0 ? CT_ABSORBED : events < max_events ? CT_PAUSE : CT_LIMIT;
+    if (code != CT_PAUSE && trace_t != NULL && trace_t[state[2] - 1] != t)
         take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
-out:
     state[0] = events;
     state[1] = n;
     *clock = t;
-    free(tr.table.words);
     return code;
 }
 
@@ -431,22 +408,16 @@ static void draw_uniform(double *ops, int32_t n, uint64_t seed)
  * CT_T_MAX or CT_ABSORBED), out[4r + 2] (its distinct final opinions) and
  * out[4r + 3] (its final opinions outside (1 - eps, eps)). If `final` is not
  * NULL, replicate 0's n final opinions are copied to it. Each replicate is
- * one ct_run_events call without trace, log or weights. The buffers are
- * allocated once and reused by every replicate; returns 0, or CT_NO_MEMORY
- * if they cannot be allocated.
+ * one ct_run_events call without trace, log or weights, on the caller's
+ * opinions `ops` (n), `work` and `table`, reused by every replicate; returns
+ * 0.
  */
 int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                       const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
                       const uint64_t *seeds, int64_t reps, double eps, double t_max,
-                      int64_t max_events, int64_t *out, double *final)
+                      int64_t max_events, double *ops, int32_t *work, uint64_t *table,
+                      int64_t *out, double *final)
 {
-    size_t n = (size_t)n_vertices, m = (size_t)n_edges;
-    struct table table = {NULL, 1};
-    double *ops = malloc((n + 1) * sizeof *ops);
-    int32_t *work = malloc((2 * m + MT_N + 1) * sizeof *work);
-    int code = CT_NO_MEMORY;
-    if (ops == NULL || work == NULL || alloc_table(&table, n_vertices) == NULL)
-        goto out;
     int64_t state[3];
     double clock;
     for (int64_t r = 0; r < reps; r++) {
@@ -456,17 +427,12 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
         state[1] = -1;
         int64_t *rep = out + 4 * r;
         rep[1] = ct_run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
-                               seed >> 32 ? 2 : 1, ops, NULL, work, state, &clock, NULL, NULL,
-                               NULL, NULL, NULL, NULL, eps, t_max, max_events, max_events);
+                               seed >> 32 ? 2 : 1, ops, NULL, work, NULL, state, &clock, NULL,
+                               NULL, NULL, NULL, eps, t_max, max_events, max_events);
         rep[0] = state[0];
-        count_opinions(&table, ops, n_vertices, eps, rep + 2);
+        count_opinions(table, ops, n_vertices, eps, rep + 2);
         if (r == 0 && final != NULL)
-            memcpy(final, ops, n * sizeof *ops);
+            memcpy(final, ops, (size_t)n_vertices * sizeof *ops);
     }
-    code = 0;
-out:
-    free(table.words);
-    free(ops);
-    free(work);
-    return code;
+    return 0;
 }

@@ -11,6 +11,7 @@ event loop runs instead.
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import hashlib
@@ -31,7 +32,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 LIBS = ("-lm",)
 
 # return codes of ct_run_events, and stop codes of ct_run_replicates
-NO_MEMORY, LIMIT, T_MAX, ABSORBED, PAUSE = -1, 0, 1, 2, 3
+LIMIT, T_MAX, ABSORBED, PAUSE = 0, 1, 2, 3
 # why a run stopped, by stop code
 STOP_REASONS = {ABSORBED: "absorbed", T_MAX: "t_max", LIMIT: "max_events"}
 # largest event limit passed to the kernel, so that it fits an int64 with its
@@ -46,12 +47,12 @@ _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_in
 # argument types of the library's entry points, one per parameter in _kernel.c
 SIGNATURES = {
     "ct_run_events": (
-        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 11
+        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 10
         + [_double, _double, _int64, _int64]
     ),
     "ct_run_replicates": (
         [_pointer] * 4 + [_int32, _int32, _pointer, _int64, _double, _double, _int64]
-        + [_pointer] * 2
+        + [_pointer] * 5
     ),
 }
 
@@ -110,3 +111,16 @@ def graph_pointers(g: Graph) -> tuple[int, ...]:
 
 def _addresses(g: Graph) -> tuple[int, ...]:
     return tuple(a.ctypes.data for a in edge_arrays(g))
+
+
+def scratch(n: int, m: int) -> tuple[array.array, array.array]:
+    """The scratch buffers of a kernel run on n vertices and m edges.
+
+    `work` holds 2m + 625 int32 words: the active edges, their positions and
+    the generator state. `table` holds the hash table that count_opinions in
+    _kernel.c counts opinions in: the least power of two >= 2n uint64 words.
+    Each is allocated at its exact size, so that a sanitizer sees its end.
+    """
+    work = array.array("i", [0]) * (2 * m + 625)
+    table = array.array("Q", [0]) * (1 << (2 * n - 1).bit_length())
+    return work, table

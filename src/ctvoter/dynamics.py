@@ -285,13 +285,14 @@ def _compiled_events(
     seed = abs(params.seed)
     # the 32-bit little-endian words of abs(seed), which random.seed hands to init_by_array
     key = array.array("I", [seed >> s & 0xFFFFFFFF for s in range(0, seed.bit_length() or 1, 32)])
-    x = array.array("d")
-    x.frombytes(memoryview(ops).cast("B"))  # one copy of the validated opinions
-    work = array.array("i", [0]) * (2 * m + 625)  # active, pos, generator state
+    # one copy of the validated opinions, into a buffer of exactly n entries
+    x = array.array("d", [0.0]) * g.n_vertices
+    memoryview(x).cast("B")[:] = memoryview(ops).cast("B")
+    work, table = _kernel.scratch(g.n_vertices, m)
     state = array.array("q", [0, -1, 0])  # events, active edges (-1 to start), samples
     clock = array.array("d", [0.0])
-    sample_events, counts, extremists = (array.array("q", [0]) * cap for _ in range(3))
     times = array.array("d", [0.0]) * cap
+    rows = array.array("q", [0]) * (3 * cap)  # events, distinct, extremists per sample
     if on_event is not None:  # the event log, and the lists it is replayed on
         log_t = array.array("d", [0.0]) * _kernel.LOG_CHUNK
         log_edge = array.array("i", [0]) * _kernel.LOG_CHUNK
@@ -306,12 +307,11 @@ def _compiled_events(
         x.buffer_info()[0],
         None if weights is None else weights.ctypes.data,
         work.buffer_info()[0],
+        table.buffer_info()[0],
         state.buffer_info()[0],
         clock.buffer_info()[0],
         times.buffer_info()[0],
-        sample_events.buffer_info()[0],
-        counts.buffer_info()[0],
-        extremists.buffer_info()[0],
+        rows.buffer_info()[0],
         None if on_event is None else log_t.buffer_info()[0],
         None if on_event is None else log_edge.buffer_info()[0],
         eps,
@@ -330,14 +330,12 @@ def _compiled_events(
             until = min(until, first + _kernel.LOG_CHUNK)
         args[-1] = until
         code = run(*args)
-        if code == _kernel.NO_MEMORY:
-            raise MemoryError("event kernel could not allocate its scratch table")
         if on_event is not None:
             for j in range(state[0] - first):
                 _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
         if on_sample is not None:
             for s in range(seen, state[2]):
-                on_sample(times[s], sample_events[s], weights)
+                on_sample(times[s], rows[3 * s], weights)
             seen = state[2]
     if on_event is not None and any(
         a is not None and array.array("d", a).tobytes() != b.tobytes()
@@ -345,8 +343,8 @@ def _compiled_events(
     ):
         raise RuntimeError("the replayed event log does not match the kernel's final state")
     events, active_edges, samples = state
-    opinion_trace = list(zip(times[:samples], counts[:samples]))
-    extremist_trace = list(zip(times[:samples], extremists[:samples])) if eps > 0.5 else []
+    opinion_trace = list(zip(times[:samples], rows[1 : 3 * samples : 3]))
+    extremist_trace = list(zip(times[:samples], rows[2 : 3 * samples : 3])) if eps > 0.5 else []
     return SimReport(
         np.frombuffer(x), clock[0], events, active_edges == 0, opinion_trace, extremist_trace,
         _kernel.STOP_REASONS[code],

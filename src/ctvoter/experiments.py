@@ -80,15 +80,6 @@ def mean_and_radius(values) -> tuple[float, float]:
     return float(arr.mean()), float(3.0 * arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def _checked_params(g: Graph, eps: float, seed: int, t_max=None, max_events=None) -> SimParams:
-    """SimParams(eps, seed, t_max, max_events) of a run on g; raises on bad
-    parameters or a disconnected graph, before any compute."""
-    params = SimParams(eps, seed, t_max=t_max, max_events=max_events)
-    if not is_connected(g):
-        raise ValueError("dynamics require a connected graph")
-    return params
-
-
 def run_replicate(
     g: Graph,
     eps: float,
@@ -102,7 +93,9 @@ def run_replicate(
     configuration and spawn_seed(rep_seed, 1) for the event stream. The
     parameters and the graph are checked before the initial draw.
     """
-    params = _checked_params(g, eps, spawn_seed(rep_seed, 1), t_max, max_events)
+    params = SimParams(eps, spawn_seed(rep_seed, 1), t_max=t_max, max_events=max_events)
+    if not is_connected(g):
+        raise ValueError("dynamics require a connected graph")
     init = random_initial(g, spawn_seed(rep_seed, 0))
     return init, simulate(g, init, params)
 
@@ -158,9 +151,11 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     start = time.perf_counter()
     n, reps = g.n_vertices, len(seeds)
     seed_words = array.array("Q", seeds)
-    out = array.array("q", bytes(32 * reps))  # events, stop code, nu, extremists
-    final = array.array("d", bytes(8 * n)) if keep_final else None
-    code = lib["ct_run_replicates"](
+    ops = array.array("d", [0.0]) * n
+    work, table = _kernel.scratch(n, g.n_edges)
+    out = array.array("q", [0]) * (4 * reps)  # events, stop code, nu, extremists
+    final = array.array("d", [0.0]) * n if keep_final else None
+    lib["ct_run_replicates"](
         *_kernel.graph_pointers(g),
         n,
         g.n_edges,
@@ -169,11 +164,12 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
         eps,
         math.inf if t_max is None else t_max,
         min(DEFAULT_MAX_EVENTS, _kernel.MAX_EVENTS),
+        ops.buffer_info()[0],
+        work.buffer_info()[0],
+        table.buffer_info()[0],
         out.buffer_info()[0],
         None if final is None else final.buffer_info()[0],
     )
-    if code == _kernel.NO_MEMORY:
-        raise MemoryError("event kernel could not allocate its replicate buffers")
     wall = (time.perf_counter() - start) / reps
     counts = zip(seeds, out[::4], out[1::4], out[2::4], out[3::4])
     results = [
@@ -194,18 +190,33 @@ def _run_batch(cells, workers: int):
         return [r for results in pool.map(_run_chunk, cells) for r in results]
 
 
+def _check_grid(grid, reps: int, workers: int, t_max=None) -> None:
+    """Raise ValueError unless the thresholds of grid are valid and distinct
+    (0.0 and -0.0 are one threshold), and t_max, reps and workers valid."""
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"duplicate threshold in {tuple(grid)!r}")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    for eps in grid:
+        SimParams(eps, 0, t_max=t_max)
+
+
 def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=None):
     """(record, final) of reps replicates per threshold, to t_max or absorption.
 
     Replicate index = grid_index * reps + r with seed spawn_seed(master_seed,
     index); final is the list of final opinions for r == 0, None otherwise.
-    Every threshold, t_max and the graph are checked before any replicate
-    runs. The grid is cut into cells (_run_chunk): one per threshold, or,
-    with workers > 1, pieces of each threshold of about len(grid) * reps /
-    (4 * workers) replicates, so that the pool's load stays even.
+    The grid (_check_grid) and the graph's connectivity are checked before
+    any replicate runs. The grid is cut into cells (_run_chunk): one per
+    threshold, or, with workers > 1, pieces of each threshold of about
+    len(grid) * reps / (4 * workers) replicates, so that the pool's load
+    stays even.
     """
-    for eps in grid:
-        _checked_params(g, eps, 0, t_max)
+    _check_grid(grid, reps, workers, t_max)
+    if not is_connected(g):
+        raise ValueError("dynamics require a connected graph")
     size = max(1, reps if workers <= 1 else len(grid) * reps // (workers * 4))
     seeds = [spawn_seed(master_seed, index) for index in range(len(grid) * reps)]
     cells = [
@@ -307,8 +318,7 @@ def sweep_experiment(
     grid (0.0 and -0.0 are one threshold).
     """
     grid = tuple(float(e) for e in eps_grid)
-    if len(set(grid)) != len(grid):
-        raise ValueError(f"duplicate threshold in {grid!r}")
+    _check_grid(grid, reps, workers, t_max)
     g = torus_graph(width, height)
     results = _run_grid(g, grid, reps, master_seed, workers, t_max)
     records = [rec for rec, _ in results]

@@ -141,6 +141,26 @@ class TestSweepExperiment:
         with pytest.raises(ValueError, match="duplicate threshold"):
             sweep_experiment(3, 3, grid, t_max=1.0, reps=2, master_seed=1)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"eps_grid": (0.5, 1.5)}, "epsilon"),
+            ({"t_max": -1.0}, "t_max"),
+            ({"t_max": math.nan}, "t_max"),
+            ({"reps": 0}, "reps"),
+            ({"workers": 0}, "workers"),
+        ],
+        ids=["eps", "t_max", "t_max_nan", "reps", "workers"],
+    )
+    def test_checks_before_building_the_torus(self, monkeypatch, bad, message):
+        def no_build(*args):
+            pytest.fail("torus built before the grid was checked")
+
+        monkeypatch.setattr(experiments, "torus_graph", no_build)
+        args = {"eps_grid": (0.5,), "t_max": 5.0, "reps": 1, "master_seed": 1, **bad}
+        with pytest.raises(ValueError, match=message):
+            sweep_experiment(300, 300, **args)
+
     def test_serial_parallel_identical(self):
         a, _ = sweep_experiment(3, 3, [0.5, 1.0], t_max=20.0, reps=4, master_seed=9, workers=1)
         b, _ = sweep_experiment(3, 3, [0.5, 1.0], t_max=20.0, reps=4, master_seed=9, workers=2)

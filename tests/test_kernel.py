@@ -378,10 +378,9 @@ def test_one_kernel_call_per_threshold(compiled, monkeypatch):
     assert calls == [7, 7, 7]
 
 
-@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
-def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backend):
-    """A bad threshold anywhere in the grid, the last one included, raises
-    before the first replicate runs or a pool starts, serial and pooled."""
+def _spy_compute(monkeypatch, request, backend) -> list:
+    """The batch kernel's and the replicate worker's calls on `backend`; a
+    worker pool fails the test as it starts."""
     calls = _spy_batches(monkeypatch)
     if backend == "python_loop":
         request.getfixturevalue(backend)
@@ -391,6 +390,14 @@ def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backen
         pytest.fail("a worker pool started before the grid was checked")
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    return calls
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backend):
+    """A bad threshold anywhere in the grid, the last one included, raises
+    before the first replicate runs or a pool starts, serial and pooled."""
+    calls = _spy_compute(monkeypatch, request, backend)
     g = path_graph(3)
     cases = {
         "connected graph": (make_graph(4, [(0, 1), (2, 3)]), (0.5, 0.75), None),
@@ -407,6 +414,25 @@ def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backen
 
 
 @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_drivers_reject_bad_reps_and_workers(compiled, monkeypatch, request, backend):
+    """Every driver refuses reps < 1 and workers < 1 before any replicate runs."""
+    calls = _spy_compute(monkeypatch, request, backend)
+    g = path_graph(5)
+    drivers = (
+        lambda reps, workers: experiments.consensus_experiment(g, 0.75, reps, 1, workers),
+        lambda reps, workers: experiments.coexistence_experiment(5, 0.1, reps, 1, workers),
+        lambda reps, workers: experiments.degree_bound_check(g, 0.1, reps, 1, workers),
+        lambda reps, workers: experiments.sweep_experiment(3, 3, (0.5,), 1.0, reps, 1, workers),
+    )
+    bad = (("reps", 0, 1), ("reps", -2, 1), ("reps", 0, 2), ("workers", 3, 0), ("workers", 3, -4))
+    for driver in drivers:
+        for message, reps, workers in bad:
+            with pytest.raises(ValueError, match=f"{message} must be >= 1"):
+                driver(reps, workers)
+    assert calls == []
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
 def test_stop_reasons(compiled, monkeypatch, request, backend):
     if backend == "python_loop":
         request.getfixturevalue(backend)
@@ -418,6 +444,27 @@ def test_stop_reasons(compiled, monkeypatch, request, backend):
         results = experiments._run_grid(g, (eps,), 3, 5, 1, t_max)
         assert [rec.stop_reason for rec, _ in results] == [reason] * 3
         assert all(rec.events == (5 if reason == "max_events" else 0) for rec, _ in results)
+
+
+# path:n where 2n is at, just past or just short of a power of two, the sizes
+# at which count_opinions' table of the least power of two >= 2n words grows
+TABLE_EDGES = (2, 3, 4, 5, 8, 9, 16, 17)
+
+
+@pytest.mark.parametrize("n", TABLE_EDGES, ids=lambda n: f"path{n}")
+def test_table_edges(compiled, monkeypatch, n):
+    """Both entry points on n distinct opinions at those sizes: traced plain
+    and coupled runs against the Python loop, and a batch cell against
+    _replicate_worker."""
+    g = path_graph(n)
+    for seed in range(3):
+        init = random_initial(g, seed)
+        for eps in (0.3, 0.75):
+            _assert_backends_agree(monkeypatch, g, init, SimParams(eps, seed))
+    for eps in (0.0, 0.3, 0.75):
+        batch = _comparable(experiments._run_grid(g, (eps,), 5, 5, 1))
+        tasks = _worker_tasks(g, (eps,), None, 5)
+        assert batch == _comparable(map(experiments._replicate_worker, tasks))
 
 
 LOG_CHUNK = _kernel.LOG_CHUNK
@@ -642,10 +689,11 @@ def test_source_compiles_without_warnings(tmp_path):
 
 
 # comparisons run again on the build instrumented by AddressSanitizer; the
-# named graphs' stops include runs that fill every trace slot, and the hook
-# cases every way a call pauses and resumes
+# named graphs' stops include runs that fill every trace slot, the hook cases
+# every way a call pauses and resumes, and the table edges every size step of
+# the opinion table
 ASAN_CASES = (
-    "named_graphs and (single or torus) or many_seeds or golden_cases"
+    "named_graphs and (single or torus) or many_seeds or golden_cases or table_edges"
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
     " or hook_log or hooked_run or one_kernel_call"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"

@@ -53,3 +53,13 @@ def test_run_batch_takes_the_two_arguments_the_benchmark_passes():
 
     params = inspect.signature(experiments._run_batch).parameters.values()
     assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2
+
+
+def test_kernel_allocates_nothing():
+    """Every buffer _kernel.c touches is the caller's: its code names no
+    allocator, and the binding has no out-of-memory code to map."""
+    from ctvoter import _kernel
+
+    code = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
+    assert re.findall(r"\b(?:malloc|calloc|realloc|free)\b", code) == []
+    assert not hasattr(_kernel, "NO_MEMORY")
