@@ -43,6 +43,13 @@ def _resolve_graph(args) -> graphs.Graph:
     raise UsageError("a graph is required (--graph or --graph-file)")
 
 
+def _add_batch_flags(p, reps: int) -> None:
+    p.add_argument("--reps", type=int, default=reps)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out")
+
+
 def _check_batch(args) -> None:
     if args.reps < 1:
         raise UsageError("--reps must be >= 1")
@@ -95,27 +102,18 @@ def build_parser() -> _Parser:
     p = sub.add_parser("consensus", help="consensus-probability experiment (eps > 1/2)")
     _add_graph_flags(p)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out")
+    _add_batch_flags(p, reps=100)
 
     p = sub.add_parser("coexistence", help="opinion-retention experiment on a path")
     _add_graph_flags(p)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out")
+    _add_batch_flags(p, reps=100)
 
     p = sub.add_parser("sweep", help="threshold sweep on a torus, optional snapshots")
     _add_graph_flags(p)
     p.add_argument("--eps-grid", required=True, help="comma-separated thresholds")
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out")
+    _add_batch_flags(p, reps=1)
     p.add_argument("--snapshot", action="store_true")
 
     p = sub.add_parser("urn", help="box game: strategy S or random play")
@@ -128,14 +126,14 @@ def build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    g = _resolve_graph(args)
-    eps = check_epsilon(args.eps)
-    seed = _resolve_seed(args)
-    t_max = args.t_max
-    if args.to_absorption and t_max is not None:
+    if args.to_absorption and args.t_max is not None:
         raise UsageError("--to-absorption conflicts with --t-max")
+    # checks --eps, --t-max and --max-events; run_replicate builds its own
+    dynamics.SimParams(args.eps, 0, t_max=args.t_max, max_events=args.max_events)
+    g = _resolve_graph(args)
+    seed = _resolve_seed(args)
     init, report = experiments.run_replicate(
-        g, eps, seed, t_max=t_max, max_events=args.max_events
+        g, args.eps, seed, t_max=args.t_max, max_events=args.max_events
     )
     doc = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(doc)
@@ -147,8 +145,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    g = _resolve_graph(args)
     eps = check_epsilon(args.eps)
+    g = _resolve_graph(args)
     bounds = statics.index_bounds(g, eps)
     doc = json.dumps(bounds.to_dict(), sort_keys=True, indent=2) + "\n"
     sys.stdout.write(doc)
@@ -164,26 +162,30 @@ def _cmd_index(args) -> int:
 
 def _cmd_consensus(args) -> int:
     _check_batch(args)
+    if check_epsilon(args.eps) <= 0.5:
+        raise UsageError("consensus experiment requires epsilon > 1/2")
     g = _resolve_graph(args)
-    eps = check_epsilon(args.eps)
     seed = _resolve_seed(args)
-    report = experiments.consensus_experiment(g, eps, args.reps, seed, workers=args.workers)
+    report = experiments.consensus_experiment(g, args.eps, args.reps, seed, workers=args.workers)
     _emit_report(report, _out_dir(args))
     return 0
 
 
 def _cmd_coexistence(args) -> int:
     _check_batch(args)
-    g = _resolve_graph(args)
-    # connected with n-1 edges is a tree, and a tree of maximum degree 2 is a path
-    is_path = g.n_edges == g.n_vertices - 1 and graphs.is_connected(g)
-    if not is_path or any(g.degree(v) > 2 for v in range(g.n_vertices)):
-        raise UsageError("coexistence experiment runs on a path graph")
     eps = check_epsilon(args.eps)
+    if args.graph and not args.graph_file and args.graph.startswith("path:"):
+        # coexistence_experiment builds the path itself
+        _, (n,) = graphs._split_graph_spec(args.graph)
+    else:
+        g = _resolve_graph(args)
+        # connected with n-1 edges is a tree, and a tree of maximum degree 2 is a path
+        is_path = g.n_edges == g.n_vertices - 1 and graphs.is_connected(g)
+        if not is_path or any(g.degree(v) > 2 for v in range(g.n_vertices)):
+            raise UsageError("coexistence experiment runs on a path graph")
+        n = g.n_vertices
     seed = _resolve_seed(args)
-    report = experiments.coexistence_experiment(
-        g.n_vertices, eps, args.reps, seed, workers=args.workers
-    )
+    report = experiments.coexistence_experiment(n, eps, args.reps, seed, workers=args.workers)
     _emit_report(report, _out_dir(args))
     return 0
 

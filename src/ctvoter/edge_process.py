@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .common import ceil_recip
+from .common import ceil_recip, check_epsilon
 from .dynamics import SimParams, SimReport, _run_events, _validate_initial
 # unused here, but the benchmark's tracer (perfbench/child.py) rebinds this name
 from .dynamics import extremist_count  # noqa: F401
@@ -56,6 +56,7 @@ def classify_edge(weight: float, eps: float) -> int:
     zero under random initial data but are reported as BOUNDARY rather than
     silently binned, keeping census totals conserved.
     """
+    check_epsilon(eps)
     if eps <= 0:
         raise ValueError("classification requires eps > 0")
     if weight == 0.0:
@@ -111,10 +112,12 @@ def census(weights, eps: float) -> EdgeCensus:
 
     Every step is one correctly rounded IEEE-754 operation per weight, the
     same as in classify_edge, so both agree on every input. The census has
-    ceil_recip(eps) + 1 counts. Before reading the weights it rejects eps <=
-    0 and eps < 2**-16 (more than MAX_CENSUS_TYPES types); then a
-    non-finite weight and a type above ceil_recip(eps).
+    ceil_recip(eps) + 1 counts. Before reading the weights it rejects an eps
+    outside [0, 1] (check_epsilon), eps <= 0 and eps < 2**-16 (more than
+    MAX_CENSUS_TYPES types); then a non-finite weight and a type above
+    ceil_recip(eps).
     """
+    check_epsilon(eps)
     j_cap = _census_types(eps)
     a = np.abs(np.asarray(weights, dtype=np.float64))
     if not np.isfinite(a).all():

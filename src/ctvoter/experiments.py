@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernel
-from .common import check_epsilon, spawn_seed
+from .common import spawn_seed
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
@@ -190,9 +190,19 @@ def _run_batch(cells, workers: int):
         return [r for results in pool.map(_run_chunk, cells) for r in results]
 
 
-def _check_grid(grid, reps: int, workers: int, t_max=None) -> None:
-    """Raise ValueError unless the thresholds of grid are valid and distinct
-    (0.0 and -0.0 are one threshold), and t_max, reps and workers valid."""
+def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None):
+    """(record, final) of reps replicates per threshold, to t_max or absorption.
+
+    graph is a zero-argument builder of the graph. Replicate index =
+    grid_index * reps + r with seed spawn_seed(master_seed, index); final is
+    the list of final opinions for r == 0, None otherwise. The thresholds of
+    grid must be valid and distinct (0.0 and -0.0 are one threshold), and
+    t_max, reps and workers valid; all of that is checked before graph() is
+    called, and the graph's connectivity before any replicate runs. The grid
+    is cut into cells (_run_chunk): one per threshold, or, with workers > 1,
+    pieces of each threshold of about len(grid) * reps / (4 * workers)
+    replicates, so that the pool's load stays even.
+    """
     if len(set(grid)) != len(grid):
         raise ValueError(f"duplicate threshold in {tuple(grid)!r}")
     if reps < 1:
@@ -201,20 +211,7 @@ def _check_grid(grid, reps: int, workers: int, t_max=None) -> None:
         raise ValueError("workers must be >= 1")
     for eps in grid:
         SimParams(eps, 0, t_max=t_max)
-
-
-def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=None):
-    """(record, final) of reps replicates per threshold, to t_max or absorption.
-
-    Replicate index = grid_index * reps + r with seed spawn_seed(master_seed,
-    index); final is the list of final opinions for r == 0, None otherwise.
-    The grid (_check_grid) and the graph's connectivity are checked before
-    any replicate runs. The grid is cut into cells (_run_chunk): one per
-    threshold, or, with workers > 1, pieces of each threshold of about
-    len(grid) * reps / (4 * workers) replicates, so that the pool's load
-    stays even.
-    """
-    _check_grid(grid, reps, workers, t_max)
+    g = graph()
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     size = max(1, reps if workers <= 1 else len(grid) * reps // (workers * 4))
@@ -227,6 +224,20 @@ def _run_grid(g: Graph, grid, reps: int, master_seed: int, workers: int, t_max=N
     return _run_batch(cells, workers)
 
 
+def _absorbing_runs(graph, label: str, eps: float, reps: int, master_seed: int, workers: int):
+    """Records of reps runs to absorption at eps on graph() (a builder, as
+    for _run_grid), and the ExperimentSpec that reports them."""
+    records = [rec for rec, _ in _run_grid(graph, (eps,), reps, master_seed, workers)]
+    spec = ExperimentSpec(
+        graph=label,
+        epsilon_grid=(eps,),
+        reps=reps,
+        master_seed=master_seed,
+        stop={"to_absorption": True},
+    )
+    return records, spec
+
+
 def consensus_experiment(
     g: Graph, eps: float, reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
@@ -237,10 +248,8 @@ def consensus_experiment(
     """
     if eps <= 0.5:
         raise ValueError("consensus experiment requires epsilon > 1/2")
-    if not is_connected(g):
-        raise ValueError("consensus experiment requires a connected graph")
-    records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
-
+    label = f"n={g.n_vertices},m={g.n_edges}"
+    records, spec = _absorbing_runs(lambda: g, label, eps, reps, master_seed, workers)
     n = g.n_vertices
     valid_count = 0
     theta_zero_flags = []
@@ -252,13 +261,6 @@ def consensus_experiment(
             valid_count += 1
     consensus_freq, consensus_radius = mean_and_radius(consensus_flags)
     theta_freq, theta_radius = mean_and_radius(theta_zero_flags)
-    spec = ExperimentSpec(
-        graph=f"n={g.n_vertices},m={g.n_edges}",
-        epsilon_grid=(eps,),
-        reps=reps,
-        master_seed=master_seed,
-        stop={"to_absorption": True},
-    )
     aggregates = {
         "consensus_freq": consensus_freq,
         "consensus_radius": consensus_radius,
@@ -274,21 +276,14 @@ def coexistence_experiment(
     n: int, eps: float, reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
     """Absorbing runs on the n-vertex path; opinion-retention statistics."""
-    check_epsilon(eps)
-    g = path_graph(n)
-    records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
+    records, spec = _absorbing_runs(
+        lambda: path_graph(n), f"path:{n}", eps, reps, master_seed, workers
+    )
     nus = [rec.nu for rec in records]
     threshold = (1 - COEXISTENCE_FRACTION_COEFF * eps) * n
     violations = [1.0 if nu < threshold else 0.0 for nu in nus]
     mean_nu, mean_radius = mean_and_radius(nus)
     violation_freq, violation_radius = mean_and_radius(violations)
-    spec = ExperimentSpec(
-        graph=f"path:{n}",
-        epsilon_grid=(eps,),
-        reps=reps,
-        master_seed=master_seed,
-        stop={"to_absorption": True},
-    )
     aggregates = {
         "min_nu": min(nus),
         "mean_nu": mean_nu,
@@ -318,9 +313,7 @@ def sweep_experiment(
     grid (0.0 and -0.0 are one threshold).
     """
     grid = tuple(float(e) for e in eps_grid)
-    _check_grid(grid, reps, workers, t_max)
-    g = torus_graph(width, height)
-    results = _run_grid(g, grid, reps, master_seed, workers, t_max)
+    results = _run_grid(lambda: torus_graph(width, height), grid, reps, master_seed, workers, t_max)
     records = [rec for rec, _ in results]
     snapshots: dict[float, np.ndarray] = {}
     per_eps = {}
@@ -352,20 +345,13 @@ def degree_bound_check(
     Also records the retained fraction nu/N per absorbing run, exploratory
     output for the bounded-degree retention conjecture (no pass/fail).
     """
-    check_epsilon(eps)
-    records = [rec for rec, _ in _run_grid(g, (eps,), reps, master_seed, workers)]
+    label = f"n={g.n_vertices},m={g.n_edges}"
+    records, spec = _absorbing_runs(lambda: g, label, eps, reps, master_seed, workers)
     # a replicate whose initial state was already absorbing runs zero events
     nonabsorbing = [0.0 if rec.events == 0 else 1.0 for rec in records]
     freq, radius = mean_and_radius(nonabsorbing)
     fractions = [rec.nu / g.n_vertices for rec in records]
     frac_mean, frac_radius = mean_and_radius(fractions)
-    spec = ExperimentSpec(
-        graph=f"n={g.n_vertices},m={g.n_edges}",
-        epsilon_grid=(eps,),
-        reps=reps,
-        master_seed=master_seed,
-        stop={"to_absorption": True},
-    )
     aggregates = {
         "initial_nonabsorbing_freq": freq,
         "initial_nonabsorbing_radius": radius,

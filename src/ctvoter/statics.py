@@ -58,6 +58,7 @@ class IndexBounds:
 
 def complete_index(n: int, eps: float) -> int:
     """Exact index of the complete graph: min(n, ceil(1/eps)); n when eps = 0."""
+    check_epsilon(eps)
     if n < 1:
         raise ValueError("need n >= 1")
     if eps == 0:
@@ -77,6 +78,7 @@ def coloring_construction(g: Graph, coloring: Coloring, eps: float) -> np.ndarra
     falls under the float resolution and values 1/(c-1) apart can differ by
     less than eps in floats; then the second construction is used.
     """
+    check_epsilon(eps)
     if eps >= 1.0:
         raise ValueError("construction requires eps < 1")
     if not is_proper_coloring(g, coloring):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctvoter import experiments
+from ctvoter import experiments, graphs
 from ctvoter.cli import main
 
 
@@ -246,3 +246,62 @@ class TestExperimentCommands:
             )
             assert code == 1
             assert spec in err or "torus:WxH" in err
+
+
+class TestFlagsBeforeGraph:
+    @pytest.fixture
+    def no_graph(self, monkeypatch, no_compute):
+        """Fail the test if a graph is built or read."""
+
+        def fail(*args):
+            pytest.fail("a graph was built or read before the flags were checked")
+
+        builders = (
+            (graphs, "parse_graph_spec"),
+            (graphs, "load_graph"),
+            (experiments, "path_graph"),
+            (experiments, "torus_graph"),
+        )
+        for module, name in builders:
+            monkeypatch.setattr(module, name, fail)
+
+    @pytest.mark.parametrize(
+        "graph", [["--graph", "path:400000"], ["--graph-file", "/nonexistent/g.txt"]],
+        ids=["spec", "missing_file"],
+    )
+    @pytest.mark.parametrize("command, flags, message", [
+        ("simulate", ["--eps", "1.5"], "epsilon out of range"),
+        ("simulate", ["--eps", "nan"], "epsilon out of range"),
+        ("simulate", ["--eps", "0.5", "--t-max", "-1"], "t_max"),
+        ("simulate", ["--eps", "0.5", "--max-events", "-1"], "max_events"),
+        ("index", ["--eps", "1.5"], "epsilon out of range"),
+        ("index", ["--eps", "nan"], "epsilon out of range"),
+        ("consensus", ["--eps", "1.5"], "epsilon out of range"),
+        ("consensus", ["--eps", "nan"], "epsilon out of range"),
+        ("consensus", ["--eps", "0.4"], "epsilon > 1/2"),
+        ("coexistence", ["--eps", "1.5"], "epsilon out of range"),
+        ("coexistence", ["--eps", "nan"], "epsilon out of range"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_bad_flag_exits_before_any_graph(
+        self, capsys, no_graph, graph, command, flags, message
+    ):
+        seed = [] if command == "index" else ["--seed", "1"]
+        code, out, err = run_cli(capsys, command, *graph, *flags, *seed)
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    def test_coexistence_builds_the_path_once(self, capsys, monkeypatch):
+        built, build = [], graphs.path_graph
+
+        def counted(n):
+            built.append(n)
+            return build(n)
+
+        monkeypatch.setattr(graphs, "path_graph", counted)
+        monkeypatch.setattr(experiments, "path_graph", counted)
+        code, _, _ = run_cli(
+            capsys, "coexistence", "--graph", "path:8", "--eps", "0.1", "--reps", "2", "--seed", "1"
+        )
+        assert code == 0
+        assert built == [8]

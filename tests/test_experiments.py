@@ -8,10 +8,15 @@ from ctvoter import experiments
 from ctvoter import (
     SimParams,
     brute_force_index,
+    census,
+    classify_edge,
     clique_upper_bound,
     coexistence_experiment,
+    coloring_construction,
+    complete_index,
     consensus_experiment,
     degree_bound_check,
+    greedy_coloring,
     index_lower_bound,
     make_graph,
     path_graph,
@@ -42,6 +47,10 @@ def test_epsilon_range_rule_everywhere(eps):
         lambda: brute_force_index(g, eps),
         lambda: coexistence_experiment(3, eps, 2, 1),
         lambda: degree_bound_check(g, eps, 2, 1),
+        lambda: census([0.1], eps),
+        lambda: classify_edge(0.1, eps),
+        lambda: complete_index(3, eps),
+        lambda: coloring_construction(g, greedy_coloring(g), eps),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"epsilon out of range \[0, 1\]"):
@@ -134,10 +143,10 @@ class TestSweepExperiment:
 
     @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.0, -0.0), (0.2, 1.0, 0.2)], ids=repr)
     def test_rejects_repeated_threshold(self, monkeypatch, grid):
-        def no_compute(*args):
-            pytest.fail("replicates ran before the grid was checked")
+        def no_build(*args):
+            pytest.fail("torus built before the grid was checked")
 
-        monkeypatch.setattr(experiments, "_run_grid", no_compute)
+        monkeypatch.setattr(experiments, "torus_graph", no_build)
         with pytest.raises(ValueError, match="duplicate threshold"):
             sweep_experiment(3, 3, grid, t_max=1.0, reps=2, master_seed=1)
 

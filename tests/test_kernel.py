@@ -317,7 +317,8 @@ BATCH_REPS = (1, 2, 37)
 
 
 def _worker_tasks(g, grid, t_max, reps, master=5):
-    """The _replicate_worker task of each replicate of _run_grid(g, grid, reps, master, ...)."""
+    """The _replicate_worker task of each replicate of
+    _run_grid(lambda: g, grid, reps, master, ...)."""
     return [
         (g, eps, k * reps + r, spawn_seed(master, k * reps + r), t_max, r == 0)
         for k, eps in enumerate(grid)
@@ -341,7 +342,7 @@ def test_batch_matches_replicate_worker(compiled, name, eps):
     g = GRAPHS[name]
     for t_max in BATCH_T_MAX:
         for reps in BATCH_REPS:
-            batch = _comparable(experiments._run_grid(g, (eps,), reps, 5, 1, t_max))
+            batch = _comparable(experiments._run_grid(lambda: g, (eps,), reps, 5, 1, t_max))
             tasks = _worker_tasks(g, (eps,), t_max, reps)
             assert batch == _comparable(map(experiments._replicate_worker, tasks))
             assert batch[0][1] is not None and all(fin is None for _, fin in batch[1:])
@@ -352,8 +353,11 @@ def test_pooled_batch_matches_serial(compiled):
     for name in sorted(GRAPHS):
         for t_max in BATCH_T_MAX:
             g = GRAPHS[name]
-            serial = _comparable(experiments._run_grid(g, BATCH_EPS, 37, 5, 1, t_max))
-            assert _comparable(experiments._run_grid(g, BATCH_EPS, 37, 5, 2, t_max)) == serial
+            serial, pooled = (
+                _comparable(experiments._run_grid(lambda: g, BATCH_EPS, 37, 5, workers, t_max))
+                for workers in (1, 2)
+            )
+            assert pooled == serial
             tasks = _worker_tasks(g, BATCH_EPS, t_max, 37)
             assert serial == _comparable(map(experiments._replicate_worker, tasks))
 
@@ -407,7 +411,7 @@ def test_batch_rejects_before_any_compute(compiled, monkeypatch, request, backen
     for workers in (1, 2):
         for message, (graph, grid, t_max) in cases.items():
             with pytest.raises(ValueError, match=message):
-                experiments._run_grid(graph, grid, 3, 1, workers, t_max)
+                experiments._run_grid(lambda: graph, grid, 3, 1, workers, t_max)
         with pytest.raises(ValueError, match="epsilon"):
             experiments.sweep_experiment(8, 8, (0.2, 1.5), 5.0, 3, 1, workers)
     assert calls == []
@@ -433,6 +437,44 @@ def test_drivers_reject_bad_reps_and_workers(compiled, monkeypatch, request, bac
 
 
 @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_drivers_reject_before_building_the_graph(compiled, monkeypatch, request, backend):
+    """Every driver refuses eps 1.5, reps 0 and workers 0, serial and pooled,
+    before it builds a graph or searches one for connectivity; sweep also a
+    bad t_max and a repeated threshold."""
+    calls = _spy_compute(monkeypatch, request, backend)
+    g = path_graph(5)
+
+    def no_graph(*args):
+        pytest.fail("a graph was built or searched before the arguments were checked")
+
+    for name in ("path_graph", "torus_graph", "is_connected"):
+        monkeypatch.setattr(experiments, name, no_graph)
+    drivers = (
+        lambda eps, reps, workers: experiments.consensus_experiment(g, eps, reps, 1, workers),
+        lambda eps, reps, workers: experiments.coexistence_experiment(5, eps, reps, 1, workers),
+        lambda eps, reps, workers: experiments.degree_bound_check(g, eps, reps, 1, workers),
+        lambda eps, reps, workers: experiments.sweep_experiment(
+            3, 3, (0.5, eps), 1.0, reps, 1, workers
+        ),
+    )
+    for workers in (1, 2):
+        bad = (("epsilon", 1.5, 3, workers), ("reps", 0.75, 0, workers), ("workers", 0.75, 3, 0))
+        for driver in drivers:
+            for message, eps, reps, w in bad:
+                with pytest.raises(ValueError, match=message):
+                    driver(eps, reps, w)
+        sweeps = (
+            ("t_max", (0.5,), -1.0),
+            ("t_max", (0.5,), math.nan),
+            ("duplicate", (0.5, 0.5), 1.0),
+        )
+        for message, grid, t_max in sweeps:
+            with pytest.raises(ValueError, match=message):
+                experiments.sweep_experiment(3, 3, grid, t_max, 3, 1, workers)
+    assert calls == []
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
 def test_stop_reasons(compiled, monkeypatch, request, backend):
     if backend == "python_loop":
         request.getfixturevalue(backend)
@@ -441,7 +483,7 @@ def test_stop_reasons(compiled, monkeypatch, request, backend):
     g = torus_graph(5, 6)
     cells = {"absorbed": (0.0, None), "t_max": (1.0, 0.0), "max_events": (1.0, None)}
     for reason, (eps, t_max) in cells.items():
-        results = experiments._run_grid(g, (eps,), 3, 5, 1, t_max)
+        results = experiments._run_grid(lambda: g, (eps,), 3, 5, 1, t_max)
         assert [rec.stop_reason for rec, _ in results] == [reason] * 3
         assert all(rec.events == (5 if reason == "max_events" else 0) for rec, _ in results)
 
@@ -462,7 +504,7 @@ def test_table_edges(compiled, monkeypatch, n):
         for eps in (0.3, 0.75):
             _assert_backends_agree(monkeypatch, g, init, SimParams(eps, seed))
     for eps in (0.0, 0.3, 0.75):
-        batch = _comparable(experiments._run_grid(g, (eps,), 5, 5, 1))
+        batch = _comparable(experiments._run_grid(lambda: g, (eps,), 5, 5, 1))
         tasks = _worker_tasks(g, (eps,), None, 5)
         assert batch == _comparable(map(experiments._replicate_worker, tasks))
 

@@ -63,3 +63,35 @@ def test_kernel_allocates_nothing():
     code = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
     assert re.findall(r"\b(?:malloc|calloc|realloc|free)\b", code) == []
     assert not hasattr(_kernel, "NO_MEMORY")
+
+
+def _calls_by_function(tree):
+    """{function name: the names it calls and the string literals it holds,
+    f-string pieces included}, for every function of tree."""
+    found = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            names = found.setdefault(fn.name, set())
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    names.add(node.func.id)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return found
+
+
+def test_only_run_grid_checks_the_grid():
+    """experiments._run_grid checks the grid before it builds the graph and
+    checks its connectivity; no driver repeats any of it, and none checks a
+    threshold itself."""
+    from ctvoter import experiments
+
+    source = Path(inspect.getsourcefile(experiments)).read_text()
+    found = _calls_by_function(ast.parse(source))
+    grid_checks = {"_check_grid", "duplicate threshold in ", "reps must be >= 1"}
+    assert {f for f, names in found.items() if names & grid_checks} == {"_run_grid"}
+    assert {f for f, names in found.items() if "is_connected" in names} == {
+        "_run_grid",
+        "run_replicate",
+    }
+    assert [f for f, names in found.items() if "check_epsilon" in names] == []
