@@ -43,6 +43,13 @@ def _resolve_graph(args) -> graphs.Graph:
     raise UsageError("a graph is required (--graph or --graph-file)")
 
 
+def _driver_sizes(args, form: str) -> tuple[int, ...]:
+    """Sizes of --graph for a driver that builds its own graph of form path:N or torus:WxH."""
+    if not args.graph or not args.graph.startswith(form.partition(":")[0] + ":"):
+        raise UsageError(f"{args.command} requires --graph {form}")
+    return graphs._split_graph_spec(args.graph)[1]
+
+
 def _add_batch_flags(p, reps: int) -> None:
     p.add_argument("--reps", type=int, default=reps)
     p.add_argument("--seed", type=int)
@@ -105,12 +112,12 @@ def build_parser() -> _Parser:
     _add_batch_flags(p, reps=100)
 
     p = sub.add_parser("coexistence", help="opinion-retention experiment on a path")
-    _add_graph_flags(p)
+    p.add_argument("--graph", help="graph spec: path:N")
     p.add_argument("--eps", type=float, required=True)
     _add_batch_flags(p, reps=100)
 
     p = sub.add_parser("sweep", help="threshold sweep on a torus, optional snapshots")
-    _add_graph_flags(p)
+    p.add_argument("--graph", help="graph spec: torus:WxH")
     p.add_argument("--eps-grid", required=True, help="comma-separated thresholds")
     p.add_argument("--t-max", type=float, required=True)
     _add_batch_flags(p, reps=1)
@@ -174,16 +181,7 @@ def _cmd_consensus(args) -> int:
 def _cmd_coexistence(args) -> int:
     _check_batch(args)
     eps = check_epsilon(args.eps)
-    if args.graph and not args.graph_file and args.graph.startswith("path:"):
-        # coexistence_experiment builds the path itself
-        _, (n,) = graphs._split_graph_spec(args.graph)
-    else:
-        g = _resolve_graph(args)
-        # connected with n-1 edges is a tree, and a tree of maximum degree 2 is a path
-        is_path = g.n_edges == g.n_vertices - 1 and graphs.is_connected(g)
-        if not is_path or any(g.degree(v) > 2 for v in range(g.n_vertices)):
-            raise UsageError("coexistence experiment runs on a path graph")
-        n = g.n_vertices
+    (n,) = _driver_sizes(args, "path:N")
     seed = _resolve_seed(args)
     report = experiments.coexistence_experiment(n, eps, args.reps, seed, workers=args.workers)
     _emit_report(report, _out_dir(args))
@@ -198,11 +196,7 @@ def _cmd_sweep(args) -> int:
     _check_batch(args)
     if args.snapshot and args.out is None:
         raise UsageError("--snapshot requires --out")
-    if args.graph_file:
-        raise UsageError("sweep runs on a generated torus (--graph torus:WxH)")
-    if not args.graph or not args.graph.startswith("torus:"):
-        raise UsageError("sweep requires --graph torus:WxH")
-    _, (width, height) = graphs._split_graph_spec(args.graph)
+    width, height = _driver_sizes(args, "torus:WxH")
     # written so that NaN fails too; inf is allowed and means no limit
     if not args.t_max >= 0:
         raise UsageError("--t-max must be >= 0")

@@ -59,6 +59,8 @@ def classify_edge(weight: float, eps: float) -> int:
     check_epsilon(eps)
     if eps <= 0:
         raise ValueError("classification requires eps > 0")
+    if not math.isfinite(weight):
+        raise ValueError("classification requires a finite weight")
     if weight == 0.0:
         return EMPTY
     a = abs(weight)

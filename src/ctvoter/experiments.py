@@ -195,14 +195,16 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
 
     graph is a zero-argument builder of the graph. Replicate index =
     grid_index * reps + r with seed spawn_seed(master_seed, index); final is
-    the list of final opinions for r == 0, None otherwise. The thresholds of
-    grid must be valid and distinct (0.0 and -0.0 are one threshold), and
+    the list of final opinions for r == 0, None otherwise. grid must be
+    non-empty, its thresholds valid and distinct (0.0 and -0.0 are one), and
     t_max, reps and workers valid; all of that is checked before graph() is
     called, and the graph's connectivity before any replicate runs. The grid
     is cut into cells (_run_chunk): one per threshold, or, with workers > 1,
     pieces of each threshold of about len(grid) * reps / (4 * workers)
     replicates, so that the pool's load stays even.
     """
+    if not grid:
+        raise ValueError("empty threshold grid")
     if len(set(grid)) != len(grid):
         raise ValueError(f"duplicate threshold in {tuple(grid)!r}")
     if reps < 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -111,7 +110,7 @@ def coloring_construction(g: Graph, coloring: Coloring, eps: float) -> np.ndarra
 
 
 def _complete_comparison_witness(n: int, eps: float) -> np.ndarray:
-    """Absorbing on any graph: up to min(n, ceil(1/eps)) values at least eps apart.
+    """Absorbing on any graph: up to complete_index(n, eps) values at least eps apart.
 
     The levels k/(J-1), J = ceil(1/eps), are more than eps apart exactly, but
     within a few ulps of eps their float differences can round below it; then
@@ -121,10 +120,11 @@ def _complete_comparison_witness(n: int, eps: float) -> np.ndarray:
     j_cap = ceil_recip(eps)
     if j_cap == 1:
         return np.full(n, 0.5)
-    levels = [min(k / (j_cap - 1), 1.0) for k in range(min(n, j_cap))]
+    count = complete_index(n, eps)
+    levels = [min(k / (j_cap - 1), 1.0) for k in range(count)]
     if any(b - a < eps for a, b in zip(levels, levels[1:])):
         levels = [0.0]
-        while len(levels) < min(n, j_cap):
+        while len(levels) < count:
             v = levels[-1] + eps
             while v - levels[-1] < eps:
                 v = math.nextafter(v, 2.0)
@@ -161,18 +161,11 @@ def index_lower_bound(g: Graph, eps: float) -> tuple[int, np.ndarray]:
     return complete_bound, complete
 
 
-def _clique_term(eps: float):
-    """A peeled clique's share of the bound: size -> min(size, ceil(1/eps)); size at eps=0."""
-    if eps == 0:
-        return lambda size: size
-    j_cap = ceil_recip(eps)
-    return lambda size: min(size, j_cap)
-
-
 def peel_value(peel, eps: float) -> int:
-    """Sum over the peel of min(clique size, ceil(1/eps)); plain sizes at eps=0."""
-    term = _clique_term(eps)
-    return sum(term(size) for _, size in peel.cliques)
+    """Sum over the peel of each clique's complete-graph index, complete_index(size, eps)."""
+    sizes = peel.sizes()
+    cap = complete_index(max(sizes, default=1), eps)
+    return sum(min(size, cap) for size in sizes)
 
 
 def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
@@ -184,8 +177,9 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     to. It is found without listing the sequences: the value is a sum over
     the peeled cliques, and the cliques a peel may take next depend only on
     the vertices left, so the least value f(R) that peeling can add from a
-    residual vertex set R is the least term(|W|) + f(R - W) over the maximum
-    cliques W of R, memoised per R; f(R) = |R| once R has no edges.
+    residual vertex set R is the least complete_index(|W|, eps) + f(R - W)
+    over the maximum cliques W of R, memoised per R; f(R) = |R| once R has
+    no edges.
     graphs.enumerate_peels lists the sequences themselves, as a test oracle.
     """
     check_epsilon(eps)
@@ -195,7 +189,7 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
         raise ValueError(f"unknown mode {mode!r}")
     if g.n_vertices > PEEL_ENUM_LIMIT:
         raise ValueError(f"exact peel minimum limited to {PEEL_ENUM_LIMIT} vertices")
-    term = _clique_term(eps)
+    cap = complete_index(g.n_vertices, eps)
     masks = _neighbor_masks(g)
 
     @functools.cache
@@ -203,7 +197,7 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
         cliques = _maximum_cliques(masks, residual)
         if cliques[0].bit_count() <= 1:
             return residual.bit_count()  # no edges left: one singleton per vertex
-        return min(term(w.bit_count()) + least(residual & ~w) for w in cliques)
+        return min(min(w.bit_count(), cap) + least(residual & ~w) for w in cliques)
 
     return least((1 << g.n_vertices) - 1)
 
@@ -294,8 +288,8 @@ def brute_force_index(g: Graph, eps: float) -> int:
     partition is realizable iff some total ordering of class values keeps all
     pairwise separations above eps inside [0, 1], i.e. the longest chain of
     quotient edges in the ordering stays below 1/eps steps. Separations must
-    strictly exceed eps; k_allow is computed by exact rational comparison so
-    boundary thresholds are decided on the true binary value of eps.
+    strictly exceed eps: k_allow, the largest k < n with k*eps < 1, is
+    complete_index(n, eps) - 1, exact on the true binary value of eps.
     """
     check_epsilon(eps)
     n = g.n_vertices
@@ -303,10 +297,7 @@ def brute_force_index(g: Graph, eps: float) -> int:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
     if eps == 0 or g.n_edges == 0:
         return n
-    feps = Fraction(eps)
-    k_allow = 0
-    while k_allow < n - 1 and (k_allow + 1) * feps < 1:
-        k_allow += 1
+    k_allow = complete_index(n, eps) - 1
 
     grouped = _partitions_by_class_count(n)
     for m in range(n, 0, -1):

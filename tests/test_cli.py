@@ -140,18 +140,6 @@ class TestExperimentCommands:
         assert code == 1
         assert "path" in err
 
-    def test_coexistence_rejects_triangle_plus_isolated_vertex(self, capsys, tmp_path, no_compute):
-        # n-1 edges and maximum degree 2, but not connected, so not a path
-        gfile = tmp_path / "g.txt"
-        gfile.write_text("4 3\n0 1\n1 2\n0 2\n")
-        code, out, err = run_cli(
-            capsys, "coexistence", "--graph-file", str(gfile), "--eps", "0.1",
-            "--reps", "2", "--seed", "1",
-        )
-        assert code == 1
-        assert "path" in err
-        assert out == ""
-
     def test_sweep_with_snapshots(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, _, _ = run_cli(
@@ -265,28 +253,55 @@ class TestFlagsBeforeGraph:
         for module, name in builders:
             monkeypatch.setattr(module, name, fail)
 
-    @pytest.mark.parametrize(
-        "graph", [["--graph", "path:400000"], ["--graph-file", "/nonexistent/g.txt"]],
-        ids=["spec", "missing_file"],
-    )
-    @pytest.mark.parametrize("command, flags, message", [
-        ("simulate", ["--eps", "1.5"], "epsilon out of range"),
-        ("simulate", ["--eps", "nan"], "epsilon out of range"),
-        ("simulate", ["--eps", "0.5", "--t-max", "-1"], "t_max"),
-        ("simulate", ["--eps", "0.5", "--max-events", "-1"], "max_events"),
-        ("index", ["--eps", "1.5"], "epsilon out of range"),
-        ("index", ["--eps", "nan"], "epsilon out of range"),
-        ("consensus", ["--eps", "1.5"], "epsilon out of range"),
-        ("consensus", ["--eps", "nan"], "epsilon out of range"),
-        ("consensus", ["--eps", "0.4"], "epsilon > 1/2"),
-        ("coexistence", ["--eps", "1.5"], "epsilon out of range"),
-        ("coexistence", ["--eps", "nan"], "epsilon out of range"),
-    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    @pytest.mark.parametrize("command, flags, message, graph", [
+        pytest.param(
+            command, flags, message, graph, id=f"{command}-{' '.join(flags)}-{message}-{name}"
+        )
+        for command, flags, message in (
+            ("simulate", ["--eps", "1.5"], "epsilon out of range"),
+            ("simulate", ["--eps", "nan"], "epsilon out of range"),
+            ("simulate", ["--eps", "0.5", "--t-max", "-1"], "t_max"),
+            ("simulate", ["--eps", "0.5", "--max-events", "-1"], "max_events"),
+            ("index", ["--eps", "1.5"], "epsilon out of range"),
+            ("index", ["--eps", "nan"], "epsilon out of range"),
+            ("consensus", ["--eps", "1.5"], "epsilon out of range"),
+            ("consensus", ["--eps", "nan"], "epsilon out of range"),
+            ("consensus", ["--eps", "0.4"], "epsilon > 1/2"),
+            ("coexistence", ["--eps", "1.5"], "epsilon out of range"),
+            ("coexistence", ["--eps", "nan"], "epsilon out of range"),
+        )
+        for name, graph in (
+            ("spec", ["--graph", "path:400000"]),
+            ("missing_file", ["--graph-file", "/nonexistent/g.txt"]),
+        )
+        # coexistence takes no --graph-file: test_drivers_take_only_their_size_spec
+        if command != "coexistence" or name == "spec"
+    ])
     def test_bad_flag_exits_before_any_graph(
         self, capsys, no_graph, graph, command, flags, message
     ):
         seed = [] if command == "index" else ["--seed", "1"]
         code, out, err = run_cli(capsys, command, *graph, *flags, *seed)
+        assert code == 1
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coexistence", "--graph-file", "{path}", "--eps", "0.1"], "--graph-file"),
+        (["sweep", "--graph-file", "{path}", "--eps-grid", "0.5", "--t-max", "5"], "--graph-file"),
+        (["coexistence", "--graph", "cycle:10", "--eps", "0.1"], "path:N"),
+        (["coexistence", "--graph", "complete:2", "--eps", "0.1"], "path:N"),
+    ], ids=[
+        "coexistence-graph-file", "sweep-graph-file", "coexistence-cycle", "coexistence-complete"
+    ])
+    def test_drivers_take_only_their_size_spec(self, capsys, tmp_path, no_graph, argv, message):
+        """coexistence and sweep build their own path or torus from the sizes
+        of --graph path:N or torus:WxH: a graph file, even a valid path, or
+        another kind of graph exits 1 before a graph is read or built."""
+        gfile = tmp_path / "g.txt"
+        gfile.write_text("3 2\n0 1\n1 2\n")
+        argv = [a.format(path=gfile) for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--reps", "2", "--seed", "1")
         assert code == 1
         assert message in err
         assert out == ""
@@ -298,6 +313,11 @@ class TestFlagsBeforeGraph:
             built.append(n)
             return build(n)
 
+        def fail(*args):
+            pytest.fail("coexistence parsed or read a graph")
+
+        monkeypatch.setattr(graphs, "parse_graph_spec", fail)
+        monkeypatch.setattr(graphs, "load_graph", fail)
         monkeypatch.setattr(graphs, "path_graph", counted)
         monkeypatch.setattr(experiments, "path_graph", counted)
         code, _, _ = run_cli(

@@ -95,6 +95,11 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_edge(0.1, 0.0)
 
+    @pytest.mark.parametrize("w", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_weight(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            classify_edge(w, 0.5)
+
     @given(st.floats(-1.0, 1.0), st.floats(0.05, 1.0))
     @example(0.9999999999999999, 1 / 3)  # the quotient rounds up to 3.0
     @example(-0.9999999999999999, 1 / 3)

@@ -440,7 +440,7 @@ def test_drivers_reject_bad_reps_and_workers(compiled, monkeypatch, request, bac
 def test_drivers_reject_before_building_the_graph(compiled, monkeypatch, request, backend):
     """Every driver refuses eps 1.5, reps 0 and workers 0, serial and pooled,
     before it builds a graph or searches one for connectivity; sweep also a
-    bad t_max and a repeated threshold."""
+    bad t_max, a repeated threshold and an empty grid."""
     calls = _spy_compute(monkeypatch, request, backend)
     g = path_graph(5)
 
@@ -467,6 +467,7 @@ def test_drivers_reject_before_building_the_graph(compiled, monkeypatch, request
             ("t_max", (0.5,), -1.0),
             ("t_max", (0.5,), math.nan),
             ("duplicate", (0.5, 0.5), 1.0),
+            ("empty", (), 1.0),
         )
         for message, grid, t_max in sweeps:
             with pytest.raises(ValueError, match=message):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,10 +24,17 @@ from ctvoter import (
     parse_graph_spec,
     path_graph,
 )
-from ctvoter.graphs import enumerate_peels
-from ctvoter.statics import BRUTE_FORCE_LIMIT, _partitions_by_class_count, peel_value
+from ctvoter.common import ceil_recip
+from ctvoter.graphs import CliquePeel, clique_peel, enumerate_peels
+from ctvoter.statics import (
+    BRUTE_FORCE_LIMIT,
+    _exists_ordering,
+    _greedy_clique_size,
+    _partitions_by_class_count,
+    peel_value,
+)
 
-from conftest import EPS_GRID, petersen_graph, random_connected_graph
+from conftest import EPS_GRID, petersen_graph, random_connected_graph, small_graph_family
 
 
 class TestCompleteIndex:
@@ -227,6 +235,83 @@ class TestExactPeelMinimum:
     def test_size_limit(self):
         with pytest.raises(ValueError, match="limited"):
             clique_upper_bound(cycle_graph(13), 0.5, "exact-enumerate")
+
+
+def _clique_term(eps: float):
+    """Oracle, written apart from complete_index: a peeled clique's term,
+    size -> min(size, ceil(1/eps)); size at eps=0."""
+    if eps == 0:
+        return lambda size: size
+    j_cap = ceil_recip(eps)
+    return lambda size: min(size, j_cap)
+
+
+def _fraction_k_allow(n: int, eps: float) -> int:
+    """Oracle: the largest k < n with k*eps < 1, counted up in exact rationals."""
+    feps = Fraction(eps)
+    k_allow = 0
+    while k_allow < n - 1 and (k_allow + 1) * feps < 1:
+        k_allow += 1
+    return k_allow
+
+
+def _oracle_brute_force(g, eps: float) -> int:
+    """brute_force_index's search, run with _fraction_k_allow."""
+    n = g.n_vertices
+    if eps == 0 or g.n_edges == 0:
+        return n
+    k_allow = _fraction_k_allow(n, eps)
+    grouped = _partitions_by_class_count(n)
+    for m in range(n, 0, -1):
+        for cls_of in grouped[m]:
+            qadj = [0] * m
+            for i, j in g.edges:
+                a, b = cls_of[i], cls_of[j]
+                if a != b:
+                    qadj[a] |= 1 << b
+                    qadj[b] |= 1 << a
+            if _greedy_clique_size(qadj, m) - 1 <= k_allow and _exists_ordering(qadj, m, k_allow):
+                return m
+    return 1
+
+
+# 0, 1, and every 1/k (k = 2..13) with both of its float neighbours
+_ORACLE_EPS = (0.0, 1.0) + tuple(
+    e
+    for k in range(2, 14)
+    for e in (math.nextafter(1 / k, 0.0), 1 / k, math.nextafter(1 / k, 1.0))
+)
+
+
+class TestCompleteIndexOracles:
+    """Every use of the complete-graph index against a per-clique term and a
+    rational k_allow count written apart from complete_index."""
+
+    def test_k_allow_is_complete_index_minus_one(self):
+        for n in range(1, 15):
+            for eps in _ORACLE_EPS[1:]:
+                assert complete_index(n, eps) - 1 == _fraction_k_allow(n, eps), (n, eps)
+
+    def test_brute_force_matches_the_rational_count(self):
+        for name, g in small_graph_family():
+            for eps in _ORACLE_EPS:
+                assert brute_force_index(g, eps) == _oracle_brute_force(g, eps), (name, eps)
+
+    def test_peel_bounds_match_the_clique_term(self):
+        family = small_graph_family() + [("petersen", petersen_graph())]
+        for name, g in family:
+            greedy, peels = clique_peel(g), enumerate_peels(g)
+            for eps in _ORACLE_EPS:
+                term = _clique_term(eps)
+                want_greedy = sum(term(size) for size in greedy.sizes())
+                want_exact = min(sum(term(size) for size in p.sizes()) for p in peels)
+                assert peel_value(greedy, eps) == want_greedy, (name, eps)
+                assert clique_upper_bound(g, eps, "greedy") == want_greedy, (name, eps)
+                assert clique_upper_bound(g, eps, "exact-enumerate") == want_exact, (name, eps)
+
+    def test_empty_peel_is_worth_nothing(self):
+        for eps in _ORACLE_EPS:
+            assert peel_value(CliquePeel(()), eps) == 0
 
 
 class TestBruteForce:

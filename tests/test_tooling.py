@@ -95,3 +95,28 @@ def test_only_run_grid_checks_the_grid():
         "run_replicate",
     }
     assert [f for f, names in found.items() if "check_epsilon" in names] == []
+
+
+def test_statics_and_cli_state_each_rule_once():
+    """statics writes the complete-graph index min(n, ceil(1/eps)) in
+    complete_index alone, with no Fraction of its own (the comparison witness
+    also takes ceil(1/eps) for its level spacing); in cli only simulate,
+    index and consensus read a graph, as coexistence and sweep take the
+    sizes their drivers build from."""
+    from ctvoter import cli, statics
+
+    tree = ast.parse(Path(inspect.getsourcefile(statics)).read_text())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+    assert "Fraction" not in names
+    found = _calls_by_function(tree)
+    assert {f for f, calls in found.items() if "ceil_recip" in calls} == {
+        "complete_index",
+        "_complete_comparison_witness",
+    }
+    found = _calls_by_function(ast.parse(Path(inspect.getsourcefile(cli)).read_text()))
+    assert {f for f, calls in found.items() if "_resolve_graph" in calls} == {
+        "_cmd_simulate",
+        "_cmd_index",
+        "_cmd_consensus",
+    }
