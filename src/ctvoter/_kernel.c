@@ -5,14 +5,17 @@
  * count the caller chooses, and is bit-exact with its Python loop: it seeds
  * CPython's MT19937 from the integer seed as random.Random(seed) does, draws
  * with CPython's rules for random(), expovariate() and randrange(), in the
- * same order per event, keeps the active-edge array in the same order, and
- * takes the opinion and extremist trace samples itself. It can log every
- * event, from which dynamics replays per-event hooks. ct_run_replicates runs
- * a batch of the replicates of experiments.run_replicate in one call, drawing
- * each initial configuration as numpy's default_rng does and counting only
- * the final opinions. Every floating-point step is one IEEE-754
- * operation as in Python, so it must be compiled without contraction into
- * fused multiply-adds and without fast-math.
+ * same order per event, and keeps the active-edge array in the same order.
+ * Its observers cost O(1) per event and none of them pauses it: it keeps
+ * the distinct-opinion and extremist counts of a traced run, and the edge
+ * census of the coupled weights, up to date on each event, so a trace sample
+ * is a copy of a row. It can log every event, from which dynamics replays
+ * per-event hooks. ct_run_replicates runs a batch of the replicates of
+ * experiments.run_replicate in one call, drawing each initial configuration
+ * as numpy's default_rng does and counting only the final opinions. Every
+ * floating-point step is one IEEE-754 operation as in Python and NumPy, so
+ * it must be compiled without contraction into fused multiply-adds and
+ * without fast-math.
  *
  * Every buffer belongs to the caller (_kernel.scratch sizes the scratch), so
  * nothing here allocates memory and no call can fail.
@@ -128,23 +131,32 @@ static int live(double a, double b, double eps)
     return d > 0.0 ? err < 0.0 : err > 0.0;
 }
 
+/* 1 iff opinion v lies outside (1 - eps, eps). */
+static int extreme(double v, double eps)
+{
+    return v <= 1.0 - eps || v >= eps;
+}
+
 /*
  * Count the n opinions: out[0] gets the number of distinct opinions under ==
  * (so -0.0 and 0.0 are one value, as in a Python set) and out[1] the number
  * outside (1 - eps, eps). The distinct count hashes the bit patterns with
  * linear probing into the caller's table of 2**bits words, the least power
- * of two >= 2n (at least 2); all-ones, a NaN, marks an empty slot.
+ * of two >= 2n (at least 2); all-ones, a NaN, marks an empty slot. If slots
+ * is not NULL, slots[i] gets the table slot of opinion i and slots[n + h]
+ * the number of opinions at slot h, for each of the 2**bits slots.
  */
-static void count_opinions(uint64_t *table, const double *ops, int32_t n, double eps,
-                           int64_t out[2])
+static void count_opinions(uint64_t *table, int32_t *slots, const double *ops, int32_t n,
+                           double eps, int64_t out[2])
 {
     int bits = 1;
     while (((int64_t)1 << bits) < 2 * (int64_t)n)
         bits++;
     const uint64_t empty = ~(uint64_t)0, mask = ((uint64_t)1 << bits) - 1;
-    double lo = 1.0 - eps;
     int64_t distinct = 0, extremists = 0;
     memset(table, 0xff, (mask + 1) * sizeof *table);
+    if (slots != NULL)
+        memset(slots + n, 0, (mask + 1) * sizeof *slots);
     for (int32_t i = 0; i < n; i++) {
         double v = ops[i] + 0.0; /* -0.0 + 0.0 is 0.0 */
         uint64_t key;
@@ -156,31 +168,84 @@ static void count_opinions(uint64_t *table, const double *ops, int32_t n, double
             table[h] = key;
             distinct++;
         }
-        extremists += v <= lo || v >= eps;
+        if (slots != NULL) {
+            slots[i] = (int32_t)h;
+            slots[n + h]++;
+        }
+        extremists += extreme(v, eps);
     }
     out[0] = distinct;
     out[1] = extremists;
 }
 
-/* The trace arrays of a run, and the table its samples are counted in. */
-struct trace {
-    double *t;
-    int64_t *rows;
-    uint64_t *table;
-};
+/*
+ * Add `by` to the census count of weight w's type, binned with the
+ * operations of edge_process.census one for one: type 0 for a zero weight,
+ * type k + 1 for k*eps < |w| < (k + 1)*eps (products rounded), or BOUNDARY
+ * (count types + 1) for a nonzero |w| == k*eps. A type above `types` is
+ * counted nowhere, so that a census row sums to less than the edge count.
+ */
+static void tally(int64_t *census, int32_t types, double w, double eps, int64_t by)
+{
+    double a = fabs(w), k = floor(a / eps);
+    k -= k * eps > a;
+    k += (k + 1) * eps <= a;
+    if (k >= 1 && a == k * eps)
+        census[types + 1] += by;
+    else if (a == 0.0)
+        census[0] += by;
+    else if (k + 1 <= types)
+        census[(int64_t)k + 1] += by;
+}
 
 /*
- * Append sample *samples of the n opinions at clock t after `events` events:
- * the clock to t[s] and the row rows[3s .. 3s + 3) = (events, distinct,
- * extremists), the last two written by count_opinions().
+ * The coupled weight rule after edge e fired onto vertex tgt, whose opinion
+ * changed by delta; the edges at tgt are edges[0 .. end - edges). e's
+ * weight is set to 0.0, and each other edge f gains delta if tgt is its
+ * higher endpoint e2[f] and loses it otherwise. If census is not NULL, each
+ * changed weight is moved from its old type's count to its new one. Kept
+ * out of line, so that the event loop of an uncoupled run is as small as if
+ * there were no weights.
  */
-static void take_sample(const struct trace *tr, const double *ops, int32_t n, double eps,
-                        int64_t *samples, double t, int64_t events)
+__attribute__((noinline)) static void move_weights(double *weights, int64_t *census,
+                                                   int32_t types, const int32_t *e2,
+                                                   const int32_t *edges, const int32_t *end,
+                                                   int32_t e, int32_t tgt, double delta,
+                                                   double eps)
+{
+    for (; edges < end; edges++) {
+        int32_t f = *edges;
+        double w = f == e ? 0.0 : e2[f] == tgt ? weights[f] + delta : weights[f] - delta;
+        if (census != NULL) {
+            tally(census, types, weights[f], eps, -1);
+            tally(census, types, w, eps, 1);
+        }
+        weights[f] = w;
+    }
+}
+
+/*
+ * The trace arrays of a run: the clocks t, the (events, distinct,
+ * extremists) rows, and, if census is not NULL, the live census row of
+ * `width` counts followed by one copy of it per sample.
+ */
+struct trace {
+    double *t;
+    int64_t *rows, *census;
+    int64_t width;
+};
+
+/* Append sample *samples at clock t after `events` events, with the counts `now`. */
+static void take_sample(const struct trace *tr, int64_t *samples, double t, int64_t events,
+                        const int64_t now[2])
 {
     int64_t s = (*samples)++, *row = tr->rows + 3 * s;
     tr->t[s] = t;
     row[0] = events;
-    count_opinions(tr->table, ops, n, eps, row + 1);
+    row[1] = now[0];
+    row[2] = now[1];
+    if (tr->census != NULL)
+        memcpy(tr->census + (s + 1) * tr->width, tr->census, tr->width * sizeof *tr->census);
 }
 
 /*
@@ -196,9 +261,10 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * (n), the scratch `work` of 2m + 625 words (the active edges
  * active[0..state[1]), their positions pos (m each, -1 when inactive), then
  * the generator's 625 words), the event count state[0], the sample count
- * state[2] and the clock *clock. If `weights` is not NULL it holds the
- * coupled edge weights: the fired edge is set to 0.0 and the other edges at
- * the target gain or lose the target's change by orientation.
+ * state[2], the distinct-opinion and extremist counts state[3] and state[4]
+ * of a traced run, and the clock *clock. If `weights` is not NULL it holds
+ * the coupled edge weights: the fired edge is set to 0.0 and the other edges
+ * at the target gain or lose the target's change by orientation.
  *
  * A call with state[1] < 0 starts the run: it seeds the generator from
  * `key`, the key_length 32-bit little-endian words of abs(seed) ({0} for 0),
@@ -206,9 +272,19 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
  * events 0, 1, 2, 4, ... and at the final state if its clock differs from
  * the last sample's; sample s is written to trace_t[s] (clock) and to the
  * row trace[3s .. 3s + 3) (events, distinct opinions, opinions outside
- * (1 - eps, eps)). Both need room for bit_length(max_events) + 2 samples,
- * and the opinions are counted in `table` (see count_opinions); neither
- * table nor trace is used when trace_t is NULL.
+ * (1 - eps, eps)). Both need room for cap = bit_length(max_events) + 2
+ * samples. The start hashes the opinions once into `table` (see
+ * count_opinions), keeping each vertex's slot and the count per slot in
+ * `slots` (n + the table's length words). An event copies the source's slot
+ * with its opinion and moves one count, so the counts change in O(1) per
+ * event and a sample copies them. None of table, slots or trace is used
+ * when trace_t is NULL.
+ *
+ * If `census` is not NULL (it is passed only with weights, a trace and eps >
+ * 0) it holds cap + 1 rows of types + 2 counts. The first is the live census
+ * of the weights (see tally): the start bins all m weights, each event
+ * un-bins and re-bins the weights it changes, and sample s copies the row
+ * to row s + 1.
  *
  * If log_t is not NULL, the call logs its j-th event to log_t[j - 1] (its
  * clock) and log_edge[j - 1] (the fired edge f, or ~f when its lower
@@ -218,14 +294,14 @@ static void take_sample(const struct trace *tr, const double *ops, int32_t n, do
 int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                   const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
                   const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                  int32_t *work, uint64_t *table, int64_t *state, double *clock,
-                  double *trace_t, int64_t *trace, double *log_t, int32_t *log_edge, double eps,
-                  double t_max, int64_t max_events, int64_t until)
+                  int32_t *work, uint64_t *table, int32_t *slots, int64_t *state, double *clock,
+                  double *trace_t, int64_t *trace, int64_t *census, int32_t types, double *log_t,
+                  int32_t *log_edge, double eps, double t_max, int64_t max_events, int64_t until)
 {
     int32_t *active = work, *pos = work + n_edges;
     uint32_t *mt = (uint32_t *)(pos + n_edges);
-    struct trace tr = {trace_t, trace, table};
-    int64_t events, n;
+    struct trace tr = {trace_t, trace, census, (int64_t)types + 2};
+    int64_t events, n, *now = state + 3; /* distinct opinions, extremists */
     double t;
     if (state[1] < 0) {
         init_by_array(mt, key, (size_t)key_length);
@@ -239,8 +315,15 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
         }
         state[2] = events = 0;
         t = 0.0;
-        if (trace_t != NULL)
-            take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
+        if (trace_t != NULL) {
+            count_opinions(table, slots, ops, n_vertices, eps, now);
+            if (census != NULL) {
+                memset(census, 0, tr.width * sizeof *census);
+                for (int32_t f = 0; f < n_edges; f++)
+                    tally(census, types, weights[f], eps, 1);
+            }
+            take_sample(&tr, &state[2], t, events, now);
+        }
     } else {
         events = state[0];
         n = state[1];
@@ -270,16 +353,11 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
         ops[tgt] = ops[src];
         double delta = ops[tgt] - old;
         events++;
+        if (weights != NULL)
+            move_weights(weights, census, types, e2, inc_edge + inc_start[tgt],
+                         inc_edge + inc_start[tgt + 1], e, tgt, delta, eps);
         for (int32_t k = inc_start[tgt]; k < inc_start[tgt + 1]; k++) {
             int32_t f = inc_edge[k];
-            if (weights != NULL) {
-                if (f == e)
-                    weights[f] = 0.0;
-                else if (e2[f] == tgt)
-                    weights[f] += delta;
-                else
-                    weights[f] -= delta;
-            }
             int is_live = live(ops[e1[f]], ops[e2[f]], eps);
             int32_t p = pos[f];
             if (is_live && p < 0) {
@@ -296,16 +374,24 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
             log_t[events - first - 1] = t;
             log_edge[events - first - 1] = src == e1[e] ? e : ~e;
         }
-        if (trace_t != NULL && (uint64_t)events == next_trace) {
-            take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
-            next_trace *= 2;
+        if (trace_t != NULL) {
+            /* the target's old opinion was not the source's (the edge was live),
+             * and the source keeps its opinion, so no value count leaves 0 */
+            int32_t *counts = slots + n_vertices;
+            now[0] -= --counts[slots[tgt]] == 0;
+            counts[slots[tgt] = slots[src]]++;
+            now[1] += extreme(ops[tgt], eps) - extreme(old, eps);
+            if ((uint64_t)events == next_trace) {
+                take_sample(&tr, &state[2], t, events, now);
+                next_trace *= 2;
+            }
         }
     }
     /* the loop ran out of active edges, of events, or up to `until`, in that order */
     if (code == CT_LIMIT)
         code = n == 0 ? CT_ABSORBED : events < max_events ? CT_PAUSE : CT_LIMIT;
     if (code != CT_PAUSE && trace_t != NULL && trace_t[state[2] - 1] != t)
-        take_sample(&tr, ops, n_vertices, eps, &state[2], t, events);
+        take_sample(&tr, &state[2], t, events, now);
     state[0] = events;
     state[1] = n;
     *clock = t;
@@ -406,11 +492,11 @@ static void draw_uniform(double *ops, int32_t n, uint64_t seed)
  * draws and runs on the event stream random.Random(spawn_seed(seeds[r], 1)).
  * It writes out[4r] (its events), out[4r + 1] (its stop code: CT_LIMIT,
  * CT_T_MAX or CT_ABSORBED), out[4r + 2] (its distinct final opinions) and
- * out[4r + 3] (its final opinions outside (1 - eps, eps)). If `final` is not
- * NULL, replicate 0's n final opinions are copied to it. Each replicate is
- * one ct_run_events call without trace, log or weights, on the caller's
- * opinions `ops` (n), `work` and `table`, reused by every replicate; returns
- * 0.
+ * out[4r + 3] (its final opinions outside (1 - eps, eps)), counted once on
+ * the final state. If `final` is not NULL, replicate 0's n final opinions
+ * are copied to it. Each replicate is one ct_run_events call without trace,
+ * census, log or weights, on the caller's opinions `ops` (n), `work` and
+ * `table`, reused by every replicate; returns 0.
  */
 int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                       const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
@@ -418,7 +504,7 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
                       int64_t max_events, double *ops, int32_t *work, uint64_t *table,
                       int64_t *out, double *final)
 {
-    int64_t state[3];
+    int64_t state[5];
     double clock;
     for (int64_t r = 0; r < reps; r++) {
         draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
@@ -427,10 +513,11 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
         state[1] = -1;
         int64_t *rep = out + 4 * r;
         rep[1] = ct_run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
-                               seed >> 32 ? 2 : 1, ops, NULL, work, NULL, state, &clock, NULL,
-                               NULL, NULL, NULL, eps, t_max, max_events, max_events);
+                               seed >> 32 ? 2 : 1, ops, NULL, work, NULL, NULL, state, &clock,
+                               NULL, NULL, NULL, 0, NULL, NULL, eps, t_max, max_events,
+                               max_events);
         rep[0] = state[0];
-        count_opinions(table, ops, n_vertices, eps, rep + 2);
+        count_opinions(table, NULL, ops, n_vertices, eps, rep + 2);
         if (r == 0 && final != NULL)
             memcpy(final, ops, (size_t)n_vertices * sizeof *ops);
     }

@@ -48,7 +48,7 @@ _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_in
 SIGNATURES = {
     "ct_run_events": (
         [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 10
-        + [_double, _double, _int64, _int64]
+        + [_int32, _pointer, _pointer, _double, _double, _int64, _int64]
     ),
     "ct_run_replicates": (
         [_pointer] * 4 + [_int32, _int32, _pointer, _int64, _double, _double, _int64]
@@ -113,14 +113,22 @@ def _addresses(g: Graph) -> tuple[int, ...]:
     return tuple(a.ctypes.data for a in edge_arrays(g))
 
 
-def scratch(n: int, m: int) -> tuple[array.array, array.array]:
-    """The scratch buffers of a kernel run on n vertices and m edges.
+def scratch(n: int, m: int, cap: int = 0, types: int = 0) -> tuple:
+    """The scratch buffers (work, table, slots, census) of a kernel run on n
+    vertices and m edges, with room for cap trace samples and `types` census
+    types.
 
     `work` holds 2m + 625 int32 words: the active edges, their positions and
     the generator state. `table` holds the hash table that count_opinions in
     _kernel.c counts opinions in: the least power of two >= 2n uint64 words.
+    A traced run (cap > 0) also takes `slots`, each vertex's table slot and
+    the count per slot (n + len(table) int32 words), and a run with a census
+    of types > 0 types `census`, the live census row and one copy per sample
+    ((cap + 1) * (types + 2) int64 words); each is None when not asked for.
     Each is allocated at its exact size, so that a sanitizer sees its end.
     """
     work = array.array("i", [0]) * (2 * m + 625)
     table = array.array("Q", [0]) * (1 << (2 * n - 1).bit_length())
-    return work, table
+    slots = array.array("i", [0]) * (n + len(table)) if cap else None
+    census = array.array("q", [0]) * ((cap + 1) * (types + 2)) if types else None
+    return work, table, slots, census

@@ -8,13 +8,12 @@ either takes --seed or generates one and prints it, so runs are replayable.
 from __future__ import annotations
 
 import argparse
-import json
 import secrets
 import sys
 from pathlib import Path
 
 from . import dynamics, experiments, graphs, statics, urn
-from .common import check_epsilon
+from .common import check_epsilon, strict_json
 
 
 class UsageError(Exception):
@@ -142,7 +141,7 @@ def _cmd_simulate(args) -> int:
     init, report = experiments.run_replicate(
         g, args.eps, seed, t_max=args.t_max, max_events=args.max_events
     )
-    doc = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    doc = strict_json(report.to_dict())
     sys.stdout.write(doc)
     out = _out_dir(args)
     if out is not None:
@@ -155,7 +154,7 @@ def _cmd_index(args) -> int:
     eps = check_epsilon(args.eps)
     g = _resolve_graph(args)
     bounds = statics.index_bounds(g, eps)
-    doc = json.dumps(bounds.to_dict(), sort_keys=True, indent=2) + "\n"
+    doc = strict_json(bounds.to_dict())
     sys.stdout.write(doc)
     out = _out_dir(args)
     if out is not None:

@@ -1,5 +1,6 @@
-"""Shared numeric helpers: seed splitting and threshold arithmetic."""
+"""Shared numeric helpers: seed splitting, threshold arithmetic and strict JSON."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -40,3 +41,28 @@ def ceil_recip(eps: float) -> int:
     if eps <= 0:
         raise ValueError("ceil_recip requires eps > 0")
     return math.ceil(Fraction(1) / Fraction(eps))
+
+
+def strict_json(doc) -> str:
+    """doc as strict JSON (RFC 8259): sorted keys, indent 2, a final newline.
+
+    A non-finite float, such as the infinite radius of a single replicate, is
+    written as null, where json.dumps would write the token Infinity or NaN.
+    Only a document that holds one is copied to replace it.
+    """
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:  # a non-finite float
+        text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False)
+    return text + "\n"
+
+
+def _finite(value):
+    """value with every non-finite float in its dicts, lists and tuples as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value

@@ -152,12 +152,12 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
     hook = None if on_event is None else lambda t, k, ops, _: on_event(t, k, ops)
-    return _run_events(g, ops, params, hook)
+    return _run_events(g, ops, params, hook)[0]
 
 
 def _run_events(
-    g: Graph, ops: np.ndarray, params: SimParams, on_event=None, on_sample=None, weights=None
-) -> SimReport:
+    g: Graph, ops: np.ndarray, params: SimParams, on_event=None, weights=None, census_types=0
+) -> tuple[SimReport, list[tuple[float, int, tuple[int, ...]]]]:
     """The event loop behind simulate and simulate_coupled.
 
     ops is the array returned by _validate_initial; it is copied, never
@@ -173,21 +173,27 @@ def _run_events(
     vertex is its higher endpoint) or loses the vertex's change of opinion.
     After each event, on_event(t, n_events, opinions, weights) is called
     with the live lists. The opinion and extremist traces are sampled at
-    event indices 1, 2, 4, ... plus the initial and final states, and
-    on_sample(t, n_events, weights) is called at each of those points after
-    the traces and the hooks up to it, with the live weights (a list or an
-    array) or None.
+    event indices 1, 2, 4, ... plus the initial and final states. With
+    census_types J > 0 (weights given, eps > 0) the weights' census is taken
+    at the same points. Returns the report and the census trace: one (t,
+    n_events, row) per trace point, the row holding the J + 2 counts of
+    edge_process.census (types 0..J, then the boundary), or [] without
+    census_types.
 
     The compiled kernel of _kernel.c runs whenever it can be built: one C
-    call seeds the generator, runs the whole replicate and takes the trace
-    samples. Observers make it pause: on_sample at each trace point, and
-    on_event every _kernel.LOG_CHUNK events, whose hooks are replayed from
+    call seeds the generator, runs the whole replicate and keeps every
+    trace, census included, up to date on each event. It pauses only for
+    on_event, every _kernel.LOG_CHUNK events, whose hooks are replayed from
     the kernel's event log. It is bit-exact with the Python loop, which is
-    the reference and the fallback.
+    the reference and the fallback: its samples count the opinions and bin
+    the weights with edge_process.census, which raises on a weight of a type
+    above J. The kernel counts such a weight nowhere, so its row sums to
+    less than the edge count, and edge_process raises the same error after
+    the run.
     """
     lib = _kernel.load()
     if lib is not None:
-        return _compiled_events(lib["ct_run_events"], g, ops, params, on_event, on_sample, weights)
+        return _compiled_events(lib["ct_run_events"], g, ops, params, on_event, weights, census_types)
 
     ops = ops.tolist()
     w = None if weights is None else weights.tolist()
@@ -197,13 +203,17 @@ def _run_events(
     track_extremists = eps > 0.5
     opinion_trace = []
     extremist_trace = []
+    census_trace = []
+    if census_types:
+        from . import edge_process  # imports this module, so only once it is loaded
 
     def sample(t: float, k: int) -> None:
         opinion_trace.append((t, len(set(ops))))
         if track_extremists:
             extremist_trace.append((t, extremist_count(ops, eps)))
-        if on_sample is not None:
-            on_sample(t, k, w)
+        if census_types:
+            cen = edge_process.census(w, eps)
+            census_trace.append((t, k, (*cen.counts, cen.boundary_count)))
 
     rng = random.Random(params.seed)
     expo = rng.expovariate
@@ -255,24 +265,25 @@ def _run_events(
         weights[:] = w
     # the loop breaks at t_max only while an edge is active
     reason = _kernel.STOP_REASONS[stop if active else _kernel.ABSORBED]
-    return SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace, reason)
+    report = SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace, reason)
+    return report, census_trace
 
 
 def _compiled_events(
-    run, g: Graph, ops: np.ndarray, params: SimParams, on_event, on_sample, weights
-) -> SimReport:
-    """Run the compiled kernel over one replicate; returns its SimReport.
+    run, g: Graph, ops: np.ndarray, params: SimParams, on_event, weights, census_types
+) -> tuple[SimReport, list]:
+    """Run the compiled kernel over one replicate; returns what _run_events does.
 
     The kernel's buffers are array.array objects: buffer_info() gives an
     address in about 0.1 us, where numpy's .ctypes.data takes about 3 us, as
-    long as a short run's whole loop. Each call runs until the least event
-    count an observer wants to see: the next trace point for on_sample, the
-    end of the log chunk for on_event. With on_event the kernel logs each
-    event, and the hook is driven by replaying the log on lists with
+    long as a short run's whole loop. The kernel keeps the traces and the
+    census itself, so without on_event one call runs the whole replicate.
+    With on_event each call runs to the end of a log chunk, the kernel logs
+    each event, and the hook is driven by replaying the log on lists with
     _apply_event; at the end the lists must equal the kernel's opinions and
     weights bit for bit.
     """
-    m = g.n_edges
+    n, m = g.n_vertices, g.n_edges
     if weights is not None and not (
         weights.dtype == np.float64 and weights.shape == (m,) and weights.flags.c_contiguous
     ):
@@ -286,10 +297,11 @@ def _compiled_events(
     # the 32-bit little-endian words of abs(seed), which random.seed hands to init_by_array
     key = array.array("I", [seed >> s & 0xFFFFFFFF for s in range(0, seed.bit_length() or 1, 32)])
     # one copy of the validated opinions, into a buffer of exactly n entries
-    x = array.array("d", [0.0]) * g.n_vertices
+    x = array.array("d", [0.0]) * n
     memoryview(x).cast("B")[:] = memoryview(ops).cast("B")
-    work, table = _kernel.scratch(g.n_vertices, m)
-    state = array.array("q", [0, -1, 0])  # events, active edges (-1 to start), samples
+    work, table, slots, census = _kernel.scratch(n, m, cap, census_types)
+    # events, active edges (-1 to start), samples, distinct opinions, extremists
+    state = array.array("q", [0, -1, 0, 0, 0])
     clock = array.array("d", [0.0])
     times = array.array("d", [0.0]) * cap
     rows = array.array("q", [0]) * (3 * cap)  # events, distinct, extremists per sample
@@ -300,7 +312,7 @@ def _compiled_events(
     # the buffers stay referenced here for as long as the kernel uses them
     args = [
         *_kernel.graph_pointers(g),
-        g.n_vertices,
+        n,
         m,
         key.buffer_info()[0],
         len(key),
@@ -308,10 +320,13 @@ def _compiled_events(
         None if weights is None else weights.ctypes.data,
         work.buffer_info()[0],
         table.buffer_info()[0],
+        slots.buffer_info()[0],
         state.buffer_info()[0],
         clock.buffer_info()[0],
         times.buffer_info()[0],
         rows.buffer_info()[0],
+        None if census is None else census.buffer_info()[0],
+        census_types,
         None if on_event is None else log_t.buffer_info()[0],
         None if on_event is None else log_edge.buffer_info()[0],
         eps,
@@ -319,36 +334,34 @@ def _compiled_events(
         max_events,
         max_events,  # until
     ]
-    code = _kernel.PAUSE
-    seen = 0
-    while code == _kernel.PAUSE:
-        first = state[0]
-        until = max_events
-        if on_sample is not None:
-            until = min(until, 1 << first.bit_length() if seen else 0)
-        if on_event is not None:
-            until = min(until, first + _kernel.LOG_CHUNK)
-        args[-1] = until
+    if on_event is None:
         code = run(*args)
-        if on_event is not None:
+    else:
+        code = _kernel.PAUSE
+        while code == _kernel.PAUSE:
+            first = state[0]
+            args[-1] = min(max_events, first + _kernel.LOG_CHUNK)
+            code = run(*args)
             for j in range(state[0] - first):
                 _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
-        if on_sample is not None:
-            for s in range(seen, state[2]):
-                on_sample(times[s], rows[3 * s], weights)
-            seen = state[2]
-    if on_event is not None and any(
-        a is not None and array.array("d", a).tobytes() != b.tobytes()
-        for a, b in zip(lists, (x, weights))
-    ):
-        raise RuntimeError("the replayed event log does not match the kernel's final state")
-    events, active_edges, samples = state
+        if any(
+            a is not None and array.array("d", a).tobytes() != b.tobytes()
+            for a, b in zip(lists, (x, weights))
+        ):
+            raise RuntimeError("the replayed event log does not match the kernel's final state")
+    events, active_edges, samples = state[:3]
     opinion_trace = list(zip(times[:samples], rows[1 : 3 * samples : 3]))
     extremist_trace = list(zip(times[:samples], rows[2 : 3 * samples : 3])) if eps > 0.5 else []
-    return SimReport(
+    report = SimReport(
         np.frombuffer(x), clock[0], events, active_edges == 0, opinion_trace, extremist_trace,
         _kernel.STOP_REASONS[code],
     )
+    width = census_types + 2
+    census_trace = [] if census is None else [
+        (times[s], rows[3 * s], tuple(census[(s + 1) * width : (s + 2) * width]))
+        for s in range(samples)
+    ]
+    return report, census_trace
 
 
 def _edge_lists(g: Graph) -> tuple[list[int], ...]:

@@ -10,8 +10,9 @@ convention).
 
 The weights are a coupling, not a second process: simulate_coupled runs the
 event kernel of dynamics.simulate, which applies the weight rule to the
-weights it is handed, and keeps the census as an observer of its trace
-points, so both share one event stream and drawing order.
+weights it is handed and keeps their census up to date on each event,
+copying it at the opinion trace's points, so both share one event stream
+and drawing order.
 """
 
 from __future__ import annotations
@@ -124,15 +125,20 @@ def census(weights, eps: float) -> EdgeCensus:
     a = np.abs(np.asarray(weights, dtype=np.float64))
     if not np.isfinite(a).all():
         raise ValueError("census requires finite weights")
+    # tally() in _kernel.c repeats these operations one for one
     k = np.floor(a / eps)
     k -= k * eps > a
     k += (k + 1) * eps <= a
     boundary = (k >= 1) & (a == k * eps)
     types = np.where(a == 0.0, 0.0, k + 1)[~boundary]
     if not (types <= j_cap).all():
-        raise ValueError(f"weight of type above {j_cap} for eps={eps!r}")
+        raise _type_above(j_cap, eps)
     counts = np.bincount(types.astype(np.intp), minlength=j_cap + 1)
     return EdgeCensus(tuple(counts.tolist()), int(np.count_nonzero(boundary)))
+
+
+def _type_above(j_cap: int, eps: float) -> ValueError:
+    return ValueError(f"weight of type above {j_cap} for eps={eps!r}")
 
 
 @dataclass
@@ -148,28 +154,28 @@ def simulate_coupled(g: Graph, init, params: SimParams, on_event=None) -> Couple
     The events come from the kernel behind dynamics.simulate, so the opinion
     trajectory and report equal simulate's for the same seed; the kernel
     also applies the weight rule (the fired edge is zeroed exactly, never by
-    subtraction). on_event, if given, is called after each event as
-    on_event(time, n_events, opinions, weights) with live lists, replayed
-    from the kernel's event log. The census trace is sampled at the opinion
-    trace's points (event indices 1, 2, 4, ... plus the initial and final
-    states); the census is skipped for frozen dynamics (eps = 0), and an eps
-    in (0, 2**-16), whose census would exceed MAX_CENSUS_TYPES types, is
-    rejected with ValueError before any compute. Only the final weights are
+    subtraction) and keeps the census of the weights, which it copies at the
+    opinion trace's points (event indices 1, 2, 4, ... plus the initial and
+    final states), so a run is one kernel call. on_event, if given, is
+    called after each event as on_event(time, n_events, opinions, weights)
+    with live lists, replayed from the kernel's event log. The census is
+    skipped for frozen dynamics (eps = 0); an eps in (0, 2**-16), whose
+    census would exceed MAX_CENSUS_TYPES types, is rejected with ValueError
+    before any compute, and a weight of a type above ceil_recip(eps) at a
+    trace point with ValueError as census does. Only the final weights are
     returned.
     """
     eps = params.epsilon
-    if eps > 0.0:
-        _census_types(eps)
+    j_cap = _census_types(eps) if eps > 0.0 else 0
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
     weights = weights_from_opinions(g, ops)
-    census_trace = []
-
-    def on_sample(t, k, live_weights) -> None:
-        census_trace.append((t, k, census(live_weights, eps)))
-
-    report = _run_events(g, ops, params, on_event, on_sample if eps > 0.0 else None, weights)
+    report, rows = _run_events(g, ops, params, on_event, weights, j_cap)
+    # the kernel counts a weight of a type above j_cap nowhere
+    if any(sum(row) != g.n_edges for _, _, row in rows):
+        raise _type_above(j_cap, eps)
+    census_trace = [(t, k, EdgeCensus(row[:-1], row[-1])) for t, k, row in rows]
     return CoupledResult(report, weights, census_trace)
 
 

@@ -14,7 +14,6 @@ run_replicate.
 from __future__ import annotations
 
 import array
-import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernel
-from .common import spawn_seed
+from .common import spawn_seed, strict_json
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
@@ -152,7 +151,7 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     n, reps = g.n_vertices, len(seeds)
     seed_words = array.array("Q", seeds)
     ops = array.array("d", [0.0]) * n
-    work, table = _kernel.scratch(n, g.n_edges)
+    work, table, _, _ = _kernel.scratch(n, g.n_edges)
     out = array.array("q", [0]) * (4 * reps)  # events, stop code, nu, extremists
     final = array.array("d", [0.0]) * n if keep_final else None
     lib["ct_run_replicates"](
@@ -394,7 +393,8 @@ def report_to_doc(report: ExperimentReport) -> dict:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    return json.dumps(report_to_doc(report), sort_keys=True, indent=2) + "\n"
+    """report_to_doc(report) as strict JSON: an infinite radius is null."""
+    return strict_json(report_to_doc(report))
 
 
 def records_to_csv(records) -> str:

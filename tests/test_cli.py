@@ -140,6 +140,23 @@ class TestExperimentCommands:
         assert code == 1
         assert "path" in err
 
+    def test_single_replicate_report_is_strict_json(self, capsys, tmp_path):
+        """One replicate has an infinite radius, which report.json writes as null."""
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out_dir = tmp_path / "coex"
+        code, out, _ = run_cli(
+            capsys, "coexistence", "--graph", "path:1", "--eps", "0.5",
+            "--reps", "1", "--seed", "1", "--out", str(out_dir),
+        )
+        assert code == 0
+        for text in (out, (out_dir / "report.json").read_text()):
+            aggregates = json.loads(text, parse_constant=refuse)["aggregates"]
+            assert aggregates["mean_nu_radius"] is None
+            assert aggregates["violation_radius"] is None
+
     def test_sweep_with_snapshots(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, _, _ = run_cli(

@@ -44,8 +44,8 @@ from ctvoter import (
     spawn_seed,
     torus_graph,
 )
-from ctvoter import _kernel, dynamics, experiments
-from ctvoter.common import MASK64
+from ctvoter import _kernel, dynamics, edge_process, experiments
+from ctvoter.common import MASK64, ceil_recip
 from ctvoter.dynamics import DEFAULT_MAX_EVENTS, _live
 
 import test_golden
@@ -252,7 +252,8 @@ def _spy_untils(monkeypatch) -> list:
 
 
 def test_one_kernel_call_per_replicate(compiled, monkeypatch):
-    """One call without an observer; the census pauses at each trace point."""
+    """One call without a hook, plain or coupled: the kernel keeps the census
+    itself and never pauses at a trace point."""
     untils = _spy_untils(monkeypatch)
     g = path_graph(20)
     init = random_initial(g, 1)
@@ -263,13 +264,10 @@ def test_one_kernel_call_per_replicate(compiled, monkeypatch):
     assert untils == [7]
     untils.clear()
     coupled = simulate_coupled(g, init, SimParams(0.75, 2))
+    assert untils == [DEFAULT_MAX_EVENTS]
     points = [k for _, k, _ in coupled.census_trace]
     assert [t for t, _, _ in coupled.census_trace] == [t for t, _ in report.opinion_trace]
-    # 0, 1, 2, 4, ...: each call but the last pauses at a trace point, and
-    # the last runs past the final event count to absorption
-    assert untils == [0] + [1 << j for j in range(len(untils) - 1)]
-    assert untils[:-1] == points[: len(untils) - 1]
-    assert untils[-2] < report.events <= untils[-1] and points[-1] == report.events
+    assert points == [0] + [1 << j for j in range(len(points) - 2)] + [report.events]
 
 
 def _unspawn(seed: int) -> int:
@@ -569,8 +567,7 @@ def test_hook_log_stops_at_t_max_after_a_log_pause(compiled, request):
 
 def test_hooked_run_calls_the_kernel(compiled, monkeypatch):
     """A hook is replayed from the kernel's log: each call runs to the end of
-    a log chunk or to max_events; with the census too, to whichever of the
-    next chunk end and the next trace point comes first."""
+    a log chunk or to max_events, with the census too."""
     untils = _spy_untils(monkeypatch)
     seen = []
     last = 3 * LOG_CHUNK + 1
@@ -581,8 +578,8 @@ def test_hooked_run_calls_the_kernel(compiled, monkeypatch):
     untils.clear()
     seen.clear()
     coupled = simulate_coupled(HOOK_GRAPH, HOOK_INIT, params, on_event=lambda *a: seen.append(a[1]))
+    assert untils == [LOG_CHUNK, 2 * LOG_CHUNK, 3 * LOG_CHUNK, last]
     points = [0] + [1 << j for j in range((2 * LOG_CHUNK).bit_length())]
-    assert untils == points + [3 * LOG_CHUNK, last]
     assert [k for _, k, _ in coupled.census_trace] == points + [last]
     assert seen == list(range(1, last + 1))
 
@@ -631,6 +628,95 @@ def test_mixed_values_agree(compiled, ops, eps, seed):
         return
     with pytest.MonkeyPatch.context() as m:
         _assert_backends_agree(m, g, ops, params)
+
+
+CENSUS_EPS = (1.0, 0.75, 0.5, 0.3, 0.25, 1 / 3, math.nextafter(1 / 3, 1.0), 0.2, 0.1, 2**-4)
+
+
+@st.composite
+def census_case(draw) -> tuple[float, list[float]]:
+    """eps and opinions on a path, each at k*eps (0 <= k <= ceil(1/eps)) or
+    one float either side of it, so that the gaps and weights fall on
+    multiples of eps and next to them; now and then a uniform opinion."""
+    eps = draw(st.sampled_from(CENSUS_EPS))
+    on_grid = st.builds(
+        lambda k, steps: min(max(_near(k * eps, steps), 0.0), 1.0),
+        st.integers(0, ceil_recip(eps)),
+        st.integers(-1, 1),
+    )
+    return eps, draw(st.lists(on_grid | st.floats(0.0, 1.0), min_size=2, max_size=9))
+
+
+def _coupled_outcome(g, ops, params) -> tuple | str:
+    """The coupled run's census trace and final weights, or its ValueError."""
+    try:
+        res = simulate_coupled(g, ops, params)
+    except ValueError as exc:
+        return str(exc)
+    return res.census_trace, res.weights.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=census_case(), seed=st.integers(0, 2**32))
+def test_census_matches_numpy(compiled, case, seed):
+    """The kernel's census trace is the Python loop's, and each of its rows is
+    edge_process.census of the weights after that trace point's events."""
+    eps, ops = case
+    g = path_graph(len(ops))
+    params = SimParams(eps, seed, max_events=200)
+    with pytest.MonkeyPatch.context() as m:
+        _assert_backends_agree(m, g, ops, params)
+    for t, k, row in simulate_coupled(g, ops, params).census_trace:
+        weights = simulate_coupled(g, ops, dataclasses.replace(params, max_events=k)).weights
+        assert row == edge_process.census(weights, eps), (t, k)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    case=census_case(),
+    edge=st.integers(0, 7),
+    steps=st.integers(-1, 2),
+    sign=st.sampled_from([1.0, -1.0]),
+    seed=st.integers(0, 2**32),
+)
+def test_census_type_above_the_limit(compiled, case, edge, steps, sign, seed):
+    """One weight set at or next to J*eps, the top of type J = ceil(1/eps):
+    both backends give the same census, or the same ValueError for a weight
+    of a type above J, which one step above J*eps is from the start."""
+    eps, ops = case
+    g = path_graph(len(ops))
+    j_cap = ceil_recip(eps)
+    make_weights = edge_process.weights_from_opinions
+
+    def weights_from_opinions(g, x):
+        weights = make_weights(g, x)
+        weights[edge % g.n_edges] = sign * _near(j_cap * eps, steps)
+        return weights
+
+    params = SimParams(eps, seed, max_events=200)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(edge_process, "weights_from_opinions", weights_from_opinions)
+        kernel = _coupled_outcome(g, ops, params)
+        m.setattr(_kernel, "load", lambda: None)
+        assert _coupled_outcome(g, ops, params) == kernel
+    if steps > 0:
+        assert kernel == f"weight of type above {j_cap} for eps={eps!r}"
+
+
+@pytest.mark.parametrize("n", TABLE_EDGES, ids=lambda n: f"path{n}")
+def test_census_at_the_type_limit(compiled, monkeypatch, n):
+    """eps = 2**-16, the most census types (65 536): close opinions run many
+    events, and the jump between the path's halves weighs 1 - 2**-18 (type
+    65 536, the row's last) or 1 - 2**-16 (the boundary after it), at the
+    sizes where the opinion table grows."""
+    g = path_graph(n)
+    ops = [(i % 3) * 2**-18 + (0.0 if i < n // 2 else 1.0 - 2**-17) for i in range(n)]
+    for seed in range(3):
+        params = SimParams(2**-16, seed)
+        _assert_backends_agree(monkeypatch, g, ops, params)
+    trace = simulate_coupled(g, ops, params).census_trace
+    assert all(cen.n_types == edge_process.MAX_CENSUS_TYPES for _, _, cen in trace)
+    assert trace[0][2].counts[-1] + trace[0][2].boundary_count == 1
 
 
 def test_default_limit_run_fills_many_trace_points(compiled, monkeypatch):
@@ -733,10 +819,12 @@ def test_source_compiles_without_warnings(tmp_path):
 
 # comparisons run again on the build instrumented by AddressSanitizer; the
 # named graphs' stops include runs that fill every trace slot, the hook cases
-# every way a call pauses and resumes, and the table edges every size step of
-# the opinion table
+# every way a call pauses and resumes, the table edges every size step of
+# the opinion table and its slots, traced plain and coupled, and the type
+# limit the largest census rows
 ASAN_CASES = (
     "named_graphs and (single or torus) or many_seeds or golden_cases or table_edges"
+    " or census_at_the_type_limit or census_type_above"
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
     " or hook_log or hooked_run or one_kernel_call"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
