@@ -48,13 +48,12 @@ def strict_json(doc) -> str:
 
     A non-finite float, such as the infinite radius of a single replicate, is
     written as null, where json.dumps would write the token Infinity or NaN.
-    Only a document that holds one is copied to replace it.
     """
-    try:
-        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError:  # a non-finite float
-        text = json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False)
-    return text + "\n"
+    return json.dumps(_finite(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+# values _finite returns as they are without a call: the bulk of a report's records
+_PLAIN = frozenset((int, bool, str, type(None)))
 
 
 def _finite(value):
@@ -62,7 +61,7 @@ def _finite(value):
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        return {k: _finite(v) for k, v in value.items()}
+        return {k: v if type(v) in _PLAIN else _finite(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_finite(v) for v in value]
+        return [v if type(v) in _PLAIN else _finite(v) for v in value]
     return value

@@ -549,7 +549,7 @@ def test_hook_log_matches_python_loop(compiled, request, coupled, max_events):
     records = kernel[0]
     assert [k for _, k, _ in records] == list(range(1, max_events + 1))
     if coupled and max_events >= LOG_CHUNK:
-        # the first chunk fills on the census pause at trace point LOG_CHUNK
+        # LOG_CHUNK is a power of two, so a chunk end is also a census trace point
         assert LOG_CHUNK in [k for _, k, _ in kernel[3]]
 
 
