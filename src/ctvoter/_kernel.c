@@ -10,9 +10,11 @@
  * the distinct-opinion and extremist counts of a traced run, and the edge
  * census of the coupled weights, up to date on each event, so a trace sample
  * is a copy of a row. It can log every event, from which dynamics replays
- * per-event hooks. ct_run_replicates runs a batch of the replicates of
- * experiments.run_replicate in one call, drawing each initial configuration
- * as numpy's default_rng does and counting only the final opinions. Every
+ * per-event hooks. ct_draw_uniform draws an initial configuration bit for
+ * bit as numpy's default_rng does; dynamics.random_initial calls it, so a
+ * compiled run never imports numpy.random. ct_run_replicates runs a batch of
+ * the replicates of experiments.run_replicate in one call, drawing each
+ * initial configuration with it and counting only the final opinions. Every
  * floating-point step is one IEEE-754 operation as in Python and NumPy, so
  * it must be compiled without contraction into fused multiply-adds and
  * without fast-math.
@@ -118,13 +120,15 @@ static int64_t randbelow(uint32_t *mt, int64_t n)
  * |d| == eps, where the exact difference may lie on either side of eps; there
  * TwoSum (Knuth, TAOCP vol. 2, 4.2.2) recovers the rounding error err with
  * a - b == d + err exactly, and the edge is live iff err pulls d inside.
+ * fabs(d) < eps is -eps < d && d < eps for every d (a NaN fails both), in
+ * one comparison and without the && branch on d's sign, a coin flip.
  */
 static int live(double a, double b, double eps)
 {
     double d = a - b;
-    if (-eps < d && d < eps)
+    if (fabs(d) < eps)
         return d != 0.0;
-    if (d == 0.0 || (d != eps && d != -eps))
+    if (d == 0.0 || fabs(d) != eps)
         return 0;
     double a1 = d + b, b1 = d - a1;
     double err = (a - a1) + (-b - b1);
@@ -179,15 +183,20 @@ static void count_opinions(uint64_t *table, int32_t *slots, const double *ops, i
 }
 
 /*
- * Add `by` to the census count of weight w's type, binned with the
- * operations of edge_process.census one for one: type 0 for a zero weight,
- * type k + 1 for k*eps < |w| < (k + 1)*eps (products rounded), or BOUNDARY
- * (count types + 1) for a nonzero |w| == k*eps. A type above `types` is
+ * Add `by` to the census count of weight w's type, binned as
+ * edge_process.census bins it: type 0 for a zero weight, type k + 1 for
+ * k*eps < |w| < (k + 1)*eps (products rounded), or BOUNDARY (count types +
+ * 1) for a nonzero |w| == k*eps. k starts as census's floor(|w| / eps), taken
+ * by truncation: the quotient q is >= 0, truncation equals floor for q <
+ * 2**52, and from 2**52 on every double is an integer, so q is kept as it is
+ * (never cast, which could overflow). The two corrections and the
+ * comparisons are census's operations one for one. A type above `types` is
  * counted nowhere, so that a census row sums to less than the edge count.
  */
 static void tally(int64_t *census, int32_t types, double w, double eps, int64_t by)
 {
-    double a = fabs(w), k = floor(a / eps);
+    double a = fabs(w), q = a / eps;
+    double k = q < 4503599627370496.0 ? (double)(int64_t)q : q;
     k -= k * eps > a;
     k += (k + 1) * eps <= a;
     if (k >= 1 && a == k * eps)
@@ -468,12 +477,13 @@ static uint64_t pcg64_next(struct pcg64 *rng)
 }
 
 /*
- * n opinions drawn as np.random.default_rng(seed).random(n): PCG64 seeded
- * from the SeedSequence's four words (the initial state from words 0 and 1,
- * the stream from 2 and 3, high word first) as pcg64_srandom_r does, and
- * each opinion the top 53 bits of one output over 2**53.
+ * n opinions drawn as np.random.default_rng(seed).random(n) for a seed below
+ * 2**64 (dynamics.random_initial): PCG64 seeded from the SeedSequence's four
+ * words (the initial state from words 0 and 1, the stream from 2 and 3, high
+ * word first) as pcg64_srandom_r does, and each opinion the top 53 bits of
+ * one output over 2**53; returns 0.
  */
-static void draw_uniform(double *ops, int32_t n, uint64_t seed)
+int ct_draw_uniform(double *ops, int32_t n, uint64_t seed)
 {
     uint64_t s[4];
     seed_sequence(seed, s);
@@ -483,6 +493,7 @@ static void draw_uniform(double *ops, int32_t n, uint64_t seed)
     pcg64_next(&rng);
     for (int32_t i = 0; i < n; i++)
         ops[i] = (double)(pcg64_next(&rng) >> 11) * (1.0 / 9007199254740992.0);
+    return 0;
 }
 
 /*
@@ -507,7 +518,7 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
     int64_t state[5];
     double clock;
     for (int64_t r = 0; r < reps; r++) {
-        draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
+        ct_draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
         uint64_t seed = spawn_seed(seeds[r], 1);
         uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
         state[1] = -1;

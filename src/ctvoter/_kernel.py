@@ -46,6 +46,7 @@ log = logging.getLogger(__name__)
 _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 # argument types of the library's entry points, one per parameter in _kernel.c
 SIGNATURES = {
+    "ct_draw_uniform": [_pointer, _int32, ctypes.c_uint64],
     "ct_run_events": (
         [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 10
         + [_int32, _pointer, _pointer, _double, _double, _int64, _int64]

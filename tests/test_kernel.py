@@ -296,17 +296,36 @@ def _kernel_draw(n: int, seed: int) -> bytes:
 DRAW_SIZES = (1, 2, 20, 4097)
 
 
+def _numpy_draw(n: int, seed) -> bytes:
+    return np.random.default_rng(seed).random(n).tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_batch_draw_is_numpys(compiled, seed):
     assert spawn_seed(_unspawn(seed), 0) == seed
     for n in DRAW_SIZES:
-        assert _kernel_draw(n, seed) == random_initial(path_graph(n), seed).tobytes()
+        assert _kernel_draw(n, seed) == _numpy_draw(n, seed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(DRAW_SIZES))
 def test_batch_draw_is_numpys_for_any_seed(compiled, seed, n):
-    assert _kernel_draw(n, seed) == random_initial(path_graph(n), seed).tobytes()
+    assert _kernel_draw(n, seed) == _numpy_draw(n, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20000])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
+def test_random_initial_is_numpys(compiled, seed, n):
+    """The kernel's draw below 2**64 (one or two seed words), NumPy's at 2**64."""
+    assert random_initial(path_graph(n), seed).tobytes() == _numpy_draw(n, seed)
+
+
+def test_random_initial_rejects_a_negative_seed_as_numpy_does(compiled):
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as ours:
+        random_initial(path_graph(3), -1)
+    assert str(ours.value) == str(numpy_error.value)
 
 
 BATCH_EPS = (0.0, 0.3, 1 / 3, 0.5, 0.75, 1.0)
@@ -598,7 +617,12 @@ def test_ctypes_signature_matches_the_c_prototype(compiled):
     found = re.findall(r"^int (ct_\w+)\(([^)]*)\)", _kernel.SOURCE.read_text(), re.M)
     lib = _kernel.load()
     assert sorted(name for name, _ in found) == sorted(lib)
-    kinds = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64, "double": ctypes.c_double}
+    kinds = {
+        "int32_t": ctypes.c_int32,
+        "int64_t": ctypes.c_int64,
+        "uint64_t": ctypes.c_uint64,
+        "double": ctypes.c_double,
+    }
     for name, text in found:
         params = [" ".join(p.split()) for p in text.split(",")]
         expected = [ctypes.c_void_p if "*" in p else kinds[p.split()[0]] for p in params]
@@ -786,6 +810,8 @@ def test_cached_library_is_reused(fresh_cache, monkeypatch):
 
 def _build_and_run(cache_dir: str) -> str:
     _kernel.CACHE_DIR = Path(cache_dir)
+    # importing this module drew HOOK_INIT, which loaded the default cache's build
+    _kernel.load.cache_clear()
     if _kernel.load() is None:
         return "unavailable"
     g = torus_graph(6, 6)
@@ -826,7 +852,7 @@ ASAN_CASES = (
     "named_graphs and (single or torus) or many_seeds or golden_cases or table_edges"
     " or census_at_the_type_limit or census_type_above"
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
-    " or hook_log or hooked_run or one_kernel_call"
+    " or hook_log or hooked_run or one_kernel_call or random_initial_is_numpys"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
 )
 ASAN_PLUGIN = """

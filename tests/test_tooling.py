@@ -3,8 +3,14 @@
 import ast
 import importlib
 import inspect
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -120,3 +126,34 @@ def test_statics_and_cli_state_each_rule_once():
         "_cmd_index",
         "_cmd_consensus",
     }
+
+
+NO_NUMPY_RANDOM = """
+import sys
+from ctvoter import SimParams, _kernel, path_graph, random_initial, simulate_coupled
+
+g = path_graph(50)
+result = simulate_coupled(g, random_initial(g, 1), SimParams(0.3, 2))
+assert _kernel.load() is not None and result.census_trace
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_compiled_run_never_imports_numpy_random():
+    """random_initial draws through the kernel, so a compiled run skips
+    numpy.random's import (7 to 10 ms of a large graph's set-up)."""
+    from ctvoter import _kernel
+
+    if shutil.which(_kernel.COMPILER) is None:
+        pytest.skip("no C compiler")
+    src = Path(_kernel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
