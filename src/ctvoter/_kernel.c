@@ -196,7 +196,7 @@ static void count_opinions(uint64_t *table, int32_t *slots, const double *ops, i
 static void tally(int64_t *census, int32_t types, double w, double eps, int64_t by)
 {
     double a = fabs(w), q = a / eps;
-    double k = q < 4503599627370496.0 ? (double)(int64_t)q : q;
+    double k = q < 0x1p52 ? (double)(int64_t)q : q;
     k -= k * eps > a;
     k += (k + 1) * eps <= a;
     if (k >= 1 && a == k * eps)

@@ -207,7 +207,7 @@ def edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
 
 
 def _build_edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
-    # one pass over the flat endpoints: np.array(g.edges) takes about 3x as
+    # one pass over the flat endpoints: np.array(g.edges) takes 2 to 3x as
     # long, as it first inspects each pair as a nested sequence
     flat = itertools.chain.from_iterable(g.edges)
     ends = np.fromiter(flat, np.int32, 2 * g.n_edges).reshape(-1, 2)
