@@ -21,6 +21,23 @@
  *
  * Every buffer belongs to the caller (_kernel.scratch sizes the scratch), so
  * nothing here allocates memory and no call can fail.
+ *
+ * Three shortcuts make the generator cheaper and consume the same MT19937
+ * words in the same order, so every output stays the same:
+ * - Lane seeding. init_by_array starts from init_genrand(19650218), the same
+ *   624 words for every seed, so ct_run_replicates computes them once per
+ *   call, and it runs the two mixing loops for LANES replicates at once. A
+ *   replicate's key has one or two words, so its key index j is 0 on every
+ *   step or the step's parity.
+ * - The direction coin. random() is (a * 2**26 + b) / 2**53 with a = w1 >> 5
+ *   and b = w2 >> 6 < 2**26, so random() < 0.5 iff a * 2**26 + b < 2**52 iff
+ *   a < 2**26 (b cannot carry a across 2**52) iff w1 < 2**31. The coin reads
+ *   the first word and skips the second without tempering it.
+ * - The clock. A batch to absorption (t_max = +inf) passes no clock: each
+ *   holding time's two words are skipped and no -log(1 - u) / (2n) is taken.
+ *   The clock is finite and each holding time finite and >= 0, so t + dt >
+ *   +inf never holds and the run stops where it would; its record carries
+ *   no clock.
  */
 
 #include <math.h>
@@ -70,25 +87,79 @@ static void init_by_array(uint32_t *mt, const uint32_t *key, size_t key_length)
     mt[0] = 0x80000000U;
 }
 
+/*
+ * init_by_array for LANES states at once, state l from the key of seed
+ * seeds[l] < 2**64 (one 32-bit word, or two if the seed needs them), starting
+ * from base, init_genrand(19650218) computed once by the caller. Each step
+ * of both mixing loops is the scalar one for each lane in turn: the lanes'
+ * multiply chains are independent, so they overlap. With at most two key
+ * words, init_by_array's key index j is 0 on every step for one word and
+ * the step's parity for two, so step s adds add[l][s & 1], key[j] + j. The
+ * first loop's first pass, i = 1 .. 623, reads base[i] where init_by_array
+ * reads its own copy of it.
+ */
+#define LANES 4
+
+static void init_by_array_lanes(uint32_t mt[LANES][MT_N + 1], const uint32_t *base,
+                                const uint64_t seeds[LANES])
+{
+    uint32_t add[LANES][2], prev[LANES];
+    int i, l;
+    for (l = 0; l < LANES; l++) {
+        add[l][0] = (uint32_t)seeds[l];
+        add[l][1] = seeds[l] >> 32 ? (uint32_t)(seeds[l] >> 32) + 1U : add[l][0];
+        prev[l] = base[0];
+    }
+    for (i = 1; i < MT_N; i++) /* steps 0 .. 622 */
+        for (l = 0; l < LANES; l++)
+            prev[l] = mt[l][i] =
+                (base[i] ^ ((prev[l] ^ (prev[l] >> 30)) * 1664525U)) + add[l][(i - 1) & 1];
+    for (l = 0; l < LANES; l++) /* step 623, after mt[0] = mt[623]; i = 1 */
+        prev[l] = mt[l][1] = (mt[l][1] ^ ((prev[l] ^ (prev[l] >> 30)) * 1664525U)) + add[l][1];
+    for (i = 2; i < MT_N; i++) /* the second loop from i = 2 */
+        for (l = 0; l < LANES; l++)
+            prev[l] = mt[l][i] =
+                (mt[l][i] ^ ((prev[l] ^ (prev[l] >> 30)) * 1566083941U)) - (uint32_t)i;
+    for (l = 0; l < LANES; l++) { /* its last step, after mt[0] = mt[623]; i = 1 */
+        mt[l][1] = (mt[l][1] ^ ((prev[l] ^ (prev[l] >> 30)) * 1566083941U)) - 1U;
+        mt[l][0] = 0x80000000U;
+        mt[l][MT_N] = MT_N;
+    }
+}
+
+/* The next MT_N words of the state, as CPython's genrand_uint32 makes them:
+ * -(y & 1) & 0x9908b0df is its mag01[y & 1], without a table. */
+static void twist(uint32_t *mt)
+{
+    uint32_t y;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
+    mt[MT_N] = 0;
+}
+
+/* Consume one word without tempering it: the state moves as genrand's does. */
+static void skip_word(uint32_t *mt)
+{
+    if (mt[MT_N] >= MT_N)
+        twist(mt);
+    mt[MT_N]++;
+}
+
 /* CPython's genrand_uint32. */
 static uint32_t genrand(uint32_t *mt)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
     uint32_t y;
-    if (mt[MT_N] >= MT_N) {
-        int kk;
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt[MT_N] = 0;
-    }
+    if (mt[MT_N] >= MT_N)
+        twist(mt);
     y = mt[mt[MT_N]++];
     y ^= (y >> 11);
     y ^= (y << 7) & 0x9d2c5680U;
@@ -277,12 +348,15 @@ static void take_sample(const struct trace *tr, int64_t *samples, double t, int6
  *
  * A call with state[1] < 0 starts the run: it seeds the generator from
  * `key`, the key_length 32-bit little-endian words of abs(seed) ({0} for 0),
- * and builds the active set. If trace_t is not NULL, samples are taken at
- * events 0, 1, 2, 4, ... and at the final state if its clock differs from
- * the last sample's; sample s is written to trace_t[s] (clock) and to the
- * row trace[3s .. 3s + 3) (events, distinct opinions, opinions outside
- * (1 - eps, eps)). Both need room for cap = bit_length(max_events) + 2
- * samples. The start hashes the opinions once into `table` (see
+ * unless key is NULL, when the caller has seeded it, and builds the active
+ * set. If clock is NULL, t_max must be +inf and there must be no trace or
+ * log: the run keeps no clock and skips the holding times' words. If
+ * trace_t is not NULL, samples are taken at events 0, 1, 2, 4, ... and at
+ * the final state if its clock differs from the last sample's; sample s is
+ * written to trace_t[s] (clock) and to the row trace[3s .. 3s + 3) (events,
+ * distinct opinions, opinions outside (1 - eps, eps)). Both need room for
+ * cap = bit_length(max_events) + 2 samples. The start hashes the opinions
+ * once into `table` (see
  * count_opinions), keeping each vertex's slot and the count per slot in
  * `slots` (n + the table's length words). An event copies the source's slot
  * with its opinion and moves one count, so the counts change in O(1) per
@@ -313,7 +387,8 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
     int64_t events, n, *now = state + 3; /* distinct opinions, extremists */
     double t;
     if (state[1] < 0) {
-        init_by_array(mt, key, (size_t)key_length);
+        if (key != NULL)
+            init_by_array(mt, key, (size_t)key_length);
         n = 0;
         for (int32_t f = 0; f < n_edges; f++) {
             pos[f] = -1;
@@ -336,7 +411,7 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
     } else {
         events = state[0];
         n = state[1];
-        t = *clock;
+        t = clock != NULL ? *clock : 0.0;
     }
     const int64_t first = events;
     uint64_t next_trace = 1;
@@ -345,19 +420,26 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
 
     int code = CT_LIMIT;
     while (n > 0 && events < max_events && events != until) {
-        double dt = -log(1.0 - random53(mt)) / (2.0 * (double)n);
-        if (t + dt > t_max) {
-            t = t_max;
-            code = CT_T_MAX;
-            break;
+        if (clock != NULL) {
+            double dt = -log(1.0 - random53(mt)) / (2.0 * (double)n);
+            if (t + dt > t_max) {
+                t = t_max;
+                code = CT_T_MAX;
+                break;
+            }
+            t += dt;
+        } else {
+            skip_word(mt);
+            skip_word(mt);
         }
-        t += dt;
         int32_t e = active[randbelow(mt, n)];
         int32_t src = e1[e], tgt = e2[e];
-        if (!(random53(mt) < 0.5)) {
+        /* random() < 0.5 iff its first word is below 2**31 (see the header) */
+        if (genrand(mt) >= 0x80000000U) {
             src = e2[e];
             tgt = e1[e];
         }
+        skip_word(mt);
         double old = ops[tgt];
         ops[tgt] = ops[src];
         double delta = ops[tgt] - old;
@@ -403,7 +485,8 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
         take_sample(&tr, &state[2], t, events, now);
     state[0] = events;
     state[1] = n;
-    *clock = t;
+    if (clock != NULL)
+        *clock = t;
     return code;
 }
 
@@ -507,7 +590,9 @@ int ct_draw_uniform(double *ops, int32_t n, uint64_t seed)
  * the final state. If `final` is not NULL, replicate 0's n final opinions
  * are copied to it. Each replicate is one ct_run_events call without trace,
  * census, log or weights, on the caller's opinions `ops` (n), `work` and
- * `table`, reused by every replicate; returns 0.
+ * `table`, reused by every replicate, and without a clock if t_max is +inf;
+ * its generator is seeded with those of the other replicates in its block of
+ * LANES; returns 0.
  */
 int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
                       const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
@@ -515,18 +600,25 @@ int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_s
                       int64_t max_events, double *ops, int32_t *work, uint64_t *table,
                       int64_t *out, double *final)
 {
+    uint32_t base[MT_N + 1], lanes[LANES][MT_N + 1];
+    uint32_t *mt = (uint32_t *)(work + 2 * (ptrdiff_t)n_edges);
     int64_t state[5];
-    double clock;
+    double clock, *clock_slot = t_max == INFINITY ? NULL : &clock;
+    init_genrand(base, 19650218U);
     for (int64_t r = 0; r < reps; r++) {
+        if (r % LANES == 0) {
+            uint64_t event_seeds[LANES] = {0};
+            for (int l = 0; l < LANES && r + l < reps; l++)
+                event_seeds[l] = spawn_seed(seeds[r + l], 1);
+            init_by_array_lanes(lanes, base, event_seeds);
+        }
+        memcpy(mt, lanes[r % LANES], sizeof lanes[0]);
         ct_draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
-        uint64_t seed = spawn_seed(seeds[r], 1);
-        uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
         state[1] = -1;
         int64_t *rep = out + 4 * r;
-        rep[1] = ct_run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, key,
-                               seed >> 32 ? 2 : 1, ops, NULL, work, NULL, NULL, state, &clock,
-                               NULL, NULL, NULL, 0, NULL, NULL, eps, t_max, max_events,
-                               max_events);
+        rep[1] = ct_run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, NULL, 0, ops,
+                               NULL, work, NULL, NULL, state, clock_slot, NULL, NULL, NULL, 0,
+                               NULL, NULL, eps, t_max, max_events, max_events);
         rep[0] = state[0];
         count_opinions(table, NULL, ops, n_vertices, eps, rep + 2);
         if (r == 0 && final != NULL)

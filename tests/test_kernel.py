@@ -270,8 +270,8 @@ def test_one_kernel_call_per_replicate(compiled, monkeypatch):
     assert points == [0] + [1 << j for j in range(len(points) - 2)] + [report.events]
 
 
-def _unspawn(seed: int) -> int:
-    """The master m with spawn_seed(m, 0) == seed: SplitMix64's output function undone."""
+def _unspawn(seed: int, index: int = 0) -> int:
+    """The master m with spawn_seed(m, index) == seed: SplitMix64's output function undone."""
 
     def unshift(z: int, k: int) -> int:  # inverse of z ^ (z >> k)
         r = z
@@ -281,7 +281,7 @@ def _unspawn(seed: int) -> int:
 
     z = unshift(seed, 31) * pow(0x94D049BB133111EB, -1, 2**64) & MASK64
     z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) & MASK64
-    return (unshift(z, 30) - 0x9E3779B97F4A7C15) & MASK64
+    return (unshift(z, 30) - (index + 1) * 0x9E3779B97F4A7C15) & MASK64
 
 
 def _kernel_draw(n: int, seed: int) -> bytes:
@@ -330,7 +330,9 @@ def test_random_initial_rejects_a_negative_seed_as_numpy_does(compiled):
 
 BATCH_EPS = (0.0, 0.3, 1 / 3, 0.5, 0.75, 1.0)
 BATCH_T_MAX = (None, 0.0, 20.0)
-BATCH_REPS = (1, 2, 37)
+# ct_run_replicates seeds replicates in blocks of 4 lanes: 8 fills two
+# blocks, and 1, 2, 9 and 37 end in a partial one
+BATCH_REPS = (1, 2, 8, 9, 37)
 
 
 def _worker_tasks(g, grid, t_max, reps, master=5):
@@ -363,6 +365,38 @@ def test_batch_matches_replicate_worker(compiled, name, eps):
             tasks = _worker_tasks(g, (eps,), t_max, reps)
             assert batch == _comparable(map(experiments._replicate_worker, tasks))
             assert batch[0][1] is not None and all(fin is None for _, fin in batch[1:])
+
+
+# event seeds of one and of two 32-bit words, at the ends of each length
+KEY_SEEDS = (2**32, 0, 2**64 - 1, 1, 2**32 - 1)
+
+
+@pytest.mark.parametrize("name", ["path:12", "torus:5x6"])
+def test_batch_key_lengths_in_one_lane_block(compiled, name):
+    """Replicates whose event seeds spawn_seed(seed, 1) have one and two key
+    words, mixed within each block of lanes, against _replicate_worker."""
+    g = GRAPHS[name]
+    seeds = [_unspawn(s, 1) for s in KEY_SEEDS + KEY_SEEDS[::-1]]
+    assert [spawn_seed(s, 1) for s in seeds[:5]] == list(KEY_SEEDS)
+    for eps in (0.3, 0.75):
+        for t_max in (None, 20.0):
+            batch = _comparable(experiments._run_chunk((g, eps, t_max, 0, seeds, True)))
+            tasks = [(g, eps, r, s, t_max, r == 0) for r, s in enumerate(seeds)]
+            assert batch == _comparable(map(experiments._replicate_worker, tasks))
+            assert sum(rec.events for rec, _ in batch) > 0
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_clock_free_batch_matches_clocked(compiled, name):
+    """A batch to absorption skips the clock (t_max None); with a t_max that
+    never binds it keeps the clock, and the records are the same."""
+    g = GRAPHS[name]
+    for eps in (0.3, 0.75):
+        free, clocked = (
+            _comparable(experiments._run_grid(lambda: g, (eps,), 9, 5, 1, t_max))
+            for t_max in (None, 1e300)
+        )
+        assert free == clocked
 
 
 def test_pooled_batch_matches_serial(compiled):
@@ -854,6 +888,7 @@ ASAN_CASES = (
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
     " or hook_log or hooked_run or one_kernel_call or random_initial_is_numpys"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
+    " or key_lengths"
 )
 ASAN_PLUGIN = """
 from pathlib import Path
