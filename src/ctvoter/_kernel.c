@@ -14,7 +14,8 @@
  * bit as numpy's default_rng does; dynamics.random_initial calls it, so a
  * compiled run never imports numpy.random. ct_run_replicates runs a batch of
  * the replicates of experiments.run_replicate in one call, drawing each
- * initial configuration with it and counting only the final opinions. Every
+ * initial configuration with it and counting only the final opinions.
+ * ct_reaches_all is graphs.is_connected's search over the CSR incidence. Every
  * floating-point step is one IEEE-754 operation as in Python and NumPy, so
  * it must be compiled without contraction into fused multiply-adds and
  * without fast-math.
@@ -488,6 +489,33 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
     if (clock != NULL)
         *clock = t;
     return code;
+}
+
+/*
+ * 1 iff every vertex of the graph (edges and incidence as in ct_run_events)
+ * is reachable from vertex 0, by a depth-first search; 0 otherwise. work
+ * holds 2 * n_vertices words: the seen marks, then the stack, on which each
+ * vertex is pushed at most once.
+ */
+int ct_reaches_all(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
+                   const int32_t *inc_edge, int32_t n_vertices, int32_t *work)
+{
+    int32_t *seen = work, *stack = work + n_vertices, top = 0, count = 1;
+    memset(seen, 0, (size_t)n_vertices * sizeof *seen);
+    seen[0] = 1;
+    stack[top++] = 0;
+    while (top > 0) {
+        int32_t v = stack[--top];
+        for (int32_t k = inc_start[v]; k < inc_start[v + 1]; k++) {
+            int32_t f = inc_edge[k], u = e1[f] ^ e2[f] ^ v;
+            if (!seen[u]) {
+                seen[u] = 1;
+                count++;
+                stack[top++] = u;
+            }
+        }
+    }
+    return count == n_vertices;
 }
 
 /* common.spawn_seed: child seed number `index` of a 64-bit master seed (SplitMix64). */

@@ -11,7 +11,7 @@ event loop runs instead.
 
 from __future__ import annotations
 
-import array
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -22,7 +22,9 @@ import sys
 import threading
 from pathlib import Path
 
-from .graphs import Graph, edge_arrays, memo
+import numpy as np
+
+from .graphs import Graph, edge_arrays
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
@@ -55,6 +57,7 @@ SIGNATURES = {
         [_pointer] * 4 + [_int32, _int32, _pointer, _int64, _double, _double, _int64]
         + [_pointer] * 5
     ),
+    "ct_reaches_all": [_pointer] * 4 + [_int32, _pointer],
 }
 
 
@@ -104,20 +107,35 @@ def graph_pointers(g: Graph) -> tuple[int, ...]:
     """Addresses of graphs.edge_arrays(g), taken once per Graph.
 
     The incidence lists each vertex's edges in increasing index order, the
-    order in which the Python loop visits them. The memo keeps the arrays
-    alive while g is.
+    order in which the Python loop visits them. g keeps the arrays, and so
+    the addresses valid, for as long as it lives.
     """
-    return memo(g, "kernel_pointers", _addresses)
+    return g.derived("kernel_pointers", _addresses)
 
 
 def _addresses(g: Graph) -> tuple[int, ...]:
     return tuple(a.ctypes.data for a in edge_arrays(g))
 
 
-def scratch(n: int, m: int, cap: int = 0, types: int = 0) -> tuple:
+def reaches_all(g: Graph) -> bool | None:
+    """graphs.is_connected's search, run by ct_reaches_all over g's CSR
+    incidence; None when there is no kernel."""
+    lib = load()
+    if lib is None:
+        return None
+    work = np.empty(2 * g.n_vertices, dtype=np.int32)
+    return lib["ct_reaches_all"](*graph_pointers(g), g.n_vertices, work.ctypes.data) == 1
+
+
+# this thread's last scratch set, as ((n, m, cap, types), buffers, addresses)
+_kept = threading.local()
+
+
+@contextlib.contextmanager
+def scratch(n: int, m: int, cap: int = 0, types: int = 0):
     """The scratch buffers (work, table, slots, census) of a kernel run on n
     vertices and m edges, with room for cap trace samples and `types` census
-    types.
+    types, and their addresses; as (buffers, addresses).
 
     `work` holds 2m + 625 int32 words: the active edges, their positions and
     the generator state. `table` holds the hash table that count_opinions in
@@ -126,10 +144,28 @@ def scratch(n: int, m: int, cap: int = 0, types: int = 0) -> tuple:
     the count per slot (n + len(table) int32 words), and a run with a census
     of types > 0 types `census`, the live census row and one copy per sample
     ((cap + 1) * (types + 2) int64 words); each is None when not asked for.
-    Each is allocated at its exact size, so that a sanitizer sees its end.
+
+    Each thread keeps its last set and hands it out again to a call with
+    the same sizes, so a run on a large graph finds its pages warm. The set
+    is out of the keeping while a call uses it, so a call nested in an
+    on_event hook gets a set of its own. The buffers are not cleared: the
+    kernel writes each word before it reads it. Each is allocated at its
+    exact size, so that a sanitizer sees its end.
     """
-    work = array.array("i", [0]) * (2 * m + 625)
-    table = array.array("Q", [0]) * (1 << (2 * n - 1).bit_length())
-    slots = array.array("i", [0]) * (n + len(table)) if cap else None
-    census = array.array("q", [0]) * ((cap + 1) * (types + 2)) if types else None
-    return work, table, slots, census
+    key = (n, m, cap, types)
+    kept = getattr(_kept, "set", None)
+    if kept is not None and kept[0] == key:
+        _kept.set = None
+    else:
+        table = np.empty(1 << (2 * n - 1).bit_length(), dtype=np.uint64)
+        buffers = (
+            np.empty(2 * m + 625, dtype=np.int32),
+            table,
+            np.empty(n + len(table), dtype=np.int32) if cap else None,
+            np.empty((cap + 1) * (types + 2), dtype=np.int64) if types else None,
+        )
+        kept = (key, buffers, tuple(None if b is None else b.ctypes.data for b in buffers))
+    try:
+        yield kept[1], kept[2]
+    finally:
+        _kept.set = kept

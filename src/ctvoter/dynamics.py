@@ -285,9 +285,11 @@ def _compiled_events(
 ) -> tuple[SimReport, list]:
     """Run the compiled kernel over one replicate; returns what _run_events does.
 
-    The kernel's buffers are array.array objects: buffer_info() gives an
-    address in about 0.1 us, where numpy's .ctypes.data takes about 3 us, as
-    long as a short run's whole loop. The kernel keeps the traces and the
+    The buffers made per call are array.array objects: buffer_info() gives
+    an address in about 0.1 us, where numpy's .ctypes.data takes about 3 us,
+    as long as a short run's whole loop. The scratch buffers are this
+    thread's kept set (_kernel.scratch), whose addresses are taken once,
+    when it is allocated. The kernel keeps the traces and the
     census itself, so without on_event one call runs the whole replicate.
     With on_event each call runs to the end of a log chunk, the kernel logs
     each event, and the hook is driven by replaying the log on lists with
@@ -310,7 +312,6 @@ def _compiled_events(
     # one copy of the validated opinions, into a buffer of exactly n entries
     x = array.array("d", [0.0]) * n
     memoryview(x).cast("B")[:] = memoryview(ops).cast("B")
-    work, table, slots, census = _kernel.scratch(n, m, cap, census_types)
     # events, active edges (-1 to start), samples, distinct opinions, extremists
     state = array.array("q", [0, -1, 0, 0, 0])
     clock = array.array("d", [0.0])
@@ -320,57 +321,58 @@ def _compiled_events(
         log_t = array.array("d", [0.0]) * _kernel.LOG_CHUNK
         log_edge = array.array("i", [0]) * _kernel.LOG_CHUNK
         lists = (ops.tolist(), None if weights is None else weights.tolist(), _edge_lists(g))
-    # the buffers stay referenced here for as long as the kernel uses them
-    args = [
-        *_kernel.graph_pointers(g),
-        n,
-        m,
-        key.buffer_info()[0],
-        len(key),
-        x.buffer_info()[0],
-        None if weights is None else weights.ctypes.data,
-        work.buffer_info()[0],
-        table.buffer_info()[0],
-        slots.buffer_info()[0],
-        state.buffer_info()[0],
-        clock.buffer_info()[0],
-        times.buffer_info()[0],
-        rows.buffer_info()[0],
-        None if census is None else census.buffer_info()[0],
-        census_types,
-        None if on_event is None else log_t.buffer_info()[0],
-        None if on_event is None else log_edge.buffer_info()[0],
-        eps,
-        t_max,
-        max_events,
-        max_events,  # until
-    ]
-    if on_event is None:
-        code = run(*args)
-    else:
-        code = _kernel.PAUSE
-        while code == _kernel.PAUSE:
-            first = state[0]
-            args[-1] = min(max_events, first + _kernel.LOG_CHUNK)
+    with _kernel.scratch(n, m, cap, census_types) as (buffers, addresses):
+        # the buffers stay referenced here for as long as the kernel uses them
+        args = [
+            *_kernel.graph_pointers(g),
+            n,
+            m,
+            key.buffer_info()[0],
+            len(key),
+            x.buffer_info()[0],
+            None if weights is None else weights.ctypes.data,
+            *addresses[:3],
+            state.buffer_info()[0],
+            clock.buffer_info()[0],
+            times.buffer_info()[0],
+            rows.buffer_info()[0],
+            addresses[3],
+            census_types,
+            None if on_event is None else log_t.buffer_info()[0],
+            None if on_event is None else log_edge.buffer_info()[0],
+            eps,
+            t_max,
+            max_events,
+            max_events,  # until
+        ]
+        if on_event is None:
             code = run(*args)
-            for j in range(state[0] - first):
-                _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
-        if any(
-            a is not None and array.array("d", a).tobytes() != b.tobytes()
-            for a, b in zip(lists, (x, weights))
-        ):
-            raise RuntimeError("the replayed event log does not match the kernel's final state")
-    events, active_edges, samples = state[:3]
+        else:
+            code = _kernel.PAUSE
+            while code == _kernel.PAUSE:
+                first = state[0]
+                args[-1] = min(max_events, first + _kernel.LOG_CHUNK)
+                code = run(*args)
+                for j in range(state[0] - first):
+                    _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
+        width = census_types + 2
+        # the samples' census rows, copied out before the set is handed on
+        samples = state[2]
+        census = None if buffers[3] is None else buffers[3][width : (samples + 1) * width].tolist()
+    if on_event is not None and any(
+        a is not None and array.array("d", a).tobytes() != b.tobytes()
+        for a, b in zip(lists, (x, weights))
+    ):
+        raise RuntimeError("the replayed event log does not match the kernel's final state")
+    events, active_edges = state[:2]
     opinion_trace = list(zip(times[:samples], rows[1 : 3 * samples : 3]))
     extremist_trace = list(zip(times[:samples], rows[2 : 3 * samples : 3])) if eps > 0.5 else []
     report = SimReport(
         np.frombuffer(x), clock[0], events, active_edges == 0, opinion_trace, extremist_trace,
         _kernel.STOP_REASONS[code],
     )
-    width = census_types + 2
     census_trace = [] if census is None else [
-        (times[s], rows[3 * s], tuple(census[(s + 1) * width : (s + 2) * width]))
-        for s in range(samples)
+        (times[s], rows[3 * s], tuple(census[s * width : (s + 1) * width])) for s in range(samples)
     ]
     return report, census_trace
 

@@ -27,7 +27,7 @@ from .common import ceil_recip, check_epsilon
 from .dynamics import SimParams, SimReport, _run_events, _validate_initial
 # unused here, but the benchmark's tracer (perfbench/child.py) rebinds this name
 from .dynamics import extremist_count  # noqa: F401
-from .graphs import Graph, edge_arrays, is_connected
+from .graphs import Graph, is_connected
 
 EMPTY = 0
 BOUNDARY = -1
@@ -44,9 +44,8 @@ def weights_from_opinions(g: Graph, config) -> np.ndarray:
     weights are bit for bit those of the scalar expression.
     """
     x = np.asarray(config, dtype=np.float64)
-    e1, e2 = edge_arrays(g)[:2]
     # take gathers by the int32 indices without first converting them to intp
-    return x.take(e2) - x.take(e1)
+    return x.take(g.e2) - x.take(g.e1)
 
 
 def classify_edge(weight: float, eps: float) -> int:

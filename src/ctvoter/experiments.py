@@ -151,24 +151,24 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     n, reps = g.n_vertices, len(seeds)
     seed_words = array.array("Q", seeds)
     ops = array.array("d", [0.0]) * n
-    work, table, _, _ = _kernel.scratch(n, g.n_edges)
     out = array.array("q", [0]) * (4 * reps)  # events, stop code, nu, extremists
     final = array.array("d", [0.0]) * n if keep_final else None
-    lib["ct_run_replicates"](
-        *_kernel.graph_pointers(g),
-        n,
-        g.n_edges,
-        seed_words.buffer_info()[0],
-        reps,
-        eps,
-        math.inf if t_max is None else t_max,
-        min(DEFAULT_MAX_EVENTS, _kernel.MAX_EVENTS),
-        ops.buffer_info()[0],
-        work.buffer_info()[0],
-        table.buffer_info()[0],
-        out.buffer_info()[0],
-        None if final is None else final.buffer_info()[0],
-    )
+    with _kernel.scratch(n, g.n_edges) as (_, (work, table, _, _)):
+        lib["ct_run_replicates"](
+            *_kernel.graph_pointers(g),
+            n,
+            g.n_edges,
+            seed_words.buffer_info()[0],
+            reps,
+            eps,
+            math.inf if t_max is None else t_max,
+            min(DEFAULT_MAX_EVENTS, _kernel.MAX_EVENTS),
+            ops.buffer_info()[0],
+            work,
+            table,
+            out.buffer_info()[0],
+            None if final is None else final.buffer_info()[0],
+        )
     wall = (time.perf_counter() - start) / reps
     counts = zip(seeds, out[::4], out[1::4], out[2::4], out[3::4])
     results = [

@@ -1,16 +1,16 @@
 """Finite graphs with a canonical edge orientation, plus exact small-graph solvers.
 
 Edges are always stored as (i, j) with i < j: the orientation induced by the
-total order on vertex indices. Graph values are immutable after construction
-and safe to share across threads/processes, so what is derived from a Graph
-alone is computed once per Graph object and memoised (see memo).
+total order on vertex indices. A Graph holds its vertex count and int32
+endpoint arrays; all else derived from them is built on first use and kept
+on the Graph, which is never changed after construction and so is safe to
+share across threads and processes.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,20 +18,81 @@ import numpy as np
 EXACT_CHROMATIC_LIMIT = 16
 EXACT_CLIQUE_LIMIT = 32
 PEEL_ENUM_LIMIT = 12
+# vertex indices are int32 in the arrays and in the event kernel
+MAX_VERTICES = 2**31 - 1
 
 
-@dataclass(frozen=True)
 class Graph:
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...]
+    """A simple graph on the vertices 0 .. n_vertices - 1.
+
+    e1 and e2 are read-only int32 arrays with e1[f] < e2[f] for each edge f,
+    in a fixed order: the order of the active set, and so every draw of a
+    run, follows it. Graph(n, e1, e2) trusts its arrays (make_graph checks
+    input) and makes them read-only. The tuple views `edges` and
+    `adjacency`, the CSR incidence (edge_arrays) and the connectivity
+    (is_connected) are built on first use and kept (derived). Equality and
+    hashing compare (n, e1, e2), and a pickle carries only those.
+    """
+
+    def __init__(self, n_vertices: int, e1: np.ndarray, e2: np.ndarray):
+        e1.flags.writeable = e2.flags.writeable = False
+        self.n_vertices = n_vertices
+        self.e1 = e1
+        self.e2 = e2
+        self._derived: dict = {}
+
+    def derived(self, key: str, build):
+        """build(self), computed on the first call for key only and kept on self.
+
+        setdefault, so that racing threads share one value, and with it the
+        arrays whose addresses the event kernel reads.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            return self._derived.setdefault(key, build(self))
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.e1)
+
+    # the tuple views are kept in the instance's __dict__, where a later
+    # lookup finds them as fast as a plain attribute (the statics' loops read
+    # them often)
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The (e1[f], e2[f]) pairs as Python ints, in edge order."""
+        return tuple(zip(self.e1.tolist(), self.e2.tolist()))
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, in the order of the edges joining them."""
+        adj = [[] for _ in range(self.n_vertices)]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (
+            self.n_vertices == other.n_vertices
+            and np.array_equal(self.e1, other.e1)
+            and np.array_equal(self.e2, other.e2)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n_vertices, self.e1.tobytes(), self.e2.tobytes()))
+
+    def __reduce__(self):
+        return Graph, (self.n_vertices, self.e1, self.e2)
+
+    def __repr__(self) -> str:
+        return f"Graph(n_vertices={self.n_vertices}, n_edges={self.n_edges})"
 
 
 @dataclass(frozen=True)
@@ -53,58 +114,85 @@ class CliquePeel:
 
 
 def make_graph(n_vertices: int, edges) -> Graph:
-    """Build a validated Graph; rejects self-loops, duplicates, bad indices."""
+    """Build a validated Graph from (i, j) pairs, each stored as (min, max) in input order.
+
+    The first bad edge in input order is reported: a self-loop, an index out
+    of range, or a duplicate of an earlier edge after orientation, checked
+    in that order for each edge.
+    """
     if n_vertices < 1:
         raise ValueError("graph needs at least one vertex")
-    normalized = []
+    if n_vertices > MAX_VERTICES:
+        raise ValueError(f"graph limited to {MAX_VERTICES} vertices (got {n_vertices})")
+    pairs = list(edges)
+    try:
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an index beyond int64 is out of range
+        raise _first_bad(n_vertices, pairs) from None
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    # one int per edge, equal for two valid edges iff they are one edge
+    keys = (lo * n_vertices + hi).tolist()
+    if ((lo == hi) | (lo < 0) | (hi >= n_vertices)).any() or len(set(keys)) < len(keys):
+        raise _first_bad(n_vertices, pairs)
+    return Graph(n_vertices, lo.astype(np.int32), hi.astype(np.int32))
+
+
+def _first_bad(n_vertices: int, pairs: list) -> ValueError:
+    """The error of the first bad edge of pairs (see make_graph); pairs must have one."""
     seen = set()
-    for i, j in edges:
+    for i, j in pairs:
         if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
+            return ValueError(f"self-loop at vertex {i}")
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
-        if i > j:
-            i, j = j, i
-        if (i, j) in seen:
-            raise ValueError(f"duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        normalized.append((i, j))
-    adj = [[] for _ in range(n_vertices)]
-    for i, j in normalized:
-        adj[i].append(j)
-        adj[j].append(i)
-    return Graph(n_vertices, tuple(normalized), tuple(tuple(a) for a in adj))
+            return ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
+        lo, hi = min(i, j), max(i, j)
+        if (lo, hi) in seen:
+            return ValueError(f"duplicate edge ({lo}, {hi})")
+        seen.add((lo, hi))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
-    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+    e1 = np.arange(n - 1, dtype=np.int32)
+    return Graph(n, e1, e1 + 1)
 
 
 def cycle_graph(n: int) -> Graph:
+    """Edges (i, i + 1) for i < n - 1, then (0, n - 1), the closing edge (n - 1, 0)."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    e1 = np.arange(n, dtype=np.int32)
+    e2 = e1 + 1
+    e1[-1], e2[-1] = 0, n - 1
+    return Graph(n, e1, e2)
 
 
 def complete_graph(n: int) -> Graph:
+    """Edges (i, j), i < j, in lexicographic order."""
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    e1, e2 = np.triu_indices(n, 1)
+    return Graph(n, e1.astype(np.int32), e2.astype(np.int32))
 
 
 def torus_graph(width: int, height: int) -> Graph:
-    """Lattice with periodic boundary in both axes; vertex = y*width + x (row-major)."""
+    """Lattice with periodic boundary in both axes; vertex = y*width + x (row-major).
+
+    Each vertex in turn contributes the edge to its right, then the edge below it.
+    """
     if width < 3 or height < 3:
         raise ValueError("torus needs width >= 3 and height >= 3")
-    edges = []
-    for y in range(height):
-        for x in range(width):
-            v = y * width + x
-            edges.append((v, y * width + (x + 1) % width))
-            edges.append((v, ((y + 1) % height) * width + x))
-    return make_graph(width * height, edges)
+    n = width * height
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph limited to {MAX_VERTICES} vertices (got {n})")
+    v = np.arange(n, dtype=np.int32).reshape(height, width)
+    ends = np.empty((height, width, 2, 2), dtype=np.int32)
+    ends[..., 0] = v[..., None]
+    ends[..., 0, 1] = np.roll(v, -1, axis=1)
+    ends[..., 1, 1] = np.roll(v, -1, axis=0)
+    ends = ends.reshape(-1, 2)
+    return Graph(n, ends.min(axis=1), ends.max(axis=1))
 
 
 def generate_graph(kind: str, params: tuple[int, ...]) -> Graph:
@@ -172,57 +260,45 @@ def load_graph(text: str) -> Graph:
 def render_graph(g: Graph) -> str:
     """Inverse of load_graph: load_graph(render_graph(g)) reproduces g exactly."""
     out = [f"{g.n_vertices} {g.n_edges}"]
-    out.extend(f"{i} {j}" for i, j in g.edges)
+    out.extend(map("{} {}".format, g.e1.tolist(), g.e2.tolist()))
     return "\n".join(out) + "\n"
 
 
-_memo: dict[int, dict] = {}
-
-
-def memo(g: Graph, key: str, build):
-    """build(g), computed on the first call for this Graph object and key only.
-
-    Sound because Graph is frozen. The entries are keyed by id(g) and dropped
-    when g is collected, before its id can be reused; they keep what they
-    hold (the arrays whose addresses the event kernel reads) alive while g is.
-    """
-    entry = _memo.get(id(g))
-    if entry is None:
-        # setdefault, so that racing threads share one entry and its arrays
-        entry = _memo.setdefault(id(g), {})
-        weakref.finalize(g, _memo.pop, id(g), None)
-    try:
-        return entry[key]
-    except KeyError:
-        return entry.setdefault(key, build(g))
-
-
 def edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
-    """g's read-only int32 arrays e1, e2, inc_start and inc_edge, built once per Graph.
+    """g's read-only int32 arrays e1, e2, inc_start and inc_edge; one tuple per Graph.
 
     e1 and e2 are the edge endpoints (e1 < e2); inc_start and inc_edge are the
-    CSR incidence, which lists each vertex's edges in increasing index order.
+    CSR incidence, built on the first call, which lists each vertex's edges
+    in increasing index order.
     """
-    return memo(g, "edge_arrays", _build_edge_arrays)
+    return g.derived("edge_arrays", _incidence)
 
 
-def _build_edge_arrays(g: Graph) -> tuple[np.ndarray, ...]:
-    # one pass over the flat endpoints: np.array(g.edges) takes 2 to 3x as
-    # long, as it first inspects each pair as a nested sequence
-    flat = itertools.chain.from_iterable(g.edges)
-    ends = np.fromiter(flat, np.int32, 2 * g.n_edges).reshape(-1, 2)
-    inc_edge = (np.argsort(ends.ravel(), kind="stable") // 2).astype(np.int32)
+def _incidence(g: Graph) -> tuple[np.ndarray, ...]:
+    ends = np.empty(2 * g.n_edges, dtype=np.int32)
+    ends[0::2] = g.e1
+    ends[1::2] = g.e2
+    inc_edge = (np.argsort(ends, kind="stable") // 2).astype(np.int32)
     inc_start = np.zeros(g.n_vertices + 1, dtype=np.int32)
-    np.cumsum(np.bincount(ends.ravel(), minlength=g.n_vertices), out=inc_start[1:])
-    arrays = (ends[:, 0].copy(), ends[:, 1].copy(), inc_start, inc_edge)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    np.cumsum(np.bincount(ends, minlength=g.n_vertices), out=inc_start[1:])
+    inc_start.flags.writeable = inc_edge.flags.writeable = False
+    return g.e1, g.e2, inc_start, inc_edge
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0; one search per Graph."""
-    return memo(g, "connected", _reaches_all)
+    """True iff every vertex is reachable from vertex 0; one search per Graph.
+
+    The compiled kernel searches the CSR incidence (_kernel.reaches_all);
+    without it, _reaches_all searches the adjacency tuples.
+    """
+    return g.derived("connected", _search)
+
+
+def _search(g: Graph) -> bool:
+    from . import _kernel  # it imports this module
+
+    found = _kernel.reaches_all(g)
+    return _reaches_all(g) if found is None else found
 
 
 def _reaches_all(g: Graph) -> bool:

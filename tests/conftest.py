@@ -7,12 +7,17 @@ import pytest
 from ctvoter import graphs
 
 
-def petersen_graph() -> graphs.Graph:
-    """Outer 5-cycle, inner pentagram, spokes; 3-chromatic, triangle-free."""
+def petersen_edges() -> list[tuple[int, int]]:
+    """Outer 5-cycle, inner pentagram, spokes."""
     edges = [(i, (i + 1) % 5) for i in range(5)]
     edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     edges += [(i, 5 + i) for i in range(5)]
-    return graphs.make_graph(10, edges)
+    return edges
+
+
+def petersen_graph() -> graphs.Graph:
+    """The Petersen graph; 3-chromatic, triangle-free."""
+    return graphs.make_graph(10, petersen_edges())
 
 
 def random_connected_graph(n: int, seed: int, extra_edge_prob: float = 0.35) -> graphs.Graph:

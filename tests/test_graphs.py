@@ -1,13 +1,22 @@
 import gc
 import itertools
+import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctvoter import SimParams, consensus_experiment, graphs, random_initial, simulate_coupled
+from ctvoter import (
+    SimParams,
+    _kernel,
+    consensus_experiment,
+    graphs,
+    random_initial,
+    simulate_coupled,
+)
 from ctvoter.graphs import (
     chromatic_number_exact,
     clique_peel,
@@ -29,7 +38,7 @@ from ctvoter.graphs import (
     torus_graph,
 )
 
-from conftest import petersen_graph, random_connected_graph, small_graph_family
+from conftest import petersen_edges, petersen_graph, random_connected_graph, small_graph_family
 
 
 class TestGenerators:
@@ -280,16 +289,54 @@ class TestCliquePeel:
 
 class TestValidation:
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 0$"):
             make_graph(3, [(0, 0)])
 
     def test_rejects_duplicate_after_normalization(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             make_graph(3, [(0, 1), (1, 0)])
 
     def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for 3 vertices$"):
             make_graph(3, [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 1), (1, 0), (0, 3)], r"duplicate edge \(0, 1\)"),
+            ([(0, 1), (0, 3), (1, 0)], r"edge \(0, 3\) out of range for 3 vertices"),
+            ([(1, 2), (2, 1), (-1, -1)], r"duplicate edge \(1, 2\)"),
+            ([(1, 2), (-1, -1), (2, 1)], r"self-loop at vertex -1"),
+            ([(0, 1), (5, 5)], r"self-loop at vertex 5"),
+            ([(0, 2), (-1, 1), (0, 2)], r"edge \(-1, 1\) out of range for 3 vertices"),
+            ([(0, 1), (2**70, 2**70), (0, 4)], rf"self-loop at vertex {2**70}"),
+            ([(1, 0), (0, 2**70), (0, 1)], rf"edge \(0, {2**70}\) out of range for 3 vertices"),
+            ([(0, 1), (1, 0), (0, -(2**70))], r"duplicate edge \(0, 1\)"),
+        ],
+        ids=[
+            "twin_then_range",
+            "range_then_twin",
+            "twin_then_loop",
+            "loop_then_twin",
+            "loop_out_of_range",
+            "range_then_repeat",
+            "huge_loop",
+            "huge_index",
+            "twin_then_huge",
+        ],
+    )
+    def test_first_bad_edge_in_input_order(self, edges, message):
+        """The vectorised check reports the earliest bad edge, with each edge
+        checked for a self-loop, then its range, then an earlier twin."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make_graph(3, edges)
+        text = f"3 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges)
+        with pytest.raises(ValueError, match=f"^invalid edge list: {message}$"):
+            load_graph(text)
+
+    def test_rejects_too_many_vertices(self):
+        with pytest.raises(ValueError, match="limited to"):
+            make_graph(graphs.MAX_VERTICES + 1, [])
 
     def test_disconnected_is_a_value(self):
         g = make_graph(4, [(0, 1), (2, 3)])
@@ -297,36 +344,133 @@ class TestValidation:
         assert is_bipartite(g)
 
 
+def _tuple_build(n, edges):
+    """The edge and adjacency tuples as make_graph built them from Python
+    pairs before graphs held arrays: each pair as (min, max) in input order,
+    and each vertex's neighbours in edge order."""
+    normalized = tuple((min(i, j), max(i, j)) for i, j in edges)
+    adj = [[] for _ in range(n)]
+    for i, j in normalized:
+        adj[i].append(j)
+        adj[j].append(i)
+    return normalized, tuple(tuple(a) for a in adj)
+
+
+def _generator_pairs(kind, params):
+    """The pairs the generators listed before graphs held arrays."""
+    if kind == "torus":
+        w, h = params
+        return w * h, [
+            (y * w + x, other)
+            for y in range(h)
+            for x in range(w)
+            for other in (y * w + (x + 1) % w, ((y + 1) % h) * w + x)
+        ]
+    (n,) = params
+    if kind == "path":
+        return n, [(i, i + 1) for i in range(n - 1)]
+    if kind == "cycle":
+        return n, [(i, (i + 1) % n) for i in range(n)]
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _family_case(name, g):
+    """(n, pairs) that the small_graph_family graph `name` was built from."""
+    kind = name.rstrip("0123456789")
+    if kind in ("path", "cycle", "complete"):
+        return _generator_pairs(kind, (int(name[len(kind) :]),))
+    return g.n_vertices, list(g.edges)  # a random graph: make_graph of its sorted edges
+
+
+def _assert_matches_tuple_build(g, n, pairs):
+    edges, adjacency = _tuple_build(n, pairs)
+    assert g.n_vertices == n and g.edges == edges and g.adjacency == adjacency
+    assert all(type(v) is int for edge in g.edges for v in edge)
+    for a in (g.e1, g.e2):
+        assert a.dtype == np.int32 and a.flags.c_contiguous and not a.flags.writeable
+    assert g.e1.tolist() == [i for i, _ in edges] and g.e2.tolist() == [j for _, j in edges]
+
+
+class TestArrayGraph:
+    @pytest.mark.parametrize(
+        "name, g",
+        [
+            pytest.param(name, g, id=name)
+            for name, g in small_graph_family()
+            + [("torus5x7", torus_graph(5, 7)), ("petersen", petersen_graph())]
+        ],
+    )
+    def test_matches_the_tuple_build(self, name, g):
+        if name == "torus5x7":
+            n, pairs = _generator_pairs("torus", (5, 7))
+        elif name == "petersen":
+            n, pairs = 10, petersen_edges()
+        else:
+            n, pairs = _family_case(name, g)
+        _assert_matches_tuple_build(g, n, pairs)
+        _assert_matches_tuple_build(make_graph(n, pairs), n, pairs)
+
+    def test_generators_over_sizes(self):
+        cases = [("path", (n,)) for n in range(1, 30)] + [("complete", (n,)) for n in range(1, 14)]
+        cases += [("cycle", (n,)) for n in range(3, 30)]
+        cases += [("torus", (w, h)) for w in range(3, 8) for h in range(3, 8)]
+        for kind, params in cases:
+            g = generate_graph(kind, params)
+            _assert_matches_tuple_build(g, *_generator_pairs(kind, params))
+
+    def test_value_semantics(self):
+        g = torus_graph(4, 5)
+        twin = load_graph(render_graph(g))
+        assert twin == g and hash(twin) == hash(g) and twin is not g
+        assert len({g, twin, torus_graph(5, 4), path_graph(20)}) == 3
+        assert make_graph(3, [(0, 1)]) != make_graph(3, [(0, 2)])
+        assert make_graph(3, [(0, 1)]) != make_graph(2, [(0, 1)])
+        assert g != g.edges
+
+    def test_pickle_carries_only_the_arrays(self):
+        g = torus_graph(6, 7)
+        size = len(pickle.dumps(g))
+        g.edges, g.adjacency, edge_arrays(g), is_connected(g), hash(g)
+        data = pickle.dumps(g)
+        assert len(data) == size
+        copy = pickle.loads(data)
+        assert copy == g and copy.edges == g.edges
+        assert not copy.e1.flags.writeable and not copy.e2.flags.writeable
+
+    def test_render_reads_the_arrays(self):
+        g = cycle_graph(6)
+        assert render_graph(g) == "6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n"
+        assert "edges" not in vars(g) and "adjacency" not in vars(g)
+
+
 class TestMemo:
     def test_one_search_per_graph_across_a_batch(self, monkeypatch):
         searched = []
-        search = graphs._reaches_all
+        search = _kernel.reaches_all
 
         def counted(g):
             searched.append(g)
             return search(g)
 
-        monkeypatch.setattr(graphs, "_reaches_all", counted)
+        monkeypatch.setattr(_kernel, "reaches_all", counted)
         g = path_graph(20)
         report = consensus_experiment(g, 0.75, 50, 7)
         assert len(report.records) == 50
         for seed in range(3):
             simulate_coupled(g, random_initial(g, seed), SimParams(0.75, seed))
-        assert searched == [g]
+        assert searched == [g] and searched[0] is g
         twin = path_graph(20)
         assert is_connected(twin) and is_connected(twin)
-        assert searched == [g, twin]
-        assert {"connected", "edge_arrays"} <= set(graphs._memo[id(g)])
+        assert searched == [g, twin] and searched[1] is twin
 
     def test_entry_dropped_with_the_graph(self):
+        """What a Graph derives lives on it, and goes with it."""
         g = torus_graph(4, 5)
         assert is_connected(g)
-        edge_arrays(g)
-        key = id(g)
-        assert key in graphs._memo
+        incidence = weakref.ref(edge_arrays(g)[3])
         del g
         gc.collect()
-        assert key not in graphs._memo
+        assert incidence() is None
 
     @pytest.mark.parametrize(
         "g", [make_graph(1, []), path_graph(7), torus_graph(3, 4), petersen_graph()]

@@ -20,6 +20,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from multiprocessing import get_context
@@ -44,12 +45,18 @@ from ctvoter import (
     spawn_seed,
     torus_graph,
 )
-from ctvoter import _kernel, dynamics, edge_process, experiments
+from ctvoter import _kernel, dynamics, edge_process, experiments, graphs
 from ctvoter.common import MASK64, ceil_recip
 from ctvoter.dynamics import DEFAULT_MAX_EVENTS, _live
 
 import test_golden
-from conftest import GOLDEN_CASES, golden_run, petersen_graph, small_graph_family
+from conftest import (
+    GOLDEN_CASES,
+    golden_run,
+    petersen_graph,
+    random_connected_graph,
+    small_graph_family,
+)
 
 EPS = (
     0.0,
@@ -645,6 +652,131 @@ def test_replay_that_diverges_from_the_kernel_raises(compiled, monkeypatch):
         simulate(HOOK_GRAPH, HOOK_INIT, SimParams(0.75, 0, max_events=10), on_event=print)
 
 
+def _search_cases() -> list:
+    """Connected and disconnected graphs: the small family, the named graphs,
+    n = 1, an isolated vertex first, last or alone, and random subgraphs."""
+    cases = [g for _, g in small_graph_family()] + list(GRAPHS.values())
+    cases += [
+        make_graph(1, []),
+        make_graph(2, []),
+        make_graph(4, [(0, 1), (2, 3)]),
+        make_graph(4, [(1, 2), (2, 3), (1, 3)]),
+        make_graph(5, [(0, 1), (1, 2), (2, 3)]),
+    ]
+    rng = random.Random(3)
+    for n in (2, 5, 12, 40):
+        for p in (0.0, 0.05, 0.2):
+            g = random_connected_graph(n, rng.randrange(2**32), p)
+            cases.append(make_graph(n, [e for e in g.edges if rng.random() < 0.8]))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_reaches_all_matches_the_python_search(compiled, request, backend):
+    """is_connected, by ct_reaches_all or without the kernel by _reaches_all,
+    against _reaches_all, each on a graph that has not been searched."""
+    if backend == "python_loop":
+        request.getfixturevalue(backend)
+    cases = _search_cases()
+    expected = [graphs._reaches_all(g) for g in cases]
+    assert set(expected) == {True, False}
+    fresh = [make_graph(g.n_vertices, g.edges) for g in cases]
+    assert [graphs.is_connected(g) for g in fresh] == expected
+    searched = [_kernel.reaches_all(g) for g in cases]
+    assert searched == (expected if backend == "kernel" else [None] * len(cases))
+
+
+def _coupled_bytes(g, seed: int, max_events=None) -> tuple:
+    res = simulate_coupled(g, random_initial(g, seed), SimParams(0.75, seed, max_events=max_events))
+    return json.dumps(res.report.to_dict()), res.weights.tobytes(), res.census_trace
+
+
+def test_hook_nests_a_run_with_the_same_sizes(compiled):
+    """An on_event hook that runs simulate and simulate_coupled on the same
+    graph and sizes while the outer run holds its buffers, after runs alone
+    have left a kept set of those sizes: every report is the one the run
+    gives alone."""
+    g, init, params = HOOK_GRAPH, HOOK_INIT, SimParams(0.75, 0, max_events=2 * LOG_CHUNK + 5)
+
+    def plain(seed):
+        return json.dumps(simulate(g, random_initial(g, seed), params).to_dict())
+
+    def coupled(seed):
+        return _coupled_bytes(g, seed, params.max_events)
+
+    alone = {seed: (plain(seed), coupled(seed)) for seed in range(7)}
+    inner = []
+
+    def hook(t, k, ops, weights=None):
+        if k % 1500 == 1:
+            inner.append((k % 7, (plain(k % 7), coupled(k % 7))))
+
+    nested = json.dumps(simulate(g, init, params, on_event=hook).to_dict())
+    nested_coupled = simulate_coupled(g, init, params, on_event=hook)
+    assert nested == alone[0][0]
+    assert (
+        json.dumps(nested_coupled.report.to_dict()),
+        nested_coupled.weights.tobytes(),
+        nested_coupled.census_trace,
+    ) == alone[0][1]
+    assert len(inner) == 12 and all(got == alone[seed] for seed, got in inner)
+
+
+def test_threads_running_coupled_runs_match_serial(compiled):
+    """Four threads, more than the cores, run coupled replicates at once,
+    each on its own buffers (the kernel call releases the GIL), switching
+    often; their results are the serial ones byte for byte."""
+    g, limit = torus_graph(40, 40), 40000
+    jobs = [[k, k + 4] for k in range(4)]
+    serial = {seed: _coupled_bytes(g, seed, limit) for seeds in jobs for seed in seeds}
+    start = threading.Barrier(len(jobs))
+    found, errors = {}, []
+
+    def run(seeds):
+        try:
+            start.wait(timeout=60)
+            for seed in seeds:
+                found[seed] = _coupled_bytes(g, seed, limit)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(seeds,)) for seeds in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and found == serial
+
+
+def test_kept_buffers_are_written_before_read(compiled):
+    """A thread's kept scratch set is handed out again, uncleared, to the
+    next call with its sizes: filled with junk bytes between runs, it gives
+    the same plain, coupled and batch runs."""
+    g = torus_graph(7, 5)
+    init = random_initial(g, 3)
+    params = SimParams(0.75, 3, max_events=500)
+    runs = {
+        "plain": lambda: json.dumps(simulate(g, init, params).to_dict()),
+        "coupled": lambda: _coupled_bytes(g, 3),
+        "batch": lambda: _comparable(experiments._run_chunk((g, 0.3, None, 0, [11, 12], True))),
+    }
+    for name, run in runs.items():
+        clean = run()
+        kept = _kernel._kept.set[1]
+        for junk in (0x00, 0xFF, 0xA5):
+            for buffer in kept:
+                if buffer is not None:
+                    buffer.view(np.uint8).fill(junk)
+            assert run() == clean, (name, junk)
+            assert _kernel._kept.set[1] is kept
+
+
 def test_ctypes_signature_matches_the_c_prototype(compiled):
     """Each entry point's argtypes has one entry of the matching kind per
     parameter in _kernel.c; a mismatch would corrupt memory, not fail."""
@@ -888,7 +1020,7 @@ ASAN_CASES = (
     " or exact_liveness or seeds_like_random or mixed_values or default_limit"
     " or hook_log or hooked_run or one_kernel_call or random_initial_is_numpys"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
-    " or key_lengths"
+    " or key_lengths or reaches_all or hook_nests or threads_running or kept_buffers"
 )
 ASAN_PLUGIN = """
 from pathlib import Path
