@@ -146,7 +146,8 @@ def scratch(n: int, m: int, cap: int = 0, types: int = 0):
     ((cap + 1) * (types + 2) int64 words); each is None when not asked for.
 
     Each thread keeps its last set and hands it out again to a call with
-    the same sizes, so a run on a large graph finds its pages warm. The set
+    the same sizes, so a run on a large graph finds its pages warm; a call
+    with other sizes frees the kept set before it allocates its own. The set
     is out of the keeping while a call uses it, so a call nested in an
     on_event hook gets a set of its own. The buffers are not cleared: the
     kernel writes each word before it reads it. Each is allocated at its
@@ -154,9 +155,11 @@ def scratch(n: int, m: int, cap: int = 0, types: int = 0):
     """
     key = (n, m, cap, types)
     kept = getattr(_kept, "set", None)
-    if kept is not None and kept[0] == key:
-        _kept.set = None
-    else:
+    # out of the keeping either way: a kept set of other sizes is freed
+    # before the new one is allocated
+    _kept.set = None
+    if kept is None or kept[0] != key:
+        kept = None
         table = np.empty(1 << (2 * n - 1).bit_length(), dtype=np.uint64)
         buffers = (
             np.empty(2 * m + 625, dtype=np.int32),

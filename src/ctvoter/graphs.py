@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +37,19 @@ class Graph:
 
     def __init__(self, n_vertices: int, e1: np.ndarray, e2: np.ndarray):
         e1.flags.writeable = e2.flags.writeable = False
-        self.n_vertices = n_vertices
-        self.e1 = e1
-        self.e2 = e2
-        self._derived: dict = {}
+        # the derived values and the kernel's cached addresses hold only while
+        # these never change, so __setattr__ refuses any later assignment
+        set_ = object.__setattr__
+        set_(self, "n_vertices", n_vertices)
+        set_(self, "e1", e1)
+        set_(self, "e2", e2)
+        set_(self, "_derived", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Graph is immutable: cannot delete {name!r}")
 
     def derived(self, key: str, build):
         """build(self), computed on the first call for key only and kept on self.
@@ -116,39 +126,34 @@ class CliquePeel:
 def make_graph(n_vertices: int, edges) -> Graph:
     """Build a validated Graph from (i, j) pairs, each stored as (min, max) in input order.
 
-    The first bad edge in input order is reported: a self-loop, an index out
-    of range, or a duplicate of an earlier edge after orientation, checked
-    in that order for each edge.
+    The first bad edge in input order is reported: an entry that is not a
+    pair of integers, a self-loop, an index out of range, or a duplicate of
+    an earlier edge after orientation, checked in that order for each edge.
     """
     if n_vertices < 1:
         raise ValueError("graph needs at least one vertex")
     if n_vertices > MAX_VERTICES:
         raise ValueError(f"graph limited to {MAX_VERTICES} vertices (got {n_vertices})")
-    pairs = list(edges)
-    try:
-        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an index beyond int64 is out of range
-        raise _first_bad(n_vertices, pairs) from None
-    lo, hi = ends.min(axis=1), ends.max(axis=1)
-    # one int per edge, equal for two valid edges iff they are one edge
-    keys = (lo * n_vertices + hi).tolist()
-    if ((lo == hi) | (lo < 0) | (hi >= n_vertices)).any() or len(set(keys)) < len(keys):
-        raise _first_bad(n_vertices, pairs)
-    return Graph(n_vertices, lo.astype(np.int32), hi.astype(np.int32))
-
-
-def _first_bad(n_vertices: int, pairs: list) -> ValueError:
-    """The error of the first bad edge of pairs (see make_graph); pairs must have one."""
+    e1, e2 = [], []
     seen = set()
-    for i, j in pairs:
+    for pair in edges:
+        try:
+            i, j = pair
+            i, j = operator.index(i), operator.index(j)
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {pair!r} is not a pair of integers") from None
         if i == j:
-            return ValueError(f"self-loop at vertex {i}")
+            raise ValueError(f"self-loop at vertex {i}")
         if not (0 <= i < n_vertices and 0 <= j < n_vertices):
-            return ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
-        lo, hi = min(i, j), max(i, j)
-        if (lo, hi) in seen:
-            return ValueError(f"duplicate edge ({lo}, {hi})")
-        seen.add((lo, hi))
+            raise ValueError(f"edge ({i}, {j}) out of range for {n_vertices} vertices")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        e1.append(i)
+        e2.append(j)
+    return Graph(n_vertices, np.array(e1, dtype=np.int32), np.array(e2, dtype=np.int32))
 
 
 def path_graph(n: int) -> Graph:

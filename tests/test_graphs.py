@@ -326,13 +326,26 @@ class TestValidation:
         ],
     )
     def test_first_bad_edge_in_input_order(self, edges, message):
-        """The vectorised check reports the earliest bad edge, with each edge
-        checked for a self-loop, then its range, then an earlier twin."""
+        """The earliest bad edge is reported, with each edge checked for a
+        self-loop, then its range, then an earlier twin."""
         with pytest.raises(ValueError, match=f"^{message}$"):
             make_graph(3, edges)
         text = f"3 {len(edges)}\n" + "".join(f"{i} {j}\n" for i, j in edges)
         with pytest.raises(ValueError, match=f"^invalid edge list: {message}$"):
             load_graph(text)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(0, 1, 2, 3)], [0, 1], [(0, 1), (2,)], [("0", "1")], [(0, 0.5)], [(1.0, 2)]],
+        ids=["four_tuple", "flat_list", "short_pair", "strings", "half", "float"],
+    )
+    def test_rejects_entries_that_are_not_integer_pairs(self, edges):
+        with pytest.raises(ValueError, match=r"is not a pair of integers$"):
+            make_graph(4, edges)
+
+    def test_accepts_numpy_integer_pairs(self):
+        pairs = np.array([[0, 1], [2, 1]], dtype=np.int64)
+        assert make_graph(3, pairs) == make_graph(3, [(0, 1), (1, 2)])
 
     def test_rejects_too_many_vertices(self):
         with pytest.raises(ValueError, match="limited to"):
@@ -426,6 +439,15 @@ class TestArrayGraph:
         assert make_graph(3, [(0, 1)]) != make_graph(3, [(0, 2)])
         assert make_graph(3, [(0, 1)]) != make_graph(2, [(0, 1)])
         assert g != g.edges
+
+    def test_attributes_cannot_change(self):
+        g = path_graph(4)
+        for name in ("n_vertices", "e1", "e2", "edges", "_derived"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(g, name, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(g, name)
+        assert g.edges == ((0, 1), (1, 2), (2, 3)) and g == path_graph(4)
 
     def test_pickle_carries_only_the_arrays(self):
         g = torus_graph(6, 7)

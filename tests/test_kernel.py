@@ -21,6 +21,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from multiprocessing import get_context
@@ -775,6 +776,17 @@ def test_kept_buffers_are_written_before_read(compiled):
                     buffer.view(np.uint8).fill(junk)
             assert run() == clean, (name, junk)
             assert _kernel._kept.set[1] is kept
+
+
+def test_kept_set_of_other_sizes_is_freed_before_allocating():
+    """Between calls a thread holds at most one scratch set: a call with
+    other sizes drops the kept set before it allocates its own."""
+    with _kernel.scratch(50, 60, 4, 2) as (buffers, _):
+        gone = [weakref.ref(b) for b in buffers]
+    del buffers
+    with _kernel.scratch(40, 60) as (buffers, _):
+        assert all(ref() is None for ref in gone)
+    assert _kernel._kept.set[0] == (40, 60, 0, 0) and _kernel._kept.set[1] is buffers
 
 
 def test_ctypes_signature_matches_the_c_prototype(compiled):
