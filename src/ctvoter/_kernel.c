@@ -15,7 +15,9 @@
  * compiled run never imports numpy.random. ct_run_replicates runs a batch of
  * the replicates of experiments.run_replicate in one call, drawing each
  * initial configuration with it and counting only the final opinions.
- * ct_reaches_all is graphs.is_connected's search over the CSR incidence. Every
+ * Both run entry points take a struct ct_run, the one record of a run's
+ * graph, parameters, buffers and counters. ct_reaches_all is
+ * graphs.is_connected's search over the CSR incidence. Every
  * floating-point step is one IEEE-754 operation as in Python and NumPy, so
  * it must be compiled without contraction into fused multiply-adds and
  * without fast-math.
@@ -25,20 +27,22 @@
  *
  * Three shortcuts make the generator cheaper and consume the same MT19937
  * words in the same order, so every output stays the same:
- * - Lane seeding. init_by_array starts from init_genrand(19650218), the same
- *   624 words for every seed, so ct_run_replicates computes them once per
- *   call, and it runs the two mixing loops for LANES replicates at once. A
- *   replicate's key has one or two words, so its key index j is 0 on every
- *   step or the step's parity.
+ * - Lane seeding. Every seed lies in [0, 2**64) (common.check_seed), so its
+ *   init_by_array key has one or two 32-bit words, and the key index j is 0
+ *   on every step or the step's parity. init_by_array starts from
+ *   init_genrand(19650218), the same 624 words for every seed, so
+ *   ct_run_replicates computes them once per call, and it runs the two
+ *   mixing loops for LANES replicates at once. ct_run_events seeds its one
+ *   run by the same rule.
  * - The direction coin. random() is (a * 2**26 + b) / 2**53 with a = w1 >> 5
  *   and b = w2 >> 6 < 2**26, so random() < 0.5 iff a * 2**26 + b < 2**52 iff
  *   a < 2**26 (b cannot carry a across 2**52) iff w1 < 2**31. The coin reads
  *   the first word and skips the second without tempering it.
- * - The clock. A batch to absorption (t_max = +inf) passes no clock: each
- *   holding time's two words are skipped and no -log(1 - u) / (2n) is taken.
- *   The clock is finite and each holding time finite and >= 0, so t + dt >
- *   +inf never holds and the run stops where it would; its record carries
- *   no clock.
+ * - The clock. A run with an infinite t_max and neither trace nor log (a
+ *   batch to absorption) keeps no clock: each holding time's two words are
+ *   skipped and no -log(1 - u) / (2n) is taken. The clock is finite and each
+ *   holding time finite and >= 0, so t + dt > +inf never holds and the run
+ *   stops where it would; its record's clock stays 0.
  */
 
 #include <math.h>
@@ -60,68 +64,45 @@ static void init_genrand(uint32_t *mt, uint32_t s)
     mt[MT_N] = MT_N;
 }
 
-/* CPython's init_by_array (Matsumoto & Nishimura 1998), as random.seed(n)
- * calls it with the 32-bit little-endian words of abs(n). */
-static void init_by_array(uint32_t *mt, const uint32_t *key, size_t key_length)
-{
-    size_t i = 1, j = 0, k;
-    init_genrand(mt, 19650218U);
-    for (k = MT_N > key_length ? MT_N : key_length; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
-        i++;
-        j++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-        if (j >= key_length)
-            j = 0;
-    }
-    for (k = MT_N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
-        i++;
-        if (i >= MT_N) {
-            mt[0] = mt[MT_N - 1];
-            i = 1;
-        }
-    }
-    mt[0] = 0x80000000U;
-}
-
 /*
- * init_by_array for LANES states at once, state l from the key of seed
- * seeds[l] < 2**64 (one 32-bit word, or two if the seed needs them), starting
- * from base, init_genrand(19650218) computed once by the caller. Each step
+ * CPython's init_by_array (Matsumoto & Nishimura 1998), as random.seed(n)
+ * calls it with the 32-bit little-endian words of n, for `lanes` <= LANES
+ * states at once: state l from the key of seed seeds[l] < 2**64 (one word,
+ * {0} for 0, or two if the seed needs them), starting from base,
+ * init_genrand(19650218) computed once by the caller. Each step
  * of both mixing loops is the scalar one for each lane in turn: the lanes'
  * multiply chains are independent, so they overlap. With at most two key
  * words, init_by_array's key index j is 0 on every step for one word and
  * the step's parity for two, so step s adds add[l][s & 1], key[j] + j. The
  * first loop's first pass, i = 1 .. 623, reads base[i] where init_by_array
- * reads its own copy of it.
+ * reads its own copy of it. Inlined into both callers, each with a constant
+ * `lanes`: called out of line, a batch replicate took about 1 us more (3.0
+ * against 4.0 us on path:20 at eps 0, with no event), and four lanes for
+ * ct_run_events' one seed about 10 us more than one.
  */
 #define LANES 4
 
-static void init_by_array_lanes(uint32_t mt[LANES][MT_N + 1], const uint32_t *base,
-                                const uint64_t seeds[LANES])
+__attribute__((always_inline)) static inline void
+init_by_array_lanes(uint32_t mt[][MT_N + 1], const uint32_t *base, const uint64_t *seeds, int lanes)
 {
     uint32_t add[LANES][2], prev[LANES];
     int i, l;
-    for (l = 0; l < LANES; l++) {
+    for (l = 0; l < lanes; l++) {
         add[l][0] = (uint32_t)seeds[l];
         add[l][1] = seeds[l] >> 32 ? (uint32_t)(seeds[l] >> 32) + 1U : add[l][0];
         prev[l] = base[0];
     }
     for (i = 1; i < MT_N; i++) /* steps 0 .. 622 */
-        for (l = 0; l < LANES; l++)
+        for (l = 0; l < lanes; l++)
             prev[l] = mt[l][i] =
                 (base[i] ^ ((prev[l] ^ (prev[l] >> 30)) * 1664525U)) + add[l][(i - 1) & 1];
-    for (l = 0; l < LANES; l++) /* step 623, after mt[0] = mt[623]; i = 1 */
+    for (l = 0; l < lanes; l++) /* step 623, after mt[0] = mt[623]; i = 1 */
         prev[l] = mt[l][1] = (mt[l][1] ^ ((prev[l] ^ (prev[l] >> 30)) * 1664525U)) + add[l][1];
     for (i = 2; i < MT_N; i++) /* the second loop from i = 2 */
-        for (l = 0; l < LANES; l++)
+        for (l = 0; l < lanes; l++)
             prev[l] = mt[l][i] =
                 (mt[l][i] ^ ((prev[l] ^ (prev[l] >> 30)) * 1566083941U)) - (uint32_t)i;
-    for (l = 0; l < LANES; l++) { /* its last step, after mt[0] = mt[623]; i = 1 */
+    for (l = 0; l < lanes; l++) { /* its last step, after mt[0] = mt[623]; i = 1 */
         mt[l][1] = (mt[l][1] ^ ((prev[l] ^ (prev[l] >> 30)) * 1566083941U)) - 1U;
         mt[l][0] = 0x80000000U;
         mt[l][MT_N] = MT_N;
@@ -306,63 +287,33 @@ __attribute__((noinline)) static void move_weights(double *weights, int64_t *cen
 }
 
 /*
- * The trace arrays of a run: the clocks t, the (events, distinct,
- * extremists) rows, and, if census is not NULL, the live census row of
- * `width` counts followed by one copy of it per sample.
- */
-struct trace {
-    double *t;
-    int64_t *rows, *census;
-    int64_t width;
-};
-
-/* Append sample *samples at clock t after `events` events, with the counts `now`. */
-static void take_sample(const struct trace *tr, int64_t *samples, double t, int64_t events,
-                        const int64_t now[2])
-{
-    int64_t s = (*samples)++, *row = tr->rows + 3 * s;
-    tr->t[s] = t;
-    row[0] = events;
-    row[1] = now[0];
-    row[2] = now[1];
-    if (tr->census != NULL)
-        memcpy(tr->census + (s + 1) * tr->width, tr->census, tr->width * sizeof *tr->census);
-}
-
-/*
- * Run the process on a graph with n vertices and m edges until max_events
- * events have run, the clock would pass t_max (then the clock is set to
- * t_max) or no edge is active; returns CT_LIMIT, CT_T_MAX or CT_ABSORBED.
- * The call pauses instead, returning CT_PAUSE, when `until` events have run
- * and none of these has happened; calling again resumes the run.
+ * One run of the process on a graph with n vertices and m edges, the record
+ * both run entry points take; _kernel.Run mirrors it field for field.
  *
  * Edge f joins e1[f] < e2[f]; the edges at vertex v, in increasing index
- * order, are inc_edge[inc_start[v] .. inc_start[v + 1]). The run's state
- * lives in the caller's buffers and is updated in place: opinions `ops`
- * (n), the scratch `work` of 2m + 625 words (the active edges
- * active[0..state[1]), their positions pos (m each, -1 when inactive), then
- * the generator's 625 words), the event count state[0], the sample count
- * state[2], the distinct-opinion and extremist counts state[3] and state[4]
- * of a traced run, and the clock *clock. If `weights` is not NULL it holds
- * the coupled edge weights: the fired edge is set to 0.0 and the other edges
- * at the target gain or lose the target's change by orientation.
+ * order, are inc_edge[inc_start[v] .. inc_start[v + 1]). The run stops once
+ * max_events events have run, the clock would pass t_max (then the clock is
+ * set to t_max) or no edge is active, and pauses when `until` events have
+ * run. `seed` (< 2**64) seeds the generator of ct_run_events.
  *
- * A call with state[1] < 0 starts the run: it seeds the generator from
- * `key`, the key_length 32-bit little-endian words of abs(seed) ({0} for 0),
- * unless key is NULL, when the caller has seeded it, and builds the active
- * set. If clock is NULL, t_max must be +inf and there must be no trace or
- * log: the run keeps no clock and skips the holding times' words. If
- * trace_t is not NULL, samples are taken at events 0, 1, 2, 4, ... and at
+ * The buffers are the caller's: the opinions `ops` (n), the scratch `work`
+ * of 2m + 625 words (the active edges, their positions pos (m each, -1 when
+ * inactive), then the generator's 625 words), and those of the observers
+ * below, each NULL when the run has no such observer. If `weights` is not
+ * NULL it holds the coupled edge weights: the fired edge is set to 0.0 and
+ * the other edges at the target gain or lose the target's change by
+ * orientation.
+ *
+ * If trace_t is not NULL, samples are taken at events 0, 1, 2, 4, ... and at
  * the final state if its clock differs from the last sample's; sample s is
  * written to trace_t[s] (clock) and to the row trace[3s .. 3s + 3) (events,
  * distinct opinions, opinions outside (1 - eps, eps)). Both need room for
  * cap = bit_length(max_events) + 2 samples. The start hashes the opinions
- * once into `table` (see
- * count_opinions), keeping each vertex's slot and the count per slot in
- * `slots` (n + the table's length words). An event copies the source's slot
- * with its opinion and moves one count, so the counts change in O(1) per
- * event and a sample copies them. None of table, slots or trace is used
- * when trace_t is NULL.
+ * once into `table` (see count_opinions), keeping each vertex's slot and the
+ * count per slot in `slots` (n + the table's length words). An event copies
+ * the source's slot with its opinion and moves one count, so the counts
+ * change in O(1) per event and a sample copies them. Without a trace only a
+ * batch uses `table`, to count the final opinions.
  *
  * If `census` is not NULL (it is passed only with weights, a trace and eps >
  * 0) it holds cap + 1 rows of types + 2 counts. The first is the live census
@@ -370,49 +321,91 @@ static void take_sample(const struct trace *tr, int64_t *samples, double t, int6
  * un-bins and re-bins the weights it changes, and sample s copies the row
  * to row s + 1.
  *
- * If log_t is not NULL, the call logs its j-th event to log_t[j - 1] (its
+ * If log_t is not NULL, a call logs its j-th event to log_t[j - 1] (its
  * clock) and log_edge[j - 1] (the fired edge f, or ~f when its lower
  * endpoint e1[f] was the target); the log needs room for the events up to
  * `until`.
+ *
+ * The counters carry the run from call to call: the event count, the number
+ * of active edges (-1 before the start, which the caller sets), the sample
+ * count, the distinct-opinion and extremist counts of a traced run, and the
+ * clock.
  */
-int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
-                  const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
-                  const uint32_t *key, int32_t key_length, double *ops, double *weights,
-                  int32_t *work, uint64_t *table, int32_t *slots, int64_t *state, double *clock,
-                  double *trace_t, int64_t *trace, int64_t *census, int32_t types, double *log_t,
-                  int32_t *log_edge, double eps, double t_max, int64_t max_events, int64_t until)
+struct ct_run {
+    const int32_t *e1, *e2, *inc_start, *inc_edge;
+    int32_t n_vertices, n_edges;
+    double eps, t_max;
+    int64_t max_events, until;
+    uint64_t seed;
+    double *ops, *weights;
+    int32_t *work;
+    uint64_t *table;
+    int32_t *slots;
+    double *trace_t;
+    int64_t *trace, *census;
+    int32_t types;
+    double *log_t;
+    int32_t *log_edge;
+    int64_t events, active, samples, distinct, extremists;
+    double clock;
+};
+
+/* Write sample s at clock t after `events` events, with the counts `now`. */
+static void take_sample(const struct ct_run *run, int64_t s, double t, int64_t events,
+                        const int64_t now[2])
 {
-    int32_t *active = work, *pos = work + n_edges;
-    uint32_t *mt = (uint32_t *)(pos + n_edges);
-    struct trace tr = {trace_t, trace, census, (int64_t)types + 2};
-    int64_t events, n, *now = state + 3; /* distinct opinions, extremists */
-    double t;
-    if (state[1] < 0) {
-        if (key != NULL)
-            init_by_array(mt, key, (size_t)key_length);
+    int64_t width = (int64_t)run->types + 2, *row = run->trace + 3 * s;
+    run->trace_t[s] = t;
+    row[0] = events;
+    row[1] = now[0];
+    row[2] = now[1];
+    if (run->census != NULL)
+        memcpy(run->census + (s + 1) * width, run->census, width * sizeof *run->census);
+}
+
+/*
+ * Run the run's events (see struct ct_run), starting it if its active count
+ * is negative, on the generator its caller has seeded at the start; returns
+ * CT_LIMIT, CT_T_MAX, CT_ABSORBED or, at `until`, CT_PAUSE. The record's
+ * fields are read into locals first and the counters written back at the
+ * end, so that no store through a buffer can alias them in the loop. The
+ * run keeps a clock iff t_max is finite or it has a trace or a log.
+ */
+static int run_events(struct ct_run *run)
+{
+    const int32_t *e1 = run->e1, *e2 = run->e2, *inc_start = run->inc_start;
+    const int32_t *inc_edge = run->inc_edge, n_vertices = run->n_vertices, types = run->types;
+    const double eps = run->eps, t_max = run->t_max;
+    const int64_t max_events = run->max_events, until = run->until;
+    double *ops = run->ops, *weights = run->weights, *trace_t = run->trace_t, *log_t = run->log_t;
+    int32_t *active = run->work, *pos = active + run->n_edges, *slots = run->slots;
+    int32_t *log_edge = run->log_edge;
+    int64_t *census = run->census;
+    uint32_t *mt = (uint32_t *)(pos + run->n_edges);
+    const int clocked = t_max < INFINITY || trace_t != NULL || log_t != NULL;
+    int64_t events = run->events, n = run->active, samples = run->samples;
+    int64_t now[2] = {run->distinct, run->extremists}; /* distinct opinions, extremists */
+    double t = run->clock;
+    if (n < 0) {
         n = 0;
-        for (int32_t f = 0; f < n_edges; f++) {
+        for (int32_t f = 0; f < run->n_edges; f++) {
             pos[f] = -1;
             if (live(ops[e1[f]], ops[e2[f]], eps)) {
                 pos[f] = (int32_t)n;
                 active[n++] = f;
             }
         }
-        state[2] = events = 0;
+        samples = events = 0;
         t = 0.0;
         if (trace_t != NULL) {
-            count_opinions(table, slots, ops, n_vertices, eps, now);
+            count_opinions(run->table, slots, ops, n_vertices, eps, now);
             if (census != NULL) {
-                memset(census, 0, tr.width * sizeof *census);
-                for (int32_t f = 0; f < n_edges; f++)
+                memset(census, 0, ((size_t)types + 2) * sizeof *census);
+                for (int32_t f = 0; f < run->n_edges; f++)
                     tally(census, types, weights[f], eps, 1);
             }
-            take_sample(&tr, &state[2], t, events, now);
+            take_sample(run, samples++, t, events, now);
         }
-    } else {
-        events = state[0];
-        n = state[1];
-        t = clock != NULL ? *clock : 0.0;
     }
     const int64_t first = events;
     uint64_t next_trace = 1;
@@ -421,7 +414,7 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
 
     int code = CT_LIMIT;
     while (n > 0 && events < max_events && events != until) {
-        if (clock != NULL) {
+        if (clocked) {
             double dt = -log(1.0 - random53(mt)) / (2.0 * (double)n);
             if (t + dt > t_max) {
                 t = t_max;
@@ -474,7 +467,7 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
             counts[slots[tgt] = slots[src]]++;
             now[1] += extreme(ops[tgt], eps) - extreme(old, eps);
             if ((uint64_t)events == next_trace) {
-                take_sample(&tr, &state[2], t, events, now);
+                take_sample(run, samples++, t, events, now);
                 next_trace *= 2;
             }
         }
@@ -482,17 +475,35 @@ int ct_run_events(const int32_t *e1, const int32_t *e2, const int32_t *inc_start
     /* the loop ran out of active edges, of events, or up to `until`, in that order */
     if (code == CT_LIMIT)
         code = n == 0 ? CT_ABSORBED : events < max_events ? CT_PAUSE : CT_LIMIT;
-    if (code != CT_PAUSE && trace_t != NULL && trace_t[state[2] - 1] != t)
-        take_sample(&tr, &state[2], t, events, now);
-    state[0] = events;
-    state[1] = n;
-    if (clock != NULL)
-        *clock = t;
+    if (code != CT_PAUSE && trace_t != NULL && trace_t[samples - 1] != t)
+        take_sample(run, samples++, t, events, now);
+    run->events = events;
+    run->active = n;
+    run->samples = samples;
+    run->distinct = now[0];
+    run->extremists = now[1];
+    run->clock = t;
     return code;
 }
 
 /*
- * 1 iff every vertex of the graph (edges and incidence as in ct_run_events)
+ * Run `run` (see struct ct_run and run_events), or resume it when its active
+ * count is not negative. The start seeds the generator from run->seed as
+ * random.Random(seed) does, by the lanes' rule with one lane used.
+ */
+int ct_run_events(struct ct_run *run)
+{
+    if (run->active < 0) {
+        uint32_t base[MT_N + 1];
+        init_genrand(base, 19650218U);
+        init_by_array_lanes((uint32_t(*)[MT_N + 1])(run->work + 2 * (ptrdiff_t)run->n_edges),
+                            base, &run->seed, 1);
+    }
+    return run_events(run);
+}
+
+/*
+ * 1 iff every vertex of the graph (edges and incidence as in struct ct_run)
  * is reachable from vertex 0, by a depth-first search; 0 otherwise. work
  * holds 2 * n_vertices words: the seen marks, then the stack, on which each
  * vertex is pushed at most once.
@@ -608,49 +619,41 @@ int ct_draw_uniform(double *ops, int32_t n, uint64_t seed)
 }
 
 /*
- * Run `reps` replicates of experiments.run_replicate on one graph (as in
- * ct_run_events) at one eps, t_max and max_events. Replicate r with seed
- * seeds[r] starts from the opinions default_rng(spawn_seed(seeds[r], 0))
- * draws and runs on the event stream random.Random(spawn_seed(seeds[r], 1)).
- * It writes out[4r] (its events), out[4r + 1] (its stop code: CT_LIMIT,
- * CT_T_MAX or CT_ABSORBED), out[4r + 2] (its distinct final opinions) and
- * out[4r + 3] (its final opinions outside (1 - eps, eps)), counted once on
- * the final state. If `final` is not NULL, replicate 0's n final opinions
- * are copied to it. Each replicate is one ct_run_events call without trace,
- * census, log or weights, on the caller's opinions `ops` (n), `work` and
- * `table`, reused by every replicate, and without a clock if t_max is +inf;
- * its generator is seeded with those of the other replicates in its block of
- * LANES; returns 0.
+ * Run `reps` replicates of experiments.run_replicate on the graph, eps,
+ * t_max and max_events of `run`, whose opinions `ops`, `work` and `table` it
+ * reuses for every replicate; it has no trace, census, log or weights, and
+ * its until is max_events. Replicate r with seed seeds[r] starts from the
+ * opinions default_rng(spawn_seed(seeds[r], 0)) draws and runs on the event
+ * stream random.Random(spawn_seed(seeds[r], 1)). It writes out[4r] (its
+ * events), out[4r + 1] (its stop code: CT_LIMIT, CT_T_MAX or CT_ABSORBED),
+ * out[4r + 2] (its distinct final opinions) and out[4r + 3] (its final
+ * opinions outside (1 - eps, eps)), counted once on the final state. If
+ * `final` is not NULL, replicate 0's n final opinions are copied to it. Each
+ * replicate is one run_events call on a copy of the record, its generator
+ * seeded with those of the other replicates in its block of LANES; returns 0.
  */
-int ct_run_replicates(const int32_t *e1, const int32_t *e2, const int32_t *inc_start,
-                      const int32_t *inc_edge, int32_t n_vertices, int32_t n_edges,
-                      const uint64_t *seeds, int64_t reps, double eps, double t_max,
-                      int64_t max_events, double *ops, int32_t *work, uint64_t *table,
+int ct_run_replicates(const struct ct_run *run, const uint64_t *seeds, int64_t reps,
                       int64_t *out, double *final)
 {
     uint32_t base[MT_N + 1], lanes[LANES][MT_N + 1];
-    uint32_t *mt = (uint32_t *)(work + 2 * (ptrdiff_t)n_edges);
-    int64_t state[5];
-    double clock, *clock_slot = t_max == INFINITY ? NULL : &clock;
+    uint32_t *mt = (uint32_t *)(run->work + 2 * (ptrdiff_t)run->n_edges);
+    struct ct_run rep = *run;
     init_genrand(base, 19650218U);
     for (int64_t r = 0; r < reps; r++) {
         if (r % LANES == 0) {
             uint64_t event_seeds[LANES] = {0};
             for (int l = 0; l < LANES && r + l < reps; l++)
                 event_seeds[l] = spawn_seed(seeds[r + l], 1);
-            init_by_array_lanes(lanes, base, event_seeds);
+            init_by_array_lanes(lanes, base, event_seeds, LANES);
         }
         memcpy(mt, lanes[r % LANES], sizeof lanes[0]);
-        ct_draw_uniform(ops, n_vertices, spawn_seed(seeds[r], 0));
-        state[1] = -1;
-        int64_t *rep = out + 4 * r;
-        rep[1] = ct_run_events(e1, e2, inc_start, inc_edge, n_vertices, n_edges, NULL, 0, ops,
-                               NULL, work, NULL, NULL, state, clock_slot, NULL, NULL, NULL, 0,
-                               NULL, NULL, eps, t_max, max_events, max_events);
-        rep[0] = state[0];
-        count_opinions(table, NULL, ops, n_vertices, eps, rep + 2);
+        ct_draw_uniform(rep.ops, rep.n_vertices, spawn_seed(seeds[r], 0));
+        rep.active = -1;
+        out[4 * r + 1] = run_events(&rep);
+        out[4 * r] = rep.events;
+        count_opinions(rep.table, NULL, rep.ops, rep.n_vertices, rep.eps, out + 4 * r + 2);
         if (r == 0 && final != NULL)
-            memcpy(final, ops, (size_t)n_vertices * sizeof *ops);
+            memcpy(final, rep.ops, (size_t)rep.n_vertices * sizeof *rep.ops);
     }
     return 0;
 }

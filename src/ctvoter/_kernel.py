@@ -46,17 +46,31 @@ LOG_CHUNK = 4096
 log = logging.getLogger(__name__)
 
 _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
-# argument types of the library's entry points, one per parameter in _kernel.c
+
+
+class Run(ctypes.Structure):
+    """struct ct_run of _kernel.c, field for field: a run's graph arrays and
+    sizes, its parameters and seed, the addresses of its buffers (None for
+    an observer it has not) and its counters. dynamics._kernel_run fills it."""
+
+    _fields_ = [
+        *((name, _pointer) for name in ("e1", "e2", "inc_start", "inc_edge")),
+        ("n_vertices", _int32), ("n_edges", _int32), ("eps", _double), ("t_max", _double),
+        ("max_events", _int64), ("until", _int64), ("seed", ctypes.c_uint64),
+        *((name, _pointer) for name in ("ops", "weights", "work", "table", "slots", "trace_t")),
+        ("trace", _pointer), ("census", _pointer), ("types", _int32),
+        ("log_t", _pointer), ("log_edge", _pointer),
+        *((name, _int64) for name in ("events", "active", "samples", "distinct", "extremists")),
+        ("clock", _double),
+    ]
+
+
+# argument types of the library's entry points, one per parameter in _kernel.c;
+# a struct ct_run is passed by its address
 SIGNATURES = {
     "ct_draw_uniform": [_pointer, _int32, ctypes.c_uint64],
-    "ct_run_events": (
-        [_pointer] * 4 + [_int32, _int32, _pointer, _int32] + [_pointer] * 10
-        + [_int32, _pointer, _pointer, _double, _double, _int64, _int64]
-    ),
-    "ct_run_replicates": (
-        [_pointer] * 4 + [_int32, _int32, _pointer, _int64, _double, _double, _int64]
-        + [_pointer] * 5
-    ),
+    "ct_run_events": [_pointer],
+    "ct_run_replicates": [_pointer, _pointer, _int64, _pointer, _pointer],
     "ct_reaches_all": [_pointer] * 4 + [_int32, _pointer],
 }
 

@@ -31,6 +31,16 @@ def check_epsilon(eps: float) -> float:
     return eps
 
 
+def check_seed(seed: int) -> int:
+    """seed, if it is an int in [0, 2**64); TypeError for any other type,
+    bool included, and ValueError for an int outside that range."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def ceil_recip(eps: float) -> int:
     """Least integer not less than 1/eps, exact on the binary value of eps.
 

@@ -13,6 +13,7 @@ inactive edges are no-ops.
 from __future__ import annotations
 
 import array
+import ctypes
 import math
 import random
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel
-from .common import MASK64, check_epsilon
+from .common import check_epsilon, check_seed
 from .graphs import Graph, edge_arrays, is_connected
 
 DEFAULT_MAX_EVENTS = 10**10  # safety valve when only absorption is requested
@@ -42,9 +43,7 @@ class SimParams:
     max_events: int | None = None
 
     def __post_init__(self):
-        # random.Random hashes any other object, and the kernel seeds from int keys only
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
+        check_seed(self.seed)
         if self.max_events is not None and (
             not isinstance(self.max_events, int) or isinstance(self.max_events, bool)
         ):
@@ -82,12 +81,13 @@ class SimReport:
 def random_initial(g: Graph, seed: int) -> np.ndarray:
     """N independent uniform [0, 1) opinions: np.random.default_rng(seed).random(N).
 
-    The compiled kernel's ct_draw_uniform draws them bit for bit as NumPy
-    does, for an int seed in [0, 2**64), without importing numpy.random (7
-    to 10 ms, once per process). NumPy draws them when there is no kernel,
-    and for any other seed, which it accepts or rejects as it always does.
+    seed must be an int in [0, 2**64) (common.check_seed). The compiled
+    kernel's ct_draw_uniform draws them bit for bit as NumPy does, without
+    importing numpy.random (7 to 10 ms, once per process); NumPy draws them
+    when there is no kernel.
     """
-    lib = _kernel.load() if type(seed) is int and 0 <= seed <= MASK64 else None
+    check_seed(seed)
+    lib = _kernel.load()
     if lib is None:
         return np.random.default_rng(seed).random(g.n_vertices)
     ops = np.empty(g.n_vertices)
@@ -121,8 +121,18 @@ def _live(a: float, b: float, eps: float) -> bool:
 
 
 def is_absorbing(g: Graph, config, epsilon: float) -> bool:
-    """True iff every edge has equal endpoints or separation at least epsilon."""
-    return not any(_live(config[i], config[j], epsilon) for i, j in g.edges)
+    """True iff every edge has equal endpoints or separation at least epsilon.
+
+    _live decides each edge whose rounded difference d is nonzero with |d| <=
+    |epsilon|, found over the endpoint arrays; every other edge is not live,
+    since a nonzero exact difference rounds to a nonzero d, and rounding
+    keeps |d| <= |epsilon| for an exact difference of at most |epsilon|.
+    """
+    x = np.asarray(config, dtype=np.float64)
+    d = x[g.e1] - x[g.e2]
+    edges = np.flatnonzero((d != 0.0) & (np.abs(d) <= abs(epsilon)))
+    pairs = zip(x[g.e1[edges]].tolist(), x[g.e2[edges]].tolist())
+    return not any(_live(a, b, epsilon) for a, b in pairs)
 
 
 def extremist_count(config, epsilon: float) -> int:
@@ -238,7 +248,7 @@ def _run_events(
     t = 0.0
     events = 0
     t_max = params.t_max
-    max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
+    max_events = _event_limit(params.max_events)
 
     sample(t, events)
     next_trace = 1
@@ -280,8 +290,28 @@ def _run_events(
     return report, census_trace
 
 
+def _event_limit(max_events: int | None) -> int:
+    """A run's event limit: max_events, DEFAULT_MAX_EVENTS for None, and at
+    most _kernel.MAX_EVENTS."""
+    return min(DEFAULT_MAX_EVENTS if max_events is None else max_events, _kernel.MAX_EVENTS)
+
+
+def _kernel_run(
+    g: Graph, eps: float, t_max: float | None, max_events: int, **fields
+) -> _kernel.Run:
+    """The record of a kernel run on g at eps, to t_max (None for no limit)
+    and max_events (an _event_limit), which is also its until; `fields` are
+    the others the run uses (its seed, buffer addresses and census types).
+    Its active count -1 makes the kernel start the run."""
+    t_max = math.inf if t_max is None else t_max
+    return _kernel.Run(
+        *_kernel.graph_pointers(g), g.n_vertices, g.n_edges, eps, t_max, max_events, max_events,
+        active=-1, **fields,
+    )
+
+
 def _compiled_events(
-    run, g: Graph, ops: np.ndarray, params: SimParams, on_event, weights, census_types
+    run_events, g: Graph, ops: np.ndarray, params: SimParams, on_event, weights, census_types
 ) -> tuple[SimReport, list]:
     """Run the compiled kernel over one replicate; returns what _run_events does.
 
@@ -302,73 +332,50 @@ def _compiled_events(
     ):
         raise ValueError("weights must be a contiguous float64 array, one entry per edge")
     eps = params.epsilon
-    t_max = math.inf if params.t_max is None else params.t_max
-    max_events = params.max_events if params.max_events is not None else DEFAULT_MAX_EVENTS
-    max_events = min(max_events, _kernel.MAX_EVENTS)
+    max_events = _event_limit(params.max_events)
     cap = max_events.bit_length() + 2  # samples at 0, 1, 2, 4, ... <= max_events, and the end
-    seed = abs(params.seed)
-    # the 32-bit little-endian words of abs(seed), which random.seed hands to init_by_array
-    key = array.array("I", [seed >> s & 0xFFFFFFFF for s in range(0, seed.bit_length() or 1, 32)])
     # one copy of the validated opinions, into a buffer of exactly n entries
     x = array.array("d", [0.0]) * n
     memoryview(x).cast("B")[:] = memoryview(ops).cast("B")
-    # events, active edges (-1 to start), samples, distinct opinions, extremists
-    state = array.array("q", [0, -1, 0, 0, 0])
-    clock = array.array("d", [0.0])
     times = array.array("d", [0.0]) * cap
     rows = array.array("q", [0]) * (3 * cap)  # events, distinct, extremists per sample
+    log = {}
     if on_event is not None:  # the event log, and the lists it is replayed on
         log_t = array.array("d", [0.0]) * _kernel.LOG_CHUNK
         log_edge = array.array("i", [0]) * _kernel.LOG_CHUNK
+        log = {"log_t": log_t.buffer_info()[0], "log_edge": log_edge.buffer_info()[0]}
         lists = (ops.tolist(), None if weights is None else weights.tolist(), _edge_lists(g))
-    with _kernel.scratch(n, m, cap, census_types) as (buffers, addresses):
+    with _kernel.scratch(n, m, cap, census_types) as (buffers, (work, table, slots, census)):
         # the buffers stay referenced here for as long as the kernel uses them
-        args = [
-            *_kernel.graph_pointers(g),
-            n,
-            m,
-            key.buffer_info()[0],
-            len(key),
-            x.buffer_info()[0],
-            None if weights is None else weights.ctypes.data,
-            *addresses[:3],
-            state.buffer_info()[0],
-            clock.buffer_info()[0],
-            times.buffer_info()[0],
-            rows.buffer_info()[0],
-            addresses[3],
-            census_types,
-            None if on_event is None else log_t.buffer_info()[0],
-            None if on_event is None else log_edge.buffer_info()[0],
-            eps,
-            t_max,
-            max_events,
-            max_events,  # until
-        ]
-        if on_event is None:
-            code = run(*args)
-        else:
-            code = _kernel.PAUSE
-            while code == _kernel.PAUSE:
-                first = state[0]
-                args[-1] = min(max_events, first + _kernel.LOG_CHUNK)
-                code = run(*args)
-                for j in range(state[0] - first):
+        run = _kernel_run(
+            g, eps, params.t_max, max_events, seed=params.seed, ops=x.buffer_info()[0],
+            weights=None if weights is None else weights.ctypes.data, work=work, table=table,
+            slots=slots, trace_t=times.buffer_info()[0], trace=rows.buffer_info()[0],
+            census=census, types=census_types, **log,
+        )
+        address = ctypes.addressof(run)
+        code = _kernel.PAUSE
+        while code == _kernel.PAUSE:
+            first = run.events
+            if on_event is not None:
+                run.until = min(max_events, first + _kernel.LOG_CHUNK)
+            code = run_events(address)
+            if on_event is not None:
+                for j in range(run.events - first):
                     _apply_event(*lists, eps, log_edge[j], log_t[j], first + j + 1, on_event)
         width = census_types + 2
         # the samples' census rows, copied out before the set is handed on
-        samples = state[2]
+        samples = run.samples
         census = None if buffers[3] is None else buffers[3][width : (samples + 1) * width].tolist()
     if on_event is not None and any(
         a is not None and array.array("d", a).tobytes() != b.tobytes()
         for a, b in zip(lists, (x, weights))
     ):
         raise RuntimeError("the replayed event log does not match the kernel's final state")
-    events, active_edges = state[:2]
     opinion_trace = list(zip(times[:samples], rows[1 : 3 * samples : 3]))
     extremist_trace = list(zip(times[:samples], rows[2 : 3 * samples : 3])) if eps > 0.5 else []
     report = SimReport(
-        np.frombuffer(x), clock[0], events, active_edges == 0, opinion_trace, extremist_trace,
+        np.frombuffer(x), run.clock, run.events, run.active == 0, opinion_trace, extremist_trace,
         _kernel.STOP_REASONS[code],
     )
     census_trace = [] if census is None else [

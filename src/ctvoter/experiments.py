@@ -14,7 +14,7 @@ run_replicate.
 from __future__ import annotations
 
 import array
-import math
+import ctypes
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -26,6 +26,8 @@ from .common import spawn_seed, strict_json
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
+    _event_limit,
+    _kernel_run,
     count_opinions,
     extremist_count,
     random_initial,
@@ -154,19 +156,10 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     out = array.array("q", [0]) * (4 * reps)  # events, stop code, nu, extremists
     final = array.array("d", [0.0]) * n if keep_final else None
     with _kernel.scratch(n, g.n_edges) as (_, (work, table, _, _)):
+        limit = _event_limit(DEFAULT_MAX_EVENTS)
+        run = _kernel_run(g, eps, t_max, limit, ops=ops.buffer_info()[0], work=work, table=table)
         lib["ct_run_replicates"](
-            *_kernel.graph_pointers(g),
-            n,
-            g.n_edges,
-            seed_words.buffer_info()[0],
-            reps,
-            eps,
-            math.inf if t_max is None else t_max,
-            min(DEFAULT_MAX_EVENTS, _kernel.MAX_EVENTS),
-            ops.buffer_info()[0],
-            work,
-            table,
-            out.buffer_info()[0],
+            ctypes.addressof(run), seed_words.buffer_info()[0], reps, out.buffer_info()[0],
             None if final is None else final.buffer_info()[0],
         )
     wall = (time.perf_counter() - start) / reps

@@ -18,7 +18,7 @@ from ctvoter import (
     simulate_coupled,
     spawn_seed,
 )
-from ctvoter.dynamics import opinions_from_csv, opinions_to_csv
+from ctvoter.dynamics import _live, opinions_from_csv, opinions_to_csv
 
 from conftest import random_connected_graph
 
@@ -53,6 +53,36 @@ class TestAbsorbingAndCounts:
 
     def test_eps_zero_everything_absorbing(self):
         assert is_absorbing(path_graph(3), [0.1, 0.11, 0.12], 0.0)
+
+    @pytest.mark.parametrize("eps", [1.0, 0.75, 0.5, 1 / 3, 0.3, 0.1, 2**-60])
+    def test_agrees_with_the_edge_rule_at_eps(self, eps):
+        """Pairs whose gap rounds to eps, and those one and two floats either
+        side of them: is_absorbing on each pair alone, and on all of them as
+        the edges of one matching, is what _live says of each edge."""
+
+        def around(x: float) -> list[float]:
+            below, above = math.nextafter(x, -math.inf), math.nextafter(x, math.inf)
+            return [math.nextafter(below, -1.0), below, x, above, math.nextafter(above, 2.0)]
+
+        bases = (0.0, 2**-60, 0.1, 0.25, 0.6)
+        pairs = [(a, b) for b in bases for a in around(b + eps) if 0.0 <= a <= 1.0]
+        pairs += [(b, a) for a, b in pairs]
+        live = [_live(a, b, eps) for a, b in pairs]
+        assert set(live) == {True, False}
+        for (a, b), edge_live in zip(pairs, live):
+            assert is_absorbing(path_graph(2), [a, b], eps) is not edge_live, (a, b)
+        matching = make_graph(2 * len(pairs), [(2 * i, 2 * i + 1) for i in range(len(pairs))])
+        x = [v for pair in pairs for v in pair]
+        assert is_absorbing(matching, x, eps) is not any(live)
+
+    def test_builds_no_edge_tuples(self):
+        """is_absorbing and replay read the endpoint arrays, so a graph from a
+        generator gains no tuple view of its edges."""
+        g = path_graph(1000)
+        x = random_initial(g, 1)
+        assert not is_absorbing(g, x, 0.01)
+        replay(g, x, 0.01, [(0, 1), (5, -1)])
+        assert "edges" not in g.__dict__
 
     def test_count_opinions(self):
         assert count_opinions(np.array([0.2, 0.2, 0.7])) == 2

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ctvoter import (
@@ -232,14 +232,20 @@ def test_liveness_matches_exact_oracle(compiled, eps, b, steps, swap):
 
 @pytest.mark.parametrize("seed", [0, 1, -3, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
 def test_kernel_seeds_like_random(compiled, monkeypatch, seed):
-    """The kernel's MT19937 state after seeding is random.Random(seed)'s."""
+    """The kernel's MT19937 state after seeding is random.Random(seed)'s; a
+    seed outside [0, 2**64) is refused before any run."""
+    if not 0 <= seed < 2**64:
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SimParams(0.5, seed, max_events=0)
+        return
     lib, states = _kernel.load(), []
 
-    def spy(*args):
-        code = lib["ct_run_events"](*args)
-        # ct_run_events' work buffer (args[10]) ends in the generator state,
-        # 624 words and the position, after 2 * n_edges (args[5]) words
-        states.append(tuple((ctypes.c_uint32 * 625).from_address(args[10] + 8 * args[5])))
+    def spy(address):
+        code = lib["ct_run_events"](address)
+        # the run's work buffer ends in the generator state, 624 words and the
+        # position, after 2 * n_edges words
+        run = _kernel.Run.from_address(address)
+        states.append(tuple((ctypes.c_uint32 * 625).from_address(run.work + 8 * run.n_edges)))
         return code
 
     monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_events": spy})
@@ -251,9 +257,9 @@ def _spy_untils(monkeypatch) -> list:
     """The event count `until` that each ct_run_events call may run to."""
     lib, untils = _kernel.load(), []
 
-    def spy(*args):
-        untils.append(args[-1])
-        return lib["ct_run_events"](*args)
+    def spy(address):
+        untils.append(_kernel.Run.from_address(address).until)
+        return lib["ct_run_events"](address)
 
     monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_events": spy})
     return untils
@@ -324,16 +330,35 @@ def test_batch_draw_is_numpys_for_any_seed(compiled, seed, n):
 @pytest.mark.parametrize("n", [1, 2, 20000])
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64])
 def test_random_initial_is_numpys(compiled, seed, n):
-    """The kernel's draw below 2**64 (one or two seed words), NumPy's at 2**64."""
+    """The kernel's draw below 2**64 (one or two seed words); 2**64 is refused."""
+    if seed == 2**64:
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            random_initial(path_graph(n), seed)
+        return
     assert random_initial(path_graph(n), seed).tobytes() == _numpy_draw(n, seed)
 
 
 def test_random_initial_rejects_a_negative_seed_as_numpy_does(compiled):
-    with pytest.raises(ValueError) as numpy_error:
+    """NumPy refuses a negative seed with ValueError, and so does
+    random_initial, with the message of every seed outside [0, 2**64)."""
+    with pytest.raises(ValueError):
         np.random.default_rng(-1)
-    with pytest.raises(ValueError) as ours:
+    with pytest.raises(ValueError, match=r"^seed must lie in \[0, 2\*\*64\), got -1$"):
         random_initial(path_graph(3), -1)
-    assert str(ours.value) == str(numpy_error.value)
+
+
+@pytest.mark.parametrize("seed", [2**32 - 1, 2**32, 2**64 - 1])
+def test_seed_word_edges_agree(compiled, monkeypatch, seed):
+    """simulate gives the same report on both backends, initial draw
+    included, at the ends of one and of two seed words."""
+    g = GRAPHS["torus:5x6"]
+
+    def report() -> str:
+        return json.dumps(simulate(g, random_initial(g, seed), SimParams(0.75, seed)).to_dict())
+
+    kernel = report()
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert report() == kernel
 
 
 BATCH_EPS = (0.0, 0.3, 1 / 3, 0.5, 0.75, 1.0)
@@ -424,9 +449,9 @@ def test_pooled_batch_matches_serial(compiled):
 def _spy_batches(monkeypatch) -> list:
     lib, calls = _kernel.load(), []
 
-    def spy(*args):
-        calls.append(args[7])  # reps
-        return lib["ct_run_replicates"](*args)
+    def spy(address, seeds, reps, out, final):
+        calls.append(reps)
+        return lib["ct_run_replicates"](address, seeds, reps, out, final)
 
     monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_replicates": spy})
     return calls
@@ -808,6 +833,35 @@ def test_ctypes_signature_matches_the_c_prototype(compiled):
         assert lib[name].restype is ctypes.c_int
 
 
+# ctypes type of each C type that struct ct_run declares, pointers aside
+C_TYPES = {
+    "int32_t": ctypes.c_int32,
+    "int64_t": ctypes.c_int64,
+    "uint64_t": ctypes.c_uint64,
+    "double": ctypes.c_double,
+}
+
+
+def _c_struct_fields(source: str, name: str) -> list[tuple[str, type]]:
+    """(name, ctypes type) of each field of `struct name` in C source, in
+    order; a declaration may list several declarators of one base type."""
+    (body,) = re.findall(rf"^struct {name} \{{(.*?)^\}};", source, re.M | re.S)
+    fields = []
+    for declaration in body.split(";")[:-1]:
+        base, _, declarators = declaration.replace("const ", "").strip().partition(" ")
+        for declarator in declarators.split(","):
+            kind = ctypes.c_void_p if "*" in declarator else C_TYPES[base]
+            fields.append((declarator.strip(" *"), kind))
+    return fields
+
+
+def test_run_record_matches_the_c_struct():
+    """_kernel.Run lists struct ct_run's fields in _kernel.c by name,
+    position and type; a mismatch would corrupt memory, not fail."""
+    fields = _c_struct_fields(_kernel.SOURCE.read_text(), "ct_run")
+    assert fields and fields == list(_kernel.Run._fields_)
+
+
 VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
 
 
@@ -817,11 +871,17 @@ VALUES = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 2**-1022, 0.25, 0.5, 0.75]) | 
     eps=st.sampled_from([0.0, 0.25, 0.5, math.nextafter(0.5, 1.0), 0.75, 1.0])
     | st.sampled_from([5e-324, 1e-7, math.nextafter(2**-16, 0.0), 2**-16, 2e-5])
     | st.floats(0.0, 1.0),
-    seed=st.integers(0, 2**64),
+    seed=st.integers(0, 2**64 - 1),
 )
+@example(ops=[0.5], eps=0.5, seed=2**64)
 def test_mixed_values_agree(compiled, ops, eps, seed):
     """Signed zeros, subnormals and repeated values, on both sides of eps = 1/2,
-    down to the census's limit eps = 2**-16; below it the coupled run is refused."""
+    down to the census's limit eps = 2**-16; below it the coupled run is refused.
+    A seed of 2**64 is refused."""
+    if seed == 2**64:
+        with pytest.raises(ValueError, match="seed must lie in"):
+            SimParams(eps, seed, max_events=300)
+        return
     g = path_graph(len(ops))
     params = SimParams(eps, seed, max_events=300)
     if 0.0 < eps < 2**-16:
@@ -1033,6 +1093,7 @@ ASAN_CASES = (
     " or hook_log or hooked_run or one_kernel_call or random_initial_is_numpys"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
     " or key_lengths or reaches_all or hook_nests or threads_running or kept_buffers"
+    " or seed_word_edges or run_record"
 )
 ASAN_PLUGIN = """
 from pathlib import Path
