@@ -3,10 +3,10 @@
 The library is compiled on first use, never at import, and written to the
 package's __pycache__ under a name made from the SHA-256 of the source, the
 compiler flags and the interpreter's cache tag; a cached build is reused.
-The write is atomic (temporary file, then os.replace), so concurrent worker
-processes can race on it safely. When no compiler is present, or the build
-or the load fails, load() logs one warning and returns None, and the Python
-event loop runs instead.
+The write is atomic (temporary file, then os.replace), so separate
+processes, such as two CLI runs started at once, can race on it safely.
+When no compiler is present, or the build or the load fails, load() logs
+one warning and returns None, and the Python event loop runs instead.
 """
 
 from __future__ import annotations

@@ -8,12 +8,13 @@ either takes --seed or generates one and prints it, so runs are replayable.
 from __future__ import annotations
 
 import argparse
+import functools
 import secrets
 import sys
 from pathlib import Path
 
 from . import dynamics, experiments, graphs, statics, urn
-from .common import check_epsilon, strict_json
+from .common import check_epsilon, check_seed, strict_json
 
 
 class UsageError(Exception):
@@ -87,7 +88,10 @@ def _emit_report(report, out: Path | None) -> None:
         (out / "records.csv").write_text(experiments.records_to_csv(report.records))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it as it was, whether the arguments are accepted or not."""
     parser = _Parser(prog="ctvoter", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
@@ -253,6 +257,9 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
+        # a given seed is checked before any graph is read or built
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,8 @@ single threshold), and each replicate splits its seed once more into an
 initial-configuration stream and an event stream.
 Records are keyed by replicate index, so serial and parallel execution
 produce identical reports. With the compiled kernel, one call runs all the
-replicates of a cell (a threshold, or a piece of one under a pool),
-initial draws included; without it each replicate runs through
+replicates of a cell (a threshold, or a piece of one with several
+workers), initial draws included; without it each replicate runs through
 run_replicate.
 """
 
@@ -16,13 +16,13 @@ from __future__ import annotations
 import array
 import ctypes
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import _kernel
-from .common import spawn_seed, strict_json
+from .common import check_seed, spawn_seed, strict_json
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
@@ -92,9 +92,10 @@ def run_replicate(
 
     The replicate seed splits into spawn_seed(rep_seed, 0) for the initial
     configuration and spawn_seed(rep_seed, 1) for the event stream. The
-    parameters and the graph are checked before the initial draw.
+    seed, which must lie in [0, 2**64), the parameters and the graph are
+    checked before the initial draw.
     """
-    params = SimParams(eps, spawn_seed(rep_seed, 1), t_max=t_max, max_events=max_events)
+    params = SimParams(eps, spawn_seed(check_seed(rep_seed), 1), t_max=t_max, max_events=max_events)
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     init = random_initial(g, spawn_seed(rep_seed, 0))
@@ -174,11 +175,11 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
 
 
 def _run_batch(cells, workers: int):
-    """(record, final) of every replicate of the cells, in order; with
-    workers > 1 the cells run in a pool of that many processes."""
-    if workers <= 1:
-        return [result for cell in cells for result in _run_chunk(cell)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    """(record, final) of every replicate of the cells, in order, run on a
+    pool of `workers` threads. The kernel call releases the GIL, so the
+    threads run cells at once in one address space; the Python loop holds
+    it, so without the kernel the threads take turns."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return [r for results in pool.map(_run_chunk, cells) for r in results]
 
 
@@ -189,11 +190,12 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
     grid_index * reps + r with seed spawn_seed(master_seed, index); final is
     the list of final opinions for r == 0, None otherwise. grid must be
     non-empty, its thresholds valid and distinct (0.0 and -0.0 are one), and
-    t_max, reps and workers valid; all of that is checked before graph() is
-    called, and the graph's connectivity before any replicate runs. The grid
-    is cut into cells (_run_chunk): one per threshold, or, with workers > 1,
-    pieces of each threshold of about len(grid) * reps / (4 * workers)
-    replicates, so that the pool's load stays even.
+    t_max, reps, workers and master_seed (in [0, 2**64)) valid; all of that
+    is checked before graph() is called, and the graph's connectivity, which
+    also loads the kernel, before any replicate runs. The grid is cut into
+    cells (_run_chunk): one per threshold, or, with workers > 1, pieces of
+    each threshold of about len(grid) * reps / (4 * workers) replicates, so
+    that the threads' load stays even.
     """
     if not grid:
         raise ValueError("empty threshold grid")
@@ -204,7 +206,7 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     for eps in grid:
-        SimParams(eps, 0, t_max=t_max)
+        SimParams(eps, master_seed, t_max=t_max)
     g = graph()
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctvoter import experiments, graphs
+from ctvoter import cli, experiments, graphs
 from ctvoter.cli import main
 
 
@@ -42,6 +42,47 @@ class TestDispatch:
     def test_unknown_subcommand_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    def test_parser_built_once_and_kept_by_a_usage_error(self, capsys):
+        cli.build_parser.cache_clear()
+        good = (
+            ["simulate", "--graph", "path:5", "--eps", "0.5", "--seed", "3", "--t-max", "2"],
+            ["consensus", "--graph", "path:4", "--eps", "0.8", "--reps", "3", "--seed", "1"],
+            ["urn", "--balls", "2", "--boxes", "3"],
+        )
+        bad = (
+            ["urn", "--strategy", "S", "--balls", "1", "--boxes", "3", "--bogus"],
+            ["simulate", "--graph", "path:5", "--eps", "x"],
+            ["consensus", "--graph", "path:4", "--reps", "3"],
+            ["sweep", "--graph", "torus:3x3", "--eps-grid", "0.5", "--t-max", "5", "--reps", "0"],
+        )
+        for argv in bad:
+            assert run_cli(capsys, *argv)[0] == 1
+        assert run_cli(capsys, *good[2])[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+        fresh = cli.build_parser.__wrapped__()
+        for argv in good:
+            assert cli.build_parser().parse_args(argv) == fresh.parse_args(argv)
+
+    @pytest.mark.parametrize("strategy", ["S", "random"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_urn_refuses_a_seed_out_of_range(self, capsys, strategy, seed):
+        code, out, err = run_cli(
+            capsys, "urn", "--strategy", strategy, "--balls", "2", "--boxes", "3", "--seed", seed
+        )
+        assert code == 1
+        assert "seed must lie in [0, 2**64)" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+    def test_seeds_at_the_ends_of_the_range_run(self, capsys, seed):
+        for argv in (
+            ["simulate", "--graph", "path:6", "--eps", "0.75", "--to-absorption"],
+            ["coexistence", "--graph", "path:6", "--eps", "0.1", "--reps", "2"],
+            ["urn", "--strategy", "random", "--balls", "2", "--boxes", "3"],
+        ):
+            code, out, _ = run_cli(capsys, *argv, "--seed", seed)
+            assert code == 0 and out
 
 
 class TestSimulate:
@@ -286,19 +327,29 @@ class TestFlagsBeforeGraph:
             ("consensus", ["--eps", "0.4"], "epsilon > 1/2"),
             ("coexistence", ["--eps", "1.5"], "epsilon out of range"),
             ("coexistence", ["--eps", "nan"], "epsilon out of range"),
+            *(
+                (command, [*flags, "--seed", seed], "seed must lie in")
+                for seed in ("-1", str(2**64))
+                for command, flags in (
+                    ("simulate", ["--eps", "0.5"]),
+                    ("consensus", ["--eps", "0.75"]),
+                    ("coexistence", ["--eps", "0.1"]),
+                    ("sweep", ["--eps-grid", "0.5", "--t-max", "5"]),
+                )
+            ),
         )
         for name, graph in (
             ("spec", ["--graph", "path:400000"]),
             ("missing_file", ["--graph-file", "/nonexistent/g.txt"]),
         )
-        # coexistence takes no --graph-file: test_drivers_take_only_their_size_spec
-        if command != "coexistence" or name == "spec"
+        # coexistence and sweep take no --graph-file: test_drivers_take_only_their_size_spec
+        if command not in ("coexistence", "sweep") or name == "spec"
     ])
     def test_bad_flag_exits_before_any_graph(
         self, capsys, no_graph, graph, command, flags, message
     ):
         seed = [] if command == "index" else ["--seed", "1"]
-        code, out, err = run_cli(capsys, command, *graph, *flags, *seed)
+        code, out, err = run_cli(capsys, command, *graph, *seed, *flags)
         assert code == 1
         assert message in err
         assert out == ""

@@ -80,17 +80,19 @@ class TestSeedSplitting:
             (path_graph(3), {"t_max": -1.0}, ValueError),
             (path_graph(3), {"max_events": 2.5}, TypeError),
             (make_graph(4, [(0, 1), (2, 3)]), {}, ValueError),
+            (path_graph(3), {"rep_seed": -1}, ValueError),
+            (path_graph(3), {"rep_seed": 2**64}, ValueError),
         ],
-        ids=["eps", "t_max", "max_events", "disconnected"],
+        ids=["eps", "t_max", "max_events", "disconnected", "seed_negative", "seed_2_64"],
     )
     def test_run_replicate_checks_before_the_initial_draw(self, monkeypatch, g, kwargs, error):
         def no_draw(*args):
             pytest.fail("initial opinions drawn before the parameters were checked")
 
         monkeypatch.setattr(experiments, "random_initial", no_draw)
-        kwargs = {"eps": 0.5, **kwargs}
+        kwargs = {"eps": 0.5, "rep_seed": 3, **kwargs}
         with pytest.raises(error):
-            run_replicate(g, rep_seed=3, **kwargs)
+            run_replicate(g, **kwargs)
 
 
 class TestConsensusExperiment:
@@ -159,8 +161,10 @@ class TestSweepExperiment:
             ({"t_max": math.nan}, "t_max"),
             ({"reps": 0}, "reps"),
             ({"workers": 0}, "workers"),
+            ({"master_seed": -1}, "seed"),
+            ({"master_seed": 2**64}, "seed"),
         ],
-        ids=["eps", "t_max", "t_max_nan", "reps", "workers"],
+        ids=["eps", "t_max", "t_max_nan", "reps", "workers", "seed_negative", "seed_2_64"],
     )
     def test_checks_before_building_the_torus(self, monkeypatch, bad, message):
         def no_build(*args):
@@ -170,6 +174,13 @@ class TestSweepExperiment:
         args = {"eps_grid": (0.5,), "t_max": 5.0, "reps": 1, "master_seed": 1, **bad}
         with pytest.raises(ValueError, match=message):
             sweep_experiment(300, 300, **args)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_ends_of_the_range_run(self, seed):
+        report, _ = sweep_experiment(3, 3, (0.5,), t_max=5.0, reps=2, master_seed=seed)
+        assert [rec.replicate for rec in report.records] == [0, 1]
+        _, run = run_replicate(path_graph(5), 0.75, seed)
+        assert run.absorbed
 
     def test_serial_parallel_identical(self):
         a, _ = sweep_experiment(3, 3, [0.5, 1.0], t_max=20.0, reps=4, master_seed=9, workers=1)

@@ -446,6 +446,25 @@ def test_pooled_batch_matches_serial(compiled):
             assert serial == _comparable(map(experiments._replicate_worker, tasks))
 
 
+@pytest.mark.parametrize("backend", ["kernel", "python_loop"])
+def test_pooled_batch_pickles_no_graph(compiled, monkeypatch, request, backend):
+    """The workers share the caller's graph: with pickling a Graph made to
+    fail, a grid on three threads, more than the cores, each graph built
+    afresh, still gives the serial records."""
+    if backend == "python_loop":
+        request.getfixturevalue(backend)
+
+    def no_pickle(self):
+        raise AssertionError("a Graph was pickled")
+
+    monkeypatch.setattr(graphs.Graph, "__reduce__", no_pickle)
+    pooled, serial = (
+        _comparable(experiments._run_grid(lambda: torus_graph(5, 4), BATCH_EPS, 9, 5, w, 3.0))
+        for w in (3, 1)
+    )
+    assert pooled == serial
+
+
 def _spy_batches(monkeypatch) -> list:
     lib, calls = _kernel.load(), []
 
@@ -468,7 +487,8 @@ def test_one_kernel_call_per_threshold(compiled, monkeypatch):
 
 def _spy_compute(monkeypatch, request, backend) -> list:
     """The batch kernel's and the replicate worker's calls on `backend`; a
-    worker pool fails the test as it starts."""
+    worker pool, which every batch starts, serial or not, fails the test as
+    it starts."""
     calls = _spy_batches(monkeypatch)
     if backend == "python_loop":
         request.getfixturevalue(backend)
@@ -477,7 +497,7 @@ def _spy_compute(monkeypatch, request, backend) -> list:
     def no_pool(*args, **kwargs):
         pytest.fail("a worker pool started before the grid was checked")
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", no_pool)
     return calls
 
 
@@ -1093,7 +1113,7 @@ ASAN_CASES = (
     " or hook_log or hooked_run or one_kernel_call or random_initial_is_numpys"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
     " or key_lengths or reaches_all or hook_nests or threads_running or kept_buffers"
-    " or seed_word_edges or run_record"
+    " or seed_word_edges or run_record or pooled"
 )
 ASAN_PLUGIN = """
 from pathlib import Path
