@@ -3,7 +3,7 @@
 The opinion index of a graph at threshold eps is the maximum number of
 distinct opinions an absorbing configuration can hold: every edge must join
 equal opinions or opinions separated by more than eps. The exact oracle
-enumerates equal-opinion partitions and searches value orderings; the bounds
+searches equal-opinion partitions, pruned, and value orderings; the bounds
 come from proper colorings (lower) and clique peeling (upper).
 """
 
@@ -178,8 +178,10 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     the peeled cliques, and the cliques a peel may take next depend only on
     the vertices left, so the least value f(R) that peeling can add from a
     residual vertex set R is the least complete_index(|W|, eps) + f(R - W)
-    over the maximum cliques W of R, memoised per R; f(R) = |R| once R has
-    no edges.
+    over the maximum cliques W of R, memoised per R. f(R) = |R| once the
+    maximum cliques of R have at most cap = complete_index(N, eps) vertices:
+    cliques only shrink as the peel goes on, so every later term is |W|, and
+    the peeled cliques partition R.
     graphs.enumerate_peels lists the sequences themselves, as a test oracle.
     """
     check_epsilon(eps)
@@ -195,34 +197,11 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     @functools.cache
     def least(residual: int) -> int:
         cliques = _maximum_cliques(masks, residual)
-        if cliques[0].bit_count() <= 1:
-            return residual.bit_count()  # no edges left: one singleton per vertex
+        if cliques[0].bit_count() <= cap:
+            return residual.bit_count()  # every later clique fits the cap
         return min(min(w.bit_count(), cap) + least(residual & ~w) for w in cliques)
 
     return least((1 << g.n_vertices) - 1)
-
-
-@functools.cache
-def _partitions_by_class_count(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """All set partitions of range(n), grouped by number of classes; built once per n.
-
-    Entry m lists the partitions with m classes, each as the class label of
-    every vertex (classes numbered in order of their least vertex). Tuples
-    throughout, so the shared cache cannot be changed by a caller.
-    """
-    grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    labels = [0] * n
-
-    def rec(i: int, m: int) -> None:
-        if i == n:
-            grouped[m].append(tuple(labels))
-            return
-        for c in range(m + 1):
-            labels[i] = c
-            rec(i + 1, max(m, c + 1))
-
-    rec(0, 0)
-    return tuple(tuple(parts) for parts in grouped)
 
 
 def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
@@ -266,22 +245,22 @@ def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
     return rec(0, 0)
 
 
+def _greedy_clique_from(qadj: list[int], start: int) -> int:
+    """Size of the clique grown from start, adding the lowest common neighbour each step."""
+    size, cand = 1, qadj[start]
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        size += 1
+        cand &= (cand - 1) & qadj[v]
+    return size
+
+
 def _greedy_clique_size(qadj: list[int], m: int) -> int:
-    best = 1
-    for start in range(m):
-        clique = 1 << start
-        cand = qadj[start]
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            clique |= 1 << v
-            cand &= qadj[v]
-        best = max(best, clique.bit_count())
-    return best
+    return max(_greedy_clique_from(qadj, start) for start in range(m))
 
 
 def brute_force_index(g: Graph, eps: float) -> int:
-    """Exact opinion index by enumeration, independent oracle for N <= 8.
+    """Exact opinion index by pruned search over partitions, oracle for N <= 8.
 
     Every partition of the vertex set into equal-opinion classes induces a
     quotient graph (edge between classes joined by a graph edge); the
@@ -290,6 +269,15 @@ def brute_force_index(g: Graph, eps: float) -> int:
     quotient edges in the ordering stays below 1/eps steps. Separations must
     strictly exceed eps: k_allow, the largest k < n with k*eps < 1, is
     complete_index(n, eps) - 1, exact on the true binary value of eps.
+
+    For each class count m from n down, a depth-first search gives the
+    vertices their class labels in order (restricted-growth strings with
+    exactly m classes), ORing each vertex's edges to lower-index vertices
+    into the quotient and undoing that on backtrack. A branch is cut once a
+    greedy clique through the class just extended has more than k_allow + 1
+    classes. The cut is exact: later vertices only add quotient edges and
+    classes, so every partition below keeps that clique and needs more than
+    k_allow eps-steps.
     """
     check_epsilon(eps)
     n = g.n_vertices
@@ -298,20 +286,37 @@ def brute_force_index(g: Graph, eps: float) -> int:
     if eps == 0 or g.n_edges == 0:
         return n
     k_allow = complete_index(n, eps) - 1
+    lower = [[] for _ in range(n)]
+    for i, j in g.edges:
+        lower[j].append(i)
+    labels = [0] * n
 
-    grouped = _partitions_by_class_count(n)
-    for m in range(n, 0, -1):
-        for cls_of in grouped[m]:
-            qadj = [0] * m
-            for i, j in g.edges:
-                a, b = cls_of[i], cls_of[j]
-                if a != b:
-                    qadj[a] |= 1 << b
-                    qadj[b] |= 1 << a
-            if _greedy_clique_size(qadj, m) - 1 > k_allow:
-                continue
-            if _exists_ordering(qadj, m, k_allow):
-                return m
+    def search(qadj: list[int], m: int, i: int, used: int) -> bool:
+        if i == n:
+            return _greedy_clique_size(qadj, m) - 1 <= k_allow and _exists_ordering(
+                qadj, m, k_allow
+            )
+        # exactly m classes: once the vertices left are as many as the classes
+        # still unopened, each must open one
+        first = used if m - used == n - i else 0
+        for c in range(first, min(used, m - 1) + 1):
+            saved = qadj.copy()
+            bit = 1 << c
+            for j in lower[i]:
+                b = labels[j]
+                if b != c:
+                    qadj[c] |= 1 << b
+                    qadj[b] |= bit
+            if qadj[c] == saved[c] or _greedy_clique_from(qadj, c) - 1 <= k_allow:
+                labels[i] = c
+                if search(qadj, m, i + 1, max(used, c + 1)):
+                    return True
+            qadj[:] = saved
+        return False
+
+    for m in range(n, 1, -1):
+        if search([0] * m, m, 0, 0):
+            return m
     return 1
 
 

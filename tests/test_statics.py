@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,7 +32,6 @@ from ctvoter.statics import (
     BRUTE_FORCE_LIMIT,
     _exists_ordering,
     _greedy_clique_size,
-    _partitions_by_class_count,
     peel_value,
 )
 
@@ -179,9 +180,9 @@ class TestCliqueUpperBound:
 
 
 @st.composite
-def graphs_up_to_10(draw):
-    """Any graph on 1..10 vertices: edgeless, disconnected and dense ones too."""
-    n = draw(st.integers(1, 10))
+def graphs_on(draw, lo: int, hi: int):
+    """Any graph on lo..hi vertices: edgeless, disconnected and dense ones too."""
+    n = draw(st.integers(lo, hi))
     density = draw(st.floats(0.0, 1.0))
     rng = draw(st.randoms(use_true_random=False))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -205,17 +206,31 @@ def _enumerated_minimum(peels, eps):
 class TestExactPeelMinimum:
     """The memoised residual-set search against the list of every peel sequence."""
 
-    @given(graphs_up_to_10(), THRESHOLDS)
+    @given(graphs_on(1, 10), THRESHOLDS)
     @settings(max_examples=150, deadline=None)
     def test_matches_enumeration(self, g, eps):
         want = _enumerated_minimum(enumerate_peels(g), eps)
         assert clique_upper_bound(g, eps, "exact-enumerate") == want
 
-    @pytest.mark.parametrize("spec", ["cycle:11", "cycle:12", "petersen", "torus:3x3"])
+    @pytest.mark.parametrize(
+        "spec", ["cycle:11", "cycle:12", "petersen", "torus:3x3", "k4+path", "k5+c5"]
+    )
     def test_matches_enumeration_on_named_graphs(self, spec):
-        g = petersen_graph() if spec == "petersen" else parse_graph_spec(spec)
+        # k4+path (K4 with a pendant path) at eps 1/2 and k5+c5 (K5 joined to
+        # C5 by one edge) at eps 1/3 have a clique above the cap, and a
+        # residual that fits the cap once that clique is peeled
+        if spec == "petersen":
+            g = petersen_graph()
+        elif spec == "k4+path":
+            g = make_graph(7, [(i, j) for i in range(4) for j in range(i + 1, 4)]
+                           + [(3, 4), (4, 5), (5, 6)])
+        elif spec == "k5+c5":
+            g = make_graph(10, [(i, j) for i in range(5) for j in range(i + 1, 5)]
+                           + [(5 + i, 5 + (i + 1) % 5) for i in range(5)] + [(0, 5)])
+        else:
+            g = parse_graph_spec(spec)
         peels = enumerate_peels(g)
-        for eps in (0.2, 0.3, 0.5, 0.6):
+        for eps in (0.2, 0.3, 1 / 3, 0.5, 0.6):
             want = _enumerated_minimum(peels, eps)
             assert clique_upper_bound(g, eps, "exact-enumerate") == want, eps
 
@@ -255,14 +270,41 @@ def _fraction_k_allow(n: int, eps: float) -> int:
     return k_allow
 
 
+@functools.cache
+def _partitions_by_class_count(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """All set partitions of range(n), grouped by number of classes; built once per n.
+
+    Entry m lists the partitions with m classes, each as the class label of
+    every vertex (classes numbered in order of their least vertex). Tuples
+    throughout, so the shared cache cannot be changed by a caller.
+    """
+    grouped: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    labels = [0] * n
+
+    def rec(i: int, m: int) -> None:
+        if i == n:
+            grouped[m].append(tuple(labels))
+            return
+        for c in range(m + 1):
+            labels[i] = c
+            rec(i + 1, max(m, c + 1))
+
+    rec(0, 0)
+    return tuple(tuple(parts) for parts in grouped)
+
+
 def _oracle_brute_force(g, eps: float) -> int:
-    """brute_force_index's search, run with _fraction_k_allow."""
+    """Reference for brute_force_index: every partition, unpruned, with _fraction_k_allow."""
     n = g.n_vertices
     if eps == 0 or g.n_edges == 0:
         return n
-    k_allow = _fraction_k_allow(n, eps)
-    grouped = _partitions_by_class_count(n)
-    for m in range(n, 0, -1):
+    return _oracle_by_k_allow(g, _fraction_k_allow(n, eps))
+
+
+@functools.cache
+def _oracle_by_k_allow(g, k_allow: int) -> int:
+    grouped = _partitions_by_class_count(g.n_vertices)
+    for m in range(g.n_vertices, 0, -1):
         for cls_of in grouped[m]:
             qadj = [0] * m
             for i, j in g.edges:
@@ -341,6 +383,22 @@ class TestBruteForce:
         for _, g in tiny_family:
             values = [brute_force_index(g, eps) for eps in EPS_GRID]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_pruned_search_matches_oracle_on_every_labelled_graph(self):
+        # every graph on 1..5 labelled vertices, at 0, 1 and each 1/k (k = 2..6)
+        # with both of its float neighbours; below 1/5 k_allow is N - 1 here
+        eps_values = tuple(e for e in _ORACLE_EPS if e == 0.0 or e > 1 / 7)
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                g = make_graph(n, [p for p, keep in zip(pairs, chosen) if keep])
+                for eps in eps_values:
+                    assert brute_force_index(g, eps) == _oracle_brute_force(g, eps), (g.edges, eps)
+
+    @given(graphs_on(6, BRUTE_FORCE_LIMIT), THRESHOLDS)
+    @settings(max_examples=150, deadline=None)
+    def test_pruned_search_matches_oracle_on_random_graphs(self, g, eps):
+        assert brute_force_index(g, eps) == _oracle_brute_force(g, eps)
 
     def test_cached_partitions_equal_fresh_ones(self):
         stirling = {(0, 0): 1}
