@@ -15,6 +15,7 @@ from __future__ import annotations
 import array
 import ctypes
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
@@ -432,6 +433,10 @@ def replay(g: Graph, init, epsilon: float, script, on_event=None) -> SimReport:
     hook = None if on_event is None else lambda t, k, ops, _: on_event(t, k, ops)
     processed = 0
     for eidx, direction in script:
+        try:
+            eidx = operator.index(eidx)
+        except TypeError:
+            raise ValueError(f"invalid edge index {eidx!r}") from None
         if not 0 <= eidx < g.n_edges:
             raise ValueError(f"invalid edge index {eidx}")
         if direction not in (1, -1):

@@ -132,8 +132,7 @@ def make_graph(n_vertices: int, edges) -> Graph:
     """
     if n_vertices < 1:
         raise ValueError("graph needs at least one vertex")
-    if n_vertices > MAX_VERTICES:
-        raise ValueError(f"graph limited to {MAX_VERTICES} vertices (got {n_vertices})")
+    _check_vertex_count(n_vertices)
     e1, e2 = [], []
     seen = set()
     for pair in edges:
@@ -156,9 +155,16 @@ def make_graph(n_vertices: int, edges) -> Graph:
     return Graph(n_vertices, np.array(e1, dtype=np.int32), np.array(e2, dtype=np.int32))
 
 
+def _check_vertex_count(n: int) -> None:
+    """Refuse, before anything is allocated, a graph too large for int32 indices."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph limited to {MAX_VERTICES} vertices (got {n})")
+
+
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    _check_vertex_count(n)
     e1 = np.arange(n - 1, dtype=np.int32)
     return Graph(n, e1, e1 + 1)
 
@@ -167,6 +173,7 @@ def cycle_graph(n: int) -> Graph:
     """Edges (i, i + 1) for i < n - 1, then (0, n - 1), the closing edge (n - 1, 0)."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_vertex_count(n)
     e1 = np.arange(n, dtype=np.int32)
     e2 = e1 + 1
     e1[-1], e2[-1] = 0, n - 1
@@ -177,6 +184,7 @@ def complete_graph(n: int) -> Graph:
     """Edges (i, j), i < j, in lexicographic order."""
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_vertex_count(n)
     e1, e2 = np.triu_indices(n, 1)
     return Graph(n, e1.astype(np.int32), e2.astype(np.int32))
 
@@ -189,8 +197,7 @@ def torus_graph(width: int, height: int) -> Graph:
     if width < 3 or height < 3:
         raise ValueError("torus needs width >= 3 and height >= 3")
     n = width * height
-    if n > MAX_VERTICES:
-        raise ValueError(f"graph limited to {MAX_VERTICES} vertices (got {n})")
+    _check_vertex_count(n)
     v = np.arange(n, dtype=np.int32).reshape(height, width)
     ends = np.empty((height, width, 2, 2), dtype=np.int32)
     ends[..., 0] = v[..., None]
@@ -394,43 +401,44 @@ def chromatic_number_exact(g: Graph) -> Coloring:
     if g.n_edges == 0:
         return Coloring((0,) * n, 1)
     upper = greedy_coloring(g)
-    lower = len(_greedy_maximal_clique(_neighbor_masks(g), (1 << n) - 1))
-    best = upper
+    masks = _neighbor_masks(g)
+    lower = len(_greedy_maximal_clique(masks, (1 << n) - 1))
     for k in range(lower, upper.n_colors):
-        attempt = _color_with(g, k)
-        if attempt is not None:
-            best = attempt
-            break
-    return best
+        colors = _k_coloring(masks, k)
+        if colors is not None:
+            return Coloring(tuple(colors), max(colors) + 1)
+    return upper
 
 
-def _color_with(g: Graph, k: int) -> Coloring | None:
-    """Backtracking k-colorability with saturation-ordered vertices."""
-    n = g.n_vertices
+def _k_coloring(masks: list[int], k: int) -> list[int] | None:
+    """A proper coloring with at most k colors by backtracking, or None if none exists.
+
+    masks[v] is v's neighbour bitmask. Each step colors the most saturated
+    uncolored vertex (most distinct colors among its neighbours), ties
+    broken on degree, then on the lower index, and tries its free colors
+    lowest first.
+    """
+    n = len(masks)
     colors = [-1] * n
+    classes = [0] * k  # the vertices of each color, as a bitmask
 
-    def rec(used: int) -> bool:
-        pending = [v for v in range(n) if colors[v] < 0]
+    def rec(pending: int, used: int) -> bool:
         if not pending:
             return True
-        v = max(
-            pending,
-            key=lambda u: (len({colors[w] for w in g.adjacency[u] if colors[w] >= 0}), g.degree(u)),
-        )
-        banned = {colors[w] for w in g.adjacency[v] if colors[w] >= 0}
+        seen = {u: [c for c in range(used) if masks[u] & classes[c]] for u in _mask_to_set(pending)}
+        v = max(seen, key=lambda u: (len(seen[u]), masks[u].bit_count()))
+        bit = 1 << v
         # trying at most one brand-new color kills color-permutation symmetry
         for c in range(min(used + 1, k)):
-            if c in banned:
-                continue
-            colors[v] = c
-            if rec(max(used, c + 1)):
-                return True
-            colors[v] = -1
+            if c not in seen[v]:
+                colors[v] = c
+                classes[c] |= bit
+                if rec(pending & ~bit, max(used, c + 1)):
+                    return True
+                classes[c] &= ~bit
         return False
 
-    if not rec(0):
-        return None
-    return Coloring(tuple(colors), max(colors) + 1)
+    return colors if rec((1 << n) - 1, 0) else None
 
 
 def _greedy_maximal_clique(masks: list[int], vertex_mask: int) -> frozenset[int]:

@@ -3,8 +3,9 @@
 The opinion index of a graph at threshold eps is the maximum number of
 distinct opinions an absorbing configuration can hold: every edge must join
 equal opinions or opinions separated by more than eps. The exact oracle
-searches equal-opinion partitions, pruned, and value orderings; the bounds
-come from proper colorings (lower) and clique peeling (upper).
+searches equal-opinion partitions, pruned, and tests each by coloring its
+quotient graph; the bounds come from proper colorings (lower) and clique
+peeling (upper).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .graphs import (
     clique_peel,
     greedy_coloring,
     is_proper_coloring,
+    _k_coloring,
     _maximum_cliques,
     _neighbor_masks,
     EXACT_CHROMATIC_LIMIT,
@@ -204,47 +206,6 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     return least((1 << g.n_vertices) - 1)
 
 
-def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
-    """Is there a total order of the m classes whose value span fits in [0, 1]?
-
-    Placing classes left to right, each class gets the longest-path label of
-    the order-constraint system: at least its predecessor's label, and one
-    eps-step above any already placed quotient neighbor. All labels are
-    integer multiples of eps, so the infimum span is label*eps and the order
-    is feasible exactly when the final label is at most k_allow (the largest
-    k with k*eps < 1). Candidates are tried lowest-label first, which finds
-    feasible orders greedily; a class whose label would exceed k_allow prunes
-    the branch, since labels only grow down the order.
-    """
-    full = (1 << m) - 1
-    labels = [0] * m
-
-    def rec(placed: int, last_label: int) -> bool:
-        if placed == full:
-            return True
-        cands = []
-        for c in range(m):
-            if placed >> c & 1:
-                continue
-            lab = last_label
-            nb = qadj[c] & placed
-            while nb:
-                p = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if labels[p] + 1 > lab:
-                    lab = labels[p] + 1
-            if lab <= k_allow:
-                cands.append((lab, c))
-        cands.sort()
-        for lab, c in cands:
-            labels[c] = lab
-            if rec(placed | (1 << c), lab):
-                return True
-        return False
-
-    return rec(0, 0)
-
-
 def _greedy_clique_from(qadj: list[int], start: int) -> int:
     """Size of the clique grown from start, adding the lowest common neighbour each step."""
     size, cand = 1, qadj[start]
@@ -255,20 +216,23 @@ def _greedy_clique_from(qadj: list[int], start: int) -> int:
     return size
 
 
-def _greedy_clique_size(qadj: list[int], m: int) -> int:
-    return max(_greedy_clique_from(qadj, start) for start in range(m))
-
-
 def brute_force_index(g: Graph, eps: float) -> int:
     """Exact opinion index by pruned search over partitions, oracle for N <= 8.
 
     Every partition of the vertex set into equal-opinion classes induces a
-    quotient graph (edge between classes joined by a graph edge); the
-    partition is realizable iff some total ordering of class values keeps all
-    pairwise separations above eps inside [0, 1], i.e. the longest chain of
-    quotient edges in the ordering stays below 1/eps steps. Separations must
-    strictly exceed eps: k_allow, the largest k < n with k*eps < 1, is
-    complete_index(n, eps) - 1, exact on the true binary value of eps.
+    quotient graph (edge between classes joined by a graph edge). Separations
+    must strictly exceed eps: k_allow, the largest k < n with k*eps < 1, is
+    complete_index(n, eps) - 1, exact on the true binary value of eps. Given
+    an ordering of the class values, label each class in turn by the least
+    number of eps-steps above the first value: at least its predecessor's
+    label, and one above every earlier quotient neighbour's. The partition is
+    realizable iff some ordering keeps every label at most k_allow, and that
+    holds iff the quotient has a proper coloring with k_allow + 1 colors:
+    such an ordering's labels are one (a class is labelled above every
+    earlier neighbour), and conversely, with the classes ordered by color,
+    each label is at most its class's color, by induction along the order.
+    So each partition is tested by graphs._k_coloring, the search behind
+    the exact chromatic number.
 
     For each class count m from n down, a depth-first search gives the
     vertices their class labels in order (restricted-growth strings with
@@ -276,8 +240,8 @@ def brute_force_index(g: Graph, eps: float) -> int:
     into the quotient and undoing that on backtrack. A branch is cut once a
     greedy clique through the class just extended has more than k_allow + 1
     classes. The cut is exact: later vertices only add quotient edges and
-    classes, so every partition below keeps that clique and needs more than
-    k_allow eps-steps.
+    classes, so every partition below keeps that clique, which no k_allow + 1
+    colors can color.
     """
     check_epsilon(eps)
     n = g.n_vertices
@@ -293,9 +257,7 @@ def brute_force_index(g: Graph, eps: float) -> int:
 
     def search(qadj: list[int], m: int, i: int, used: int) -> bool:
         if i == n:
-            return _greedy_clique_size(qadj, m) - 1 <= k_allow and _exists_ordering(
-                qadj, m, k_allow
-            )
+            return _k_coloring(qadj, k_allow + 1) is not None
         # exactly m classes: once the vertices left are as many as the classes
         # still unopened, each must open one
         first = used if m - used == n - i else 0

@@ -306,9 +306,17 @@ class TestReplay:
         r = replay(path_graph(2), [0.1, 0.2], 0.5, [(0, -1)])
         assert r.final_opinions.tolist() == [0.2, 0.2]
 
-    def test_invalid_edge_rejected(self):
-        with pytest.raises(ValueError, match="edge"):
-            replay(path_graph(2), [0.1, 0.2], 0.5, [(3, 1)])
+    @pytest.mark.parametrize("eidx", [3, -1, 0.5, 1.0, "1", None])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_invalid_edge_rejected(self, eidx, direction):
+        with pytest.raises(ValueError, match="edge index"):
+            replay(path_graph(3), [0.1, 0.2, 0.3], 0.5, [(eidx, direction)])
+
+    def test_numpy_edge_index_accepted(self):
+        script = [(np.int64(1), 1), (np.int32(0), -1)]
+        r = replay(path_graph(3), [0.1, 0.2, 0.3], 0.5, script)
+        assert r.final_opinions.tolist() == [0.2, 0.2, 0.2]
+        assert r.events == 2
 
     def test_matches_is_absorbing(self):
         # after the first copy the second edge gap is 0.6 >= eps: a no-op

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import pickle
 import random
@@ -178,6 +179,20 @@ class TestColoring:
         with pytest.raises(ValueError, match="limited"):
             chromatic_number_exact(torus_graph(5, 5))
 
+    def test_exact_colorings_are_pinned(self):
+        # the colorings themselves, not only their sizes, since the lower
+        # bound's witness is built from them: a change to the order in which
+        # the search takes vertices (saturation, then degree, then the lower
+        # index) or tries colors moves this digest
+        rng = random.Random(23)
+        doc = []
+        for _ in range(200):
+            n = rng.randint(9, 16)
+            g = random_connected_graph(n, rng.randrange(2**32), rng.random())
+            doc.append(chromatic_number_exact(g).colors)
+        digest = hashlib.sha256(repr(doc).encode()).hexdigest()
+        assert digest == "479b966fee7fdf31b0fb7f1f1852a10bc1fd00d200b04aba45ab98f98287bcac"
+
     @staticmethod
     def _quadratic_dsatur(g):
         """The DSATUR of greedy_coloring by a max over every uncolored vertex."""
@@ -350,6 +365,30 @@ class TestValidation:
     def test_rejects_too_many_vertices(self):
         with pytest.raises(ValueError, match="limited to"):
             make_graph(graphs.MAX_VERTICES + 1, [])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: make_graph(n, []),
+            graphs.path_graph,
+            graphs.cycle_graph,
+            graphs.complete_graph,
+            lambda n: graphs.torus_graph(3, n // 3),
+        ],
+        ids=["make_graph", "path", "cycle", "complete", "torus"],
+    )
+    def test_every_generator_checks_the_vertex_limit(self, monkeypatch, build):
+        # a small limit stands in for 2**31 - 1, so nothing large is built
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 12)
+        assert build(12).n_vertices == 12
+        with pytest.raises(ValueError, match=r"limited to 12 vertices \(got 15\)"):
+            build(15)
+
+    def test_graph_spec_checks_the_vertex_limit(self, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_VERTICES", 12)
+        for spec in ("path:13", "cycle:13", "complete:13", "torus:4x4"):
+            with pytest.raises(ValueError, match="limited to 12 vertices"):
+                graphs.parse_graph_spec(spec)
 
     def test_disconnected_is_a_value(self):
         g = make_graph(4, [(0, 1), (2, 3)])

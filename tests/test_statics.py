@@ -27,13 +27,14 @@ from ctvoter import (
     path_graph,
 )
 from ctvoter.common import ceil_recip
-from ctvoter.graphs import CliquePeel, clique_peel, enumerate_peels
-from ctvoter.statics import (
-    BRUTE_FORCE_LIMIT,
-    _exists_ordering,
-    _greedy_clique_size,
-    peel_value,
+from ctvoter.graphs import (
+    CliquePeel,
+    _k_coloring,
+    _neighbor_masks,
+    clique_peel,
+    enumerate_peels,
 )
+from ctvoter.statics import BRUTE_FORCE_LIMIT, _greedy_clique_from, peel_value
 
 from conftest import EPS_GRID, petersen_graph, random_connected_graph, small_graph_family
 
@@ -293,6 +294,52 @@ def _partitions_by_class_count(n: int) -> tuple[tuple[tuple[int, ...], ...], ...
     return tuple(tuple(parts) for parts in grouped)
 
 
+def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
+    """Oracle: is there a total order of the m classes whose value span fits in [0, 1]?
+
+    Placing classes left to right, each class gets the longest-path label of
+    the order-constraint system: at least its predecessor's label, and one
+    eps-step above any already placed quotient neighbor. All labels are
+    integer multiples of eps, so the infimum span is label*eps and the order
+    is feasible exactly when the final label is at most k_allow (the largest
+    k with k*eps < 1). Candidates are tried lowest-label first; a class whose
+    label would exceed k_allow prunes the branch, since labels only grow
+    down the order. Written apart from graphs._k_coloring, which
+    brute_force_index uses in its place.
+    """
+    full = (1 << m) - 1
+    labels = [0] * m
+
+    def rec(placed: int, last_label: int) -> bool:
+        if placed == full:
+            return True
+        cands = []
+        for c in range(m):
+            if placed >> c & 1:
+                continue
+            lab = last_label
+            nb = qadj[c] & placed
+            while nb:
+                p = (nb & -nb).bit_length() - 1
+                nb &= nb - 1
+                if labels[p] + 1 > lab:
+                    lab = labels[p] + 1
+            if lab <= k_allow:
+                cands.append((lab, c))
+        cands.sort()
+        for lab, c in cands:
+            labels[c] = lab
+            if rec(placed | (1 << c), lab):
+                return True
+        return False
+
+    return rec(0, 0)
+
+
+def _greedy_clique_size(qadj: list[int], m: int) -> int:
+    return max(_greedy_clique_from(qadj, start) for start in range(m))
+
+
 def _oracle_brute_force(g, eps: float) -> int:
     """Reference for brute_force_index: every partition, unpruned, with _fraction_k_allow."""
     n = g.n_vertices
@@ -418,6 +465,38 @@ class TestBruteForce:
                     # classes are numbered in order of their least vertex
                     assert isinstance(labels, tuple) and len(labels) == n
                     assert [c for i, c in enumerate(labels) if c not in labels[:i]] == list(range(m))
+
+
+def _assert_coloring_iff_ordering(masks: list[int]) -> None:
+    m = len(masks)
+    for k in range(1, m + 1):
+        colors = _k_coloring(masks, k)
+        assert (colors is not None) == _exists_ordering(masks, m, k - 1), (masks, k)
+        if colors is not None:
+            assert all(0 <= c < k for c in colors)
+            assert all(colors[u] != colors[v] for u in range(m) for v in range(m)
+                       if masks[u] >> v & 1)
+
+
+class TestColoringIsOrdering:
+    """brute_force_index's leaf test, a k_allow + 1 coloring, against the
+    search over value orderings it replaced."""
+
+    def test_every_labelled_graph(self):
+        for m in range(1, 6):
+            pairs = list(itertools.combinations(range(m), 2))
+            for chosen in itertools.product((False, True), repeat=len(pairs)):
+                masks = [0] * m
+                for (u, v), keep in zip(pairs, chosen):
+                    if keep:
+                        masks[u] |= 1 << v
+                        masks[v] |= 1 << u
+                _assert_coloring_iff_ordering(masks)
+
+    @given(graphs_on(6, BRUTE_FORCE_LIMIT))
+    @settings(max_examples=60, deadline=None)
+    def test_random_graphs(self, g):
+        _assert_coloring_iff_ordering(_neighbor_masks(g))
 
 
 class TestBoundSandwich:
