@@ -25,8 +25,16 @@
  * Every buffer belongs to the caller (_kernel.scratch sizes the scratch), so
  * nothing here allocates memory and no call can fail.
  *
- * Three shortcuts make the generator cheaper and consume the same MT19937
+ * Four shortcuts make the generator cheaper and consume the same MT19937
  * words in the same order, so every output stays the same:
+ * - Block tempering. After each twist, run_events tempers all MT_N state
+ *   words in one vectorised loop into out, a block on its stack, and reads
+ *   every word from there through a cursor it keeps in a local, which no
+ *   store to the int32_t buffers can alias. The cursor's position goes back
+ *   to the state when the call returns. A call that resumes within a block
+ *   (a pause for the hooks' log) tempers that block again on entry; a
+ *   seeded state stands at position MT_N, so a run's first call never does.
+ *   A skipped word only advances the cursor.
  * - Lane seeding. Every seed lies in [0, 2**64) (common.check_seed), so its
  *   init_by_array key has one or two 32-bit words, and the key index j is 0
  *   on every step or the step's parity. init_by_array starts from
@@ -37,7 +45,7 @@
  * - The direction coin. random() is (a * 2**26 + b) / 2**53 with a = w1 >> 5
  *   and b = w2 >> 6 < 2**26, so random() < 0.5 iff a * 2**26 + b < 2**52 iff
  *   a < 2**26 (b cannot carry a across 2**52) iff w1 < 2**31. The coin reads
- *   the first word and skips the second without tempering it.
+ *   the first word and skips the second.
  * - The clock. A run with an infinite t_max and neither trace nor log (a
  *   batch to absorption) keeps no clock: each holding time's two words are
  *   skipped and no -log(1 - u) / (2n) is taken. The clock is finite and each
@@ -125,46 +133,32 @@ static void twist(uint32_t *mt)
     }
     y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
     mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 0x1U) & 0x9908b0dfU);
-    mt[MT_N] = 0;
 }
 
-/* Consume one word without tempering it: the state moves as genrand's does. */
-static void skip_word(uint32_t *mt)
+/* genrand_uint32's tempering of all MT_N state words into out, in one loop
+ * that GCC -O2 vectorises; without restrict it would need an overlap check,
+ * which -O2 does not add, and stayed scalar. */
+static void temper(const uint32_t *restrict mt, uint32_t *restrict out)
 {
-    if (mt[MT_N] >= MT_N)
+    for (int k = 0; k < MT_N; k++) {
+        uint32_t y = mt[k];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        out[k] = y ^ (y >> 18);
+    }
+}
+
+/* CPython's genrand_uint32: the word at *w in out, the tempered state,
+ * twisting and tempering the next block when out is used up. */
+static inline uint32_t next_word(uint32_t *mt, uint32_t *out, const uint32_t **w)
+{
+    if (__builtin_expect(*w >= out + MT_N, 0)) {
         twist(mt);
-    mt[MT_N]++;
-}
-
-/* CPython's genrand_uint32. */
-static uint32_t genrand(uint32_t *mt)
-{
-    uint32_t y;
-    if (mt[MT_N] >= MT_N)
-        twist(mt);
-    y = mt[mt[MT_N]++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
-}
-
-/* random.random(): 53 random bits over 2**53. */
-static double random53(uint32_t *mt)
-{
-    uint32_t a = genrand(mt) >> 5, b = genrand(mt) >> 6;
-    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
-}
-
-/* random.randrange(n) for 1 <= n < 2**31: getrandbits(n.bit_length()) by rejection. */
-static int64_t randbelow(uint32_t *mt, int64_t n)
-{
-    int shift = __builtin_clz((uint32_t)n);
-    uint32_t r = genrand(mt) >> shift;
-    while (r >= (uint64_t)n)
-        r = genrand(mt) >> shift;
-    return r;
+        temper(mt, out);
+        *w = out;
+    }
+    return *(*w)++;
 }
 
 /*
@@ -367,9 +361,10 @@ static void take_sample(const struct ct_run *run, int64_t s, double t, int64_t e
  * Run the run's events (see struct ct_run), starting it if its active count
  * is negative, on the generator its caller has seeded at the start; returns
  * CT_LIMIT, CT_T_MAX, CT_ABSORBED or, at `until`, CT_PAUSE. The record's
- * fields are read into locals first and the counters written back at the
- * end, so that no store through a buffer can alias them in the loop. The
- * run keeps a clock iff t_max is finite or it has a trace or a log.
+ * fields and the generator's position are read into locals first and the
+ * counters and the position written back at the end, so that no store
+ * through a buffer can alias them in the loop. The run keeps a clock iff
+ * t_max is finite or it has a trace or a log.
  */
 static int run_events(struct ct_run *run)
 {
@@ -381,7 +376,10 @@ static int run_events(struct ct_run *run)
     int32_t *active = run->work, *pos = active + run->n_edges, *slots = run->slots;
     int32_t *log_edge = run->log_edge;
     int64_t *census = run->census;
-    uint32_t *mt = (uint32_t *)(pos + run->n_edges);
+    uint32_t *mt = (uint32_t *)(pos + run->n_edges), out[MT_N];
+    const uint32_t *w = out + mt[MT_N]; /* the next word of the tempered block */
+    if (w < out + MT_N) /* a call that resumes within a block */
+        temper(mt, out);
     const int clocked = t_max < INFINITY || trace_t != NULL || log_t != NULL;
     int64_t events = run->events, n = run->active, samples = run->samples;
     int64_t now[2] = {run->distinct, run->extremists}; /* distinct opinions, extremists */
@@ -415,7 +413,10 @@ static int run_events(struct ct_run *run)
     int code = CT_LIMIT;
     while (n > 0 && events < max_events && events != until) {
         if (clocked) {
-            double dt = -log(1.0 - random53(mt)) / (2.0 * (double)n);
+            /* random(): 53 random bits over 2**53 */
+            uint32_t a = next_word(mt, out, &w) >> 5, b = next_word(mt, out, &w) >> 6;
+            double u = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+            double dt = -log(1.0 - u) / (2.0 * (double)n);
             if (t + dt > t_max) {
                 t = t_max;
                 code = CT_T_MAX;
@@ -423,17 +424,22 @@ static int run_events(struct ct_run *run)
             }
             t += dt;
         } else {
-            skip_word(mt);
-            skip_word(mt);
+            next_word(mt, out, &w);
+            next_word(mt, out, &w);
         }
-        int32_t e = active[randbelow(mt, n)];
+        /* randrange(n), n < 2**31: getrandbits(n.bit_length()) by rejection */
+        int shift = __builtin_clz((uint32_t)n);
+        uint32_t r = next_word(mt, out, &w) >> shift;
+        while (r >= (uint64_t)n)
+            r = next_word(mt, out, &w) >> shift;
+        int32_t e = active[r];
         int32_t src = e1[e], tgt = e2[e];
         /* random() < 0.5 iff its first word is below 2**31 (see the header) */
-        if (genrand(mt) >= 0x80000000U) {
+        if (next_word(mt, out, &w) >= 0x80000000U) {
             src = e2[e];
             tgt = e1[e];
         }
-        skip_word(mt);
+        next_word(mt, out, &w);
         double old = ops[tgt];
         ops[tgt] = ops[src];
         double delta = ops[tgt] - old;
@@ -477,6 +483,7 @@ static int run_events(struct ct_run *run)
         code = n == 0 ? CT_ABSORBED : events < max_events ? CT_PAUSE : CT_LIMIT;
     if (code != CT_PAUSE && trace_t != NULL && trace_t[samples - 1] != t)
         take_sample(run, samples++, t, events, now);
+    mt[MT_N] = (uint32_t)(w - out);
     run->events = events;
     run->active = n;
     run->samples = samples;

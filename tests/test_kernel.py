@@ -238,19 +238,26 @@ def test_kernel_seeds_like_random(compiled, monkeypatch, seed):
         with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
             SimParams(0.5, seed, max_events=0)
         return
+    states = _spy_generator_words(monkeypatch)
+    simulate(make_graph(1, []), [0.5], SimParams(0.5, seed, max_events=0))
+    assert states == [(0, random.Random(seed).getstate()[1])]
+
+
+def _spy_generator_words(monkeypatch) -> list:
+    """(events, generator words) after each ct_run_events call: the run's work
+    buffer ends in the generator state, 624 words and the position, after
+    2 * n_edges words."""
     lib, states = _kernel.load(), []
 
     def spy(address):
         code = lib["ct_run_events"](address)
-        # the run's work buffer ends in the generator state, 624 words and the
-        # position, after 2 * n_edges words
         run = _kernel.Run.from_address(address)
-        states.append(tuple((ctypes.c_uint32 * 625).from_address(run.work + 8 * run.n_edges)))
+        words = (ctypes.c_uint32 * 625).from_address(run.work + 8 * run.n_edges)
+        states.append((run.events, tuple(words)))
         return code
 
     monkeypatch.setattr(_kernel, "load", lambda: {**lib, "ct_run_events": spy})
-    simulate(make_graph(1, []), [0.5], SimParams(0.5, seed, max_events=0))
-    assert states == [random.Random(seed).getstate()[1]]
+    return states
 
 
 def _spy_untils(monkeypatch) -> list:
@@ -690,6 +697,59 @@ def test_hooked_run_calls_the_kernel(compiled, monkeypatch):
     assert seen == list(range(1, last + 1))
 
 
+WORD_GRAPH = torus_graph(8, 8)
+WORD_INIT = random_initial(WORD_GRAPH, 3)
+# (graph, init, params, on_event) per case; from seed 0 at eps 0.75 the
+# events 116, 225 and 580 end on the words 624 + 1, 2 * 624 and 5 * 624 - 1
+WORD_CASES = {
+    "after_block_end": (WORD_GRAPH, WORD_INIT, SimParams(0.75, 0, max_events=116), None),
+    "on_block_end": (WORD_GRAPH, WORD_INIT, SimParams(0.75, 0, max_events=225), None),
+    "before_block_end": (WORD_GRAPH, WORD_INIT, SimParams(0.75, 0, max_events=580), None),
+    "t_max": (WORD_GRAPH, WORD_INIT, SimParams(0.75, 0, t_max=5.0), None),
+    "absorbed": (WORD_GRAPH, WORD_INIT, SimParams(0.75, 0), None),
+    # three log pauses, each within a block, then the end
+    "hooked": (
+        HOOK_GRAPH, HOOK_INIT, SimParams(0.75, 0, max_events=3 * LOG_CHUNK + 1), lambda *a: None
+    ),
+}
+WORD_POSITIONS = {"after_block_end": 1, "on_block_end": 624, "before_block_end": 623}
+
+
+@pytest.mark.parametrize("case", WORD_CASES)
+def test_kernel_leaves_the_loops_generator_words(compiled, monkeypatch, case):
+    """After each ct_run_events call the generator's 625 words in `work`
+    (the state and the position) are those of the Python loop's
+    random.Random after as many events: a run uses the words the loop draws,
+    and a call that pauses within a block (the hook's log chunks) resumes
+    on them."""
+    g, init, params, hook = WORD_CASES[case]
+    kernel = _spy_generator_words(monkeypatch)
+    report = simulate(g, init, params, on_event=hook)
+    generators, loop = [], {}
+
+    class Captured(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            generators.append(self)
+
+    def record(t, k, ops):
+        loop[k] = generators[0].getstate()[1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        m.setattr(dynamics.random, "Random", Captured)
+        assert simulate(g, init, params, on_event=record).events == report.events
+    loop[report.events] = generators[0].getstate()[1]
+    assert len(generators) == 1
+    assert kernel == [(k, loop[k]) for k, _ in kernel]
+    assert report.stop_reason == {"t_max": "t_max", "absorbed": "absorbed"}.get(case, "max_events")
+    if case in WORD_POSITIONS:
+        assert kernel[-1][1][-1] == WORD_POSITIONS[case]
+    if hook is not None:
+        assert [k for k, _ in kernel] == [LOG_CHUNK, 2 * LOG_CHUNK, 3 * LOG_CHUNK, report.events]
+        assert all(0 < words[-1] < 624 for _, words in kernel[:-1])
+
+
 def test_replay_that_diverges_from_the_kernel_raises(compiled, monkeypatch):
     from ctvoter import dynamics
 
@@ -1103,7 +1163,8 @@ def test_source_compiles_without_warnings(tmp_path):
 
 # comparisons run again on the build instrumented by AddressSanitizer; the
 # named graphs' stops include runs that fill every trace slot, the hook cases
-# every way a call pauses and resumes, the table edges every size step of
+# every way a call pauses and resumes, the generator words a call that
+# resumes within a block, the table edges every size step of
 # the opinion table and its slots, traced plain and coupled, and the type
 # limit the largest census rows
 ASAN_CASES = (
@@ -1113,7 +1174,7 @@ ASAN_CASES = (
     " or hook_log or hooked_run or one_kernel_call or random_initial_is_numpys"
     " or batch_draw or batch_matches and (single or torus or petersen) or stop_reasons"
     " or key_lengths or reaches_all or hook_nests or threads_running or kept_buffers"
-    " or seed_word_edges or run_record or pooled"
+    " or seed_word_edges or run_record or pooled or generator_words"
 )
 ASAN_PLUGIN = """
 from pathlib import Path
