@@ -2,10 +2,11 @@
  * Compiled event loop of the threshold voter process (see dynamics.py).
  *
  * ct_run_events runs dynamics._run_events in one call, or pauses at an event
- * count the caller chooses, and is bit-exact with its Python loop: it seeds
- * CPython's MT19937 from the integer seed as random.Random(seed) does, draws
- * with CPython's rules for random(), expovariate() and randrange(), in the
- * same order per event, and keeps the active-edge array in the same order.
+ * count the caller chooses, and is bit-exact with the Python reference loop
+ * of tests/reference_loop.py: it seeds CPython's MT19937 from the integer
+ * seed as random.Random(seed) does, draws with CPython's rules for random(),
+ * expovariate() and randrange(), in the same order per event, and keeps the
+ * active-edge array in the same order.
  * Its observers cost O(1) per event and none of them pauses it: it keeps
  * the distinct-opinion and extremist counts of a traced run, and the edge
  * census of the coupled weights, up to date on each event, so a trace sample

@@ -5,8 +5,8 @@ package's __pycache__ under a name made from the SHA-256 of the source, the
 compiler flags and the interpreter's cache tag; a cached build is reused.
 The write is atomic (temporary file, then os.replace), so separate
 processes, such as two CLI runs started at once, can race on it safely.
-When no compiler is present, or the build or the load fails, load() logs
-one warning and returns None, and the Python event loop runs instead.
+The kernel is required: when the source or the compiler is missing, or the
+build or the load fails, load() raises OSError, which names the cause.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import contextlib
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import subprocess
 import sys
@@ -42,8 +41,6 @@ STOP_REASONS = {ABSORBED: "absorbed", T_MAX: "t_max", LIMIT: "max_events"}
 MAX_EVENTS = 2**62
 # events per chunk of the kernel's event log, from which per-event hooks are replayed
 LOG_CHUNK = 4096
-
-log = logging.getLogger(__name__)
 
 _pointer, _int32, _int64, _double = ctypes.c_void_p, ctypes.c_int32, ctypes.c_int64, ctypes.c_double
 
@@ -98,19 +95,26 @@ def _build(path: Path) -> None:
 @functools.cache
 def load():
     """The library's entry points by name, each typed from SIGNATURES; the
-    library is built if not cached. None if unavailable."""
+    library is built if not cached.
+
+    Raises OSError naming the step that failed (reading the source, running
+    the compiler, loading the library) and its cause, with the compiler's
+    stderr when it ran and failed. A failure is not cached: the next call
+    tries again.
+    """
+    step = "read the event kernel source"
     try:
         path = library_path()
         if not path.exists():
+            step = f"compile the event kernel with {COMPILER}"
             _build(path)
+        step = "load the event kernel"
         lib = ctypes.CDLL(str(path))
         functions = {name: getattr(lib, name) for name in SIGNATURES}
     except subprocess.CalledProcessError as exc:
-        log.warning("event kernel failed to compile, using the Python loop:\n%s", exc.stderr)
-        return None
+        raise OSError(f"cannot {step} (exit {exc.returncode}):\n{exc.stderr.strip()}") from exc
     except (OSError, AttributeError) as exc:
-        log.warning("event kernel unavailable, using the Python loop: %s", exc)
-        return None
+        raise OSError(f"cannot {step}: {exc}") from exc
     for name, function in functions.items():
         function.argtypes = SIGNATURES[name]
         function.restype = ctypes.c_int
@@ -121,7 +125,7 @@ def graph_pointers(g: Graph) -> tuple[int, ...]:
     """Addresses of graphs.edge_arrays(g), taken once per Graph.
 
     The incidence lists each vertex's edges in increasing index order, the
-    order in which the Python loop visits them. g keeps the arrays, and so
+    order in which the kernel visits them. g keeps the arrays, and so
     the addresses valid, for as long as it lives.
     """
     return g.derived("kernel_pointers", _addresses)
@@ -131,14 +135,10 @@ def _addresses(g: Graph) -> tuple[int, ...]:
     return tuple(a.ctypes.data for a in edge_arrays(g))
 
 
-def reaches_all(g: Graph) -> bool | None:
-    """graphs.is_connected's search, run by ct_reaches_all over g's CSR
-    incidence; None when there is no kernel."""
-    lib = load()
-    if lib is None:
-        return None
+def reaches_all(g: Graph) -> bool:
+    """graphs.is_connected's search, run by ct_reaches_all over g's CSR incidence."""
     work = np.empty(2 * g.n_vertices, dtype=np.int32)
-    return lib["ct_reaches_all"](*graph_pointers(g), g.n_vertices, work.ctypes.data) == 1
+    return load()["ct_reaches_all"](*graph_pointers(g), g.n_vertices, work.ctypes.data) == 1
 
 
 # this thread's last scratch set, as ((n, m, cap, types), buffers, addresses)

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: simulate, index, consensus, coexistence, sweep, urn. Exit codes:
-0 success, 1 validation/usage error, 2 I/O error. Every randomized subcommand
-either takes --seed or generates one and prints it, so runs are replayable.
+0 success, 1 validation/usage error, 2 I/O error, an event kernel that cannot
+be built or loaded included. Every randomized subcommand either takes --seed
+or generates one and prints it, so runs are replayable.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import array
 import ctypes
 import math
 import operator
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,15 +83,11 @@ def random_initial(g: Graph, seed: int) -> np.ndarray:
 
     seed must be an int in [0, 2**64) (common.check_seed). The compiled
     kernel's ct_draw_uniform draws them bit for bit as NumPy does, without
-    importing numpy.random (7 to 10 ms, once per process); NumPy draws them
-    when there is no kernel.
+    importing numpy.random (7 to 10 ms, once per process).
     """
     check_seed(seed)
-    lib = _kernel.load()
-    if lib is None:
-        return np.random.default_rng(seed).random(g.n_vertices)
     ops = np.empty(g.n_vertices)
-    lib["ct_draw_uniform"](ops.ctypes.data, g.n_vertices, seed)
+    _kernel.load()["ct_draw_uniform"](ops.ctypes.data, g.n_vertices, seed)
     return ops
 
 
@@ -167,128 +162,14 @@ def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:
 
     on_event, if given, is called after each applied event as
     on_event(time, n_events, opinions) with the live opinion list (read-only).
-    The hook does not change the run: the compiled loop runs when it is
-    available, and the hook is replayed from its event log.
+    The hook does not change the run: it is replayed from the kernel's event
+    log.
     """
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     ops = _validate_initial(g, init)
     hook = None if on_event is None else lambda t, k, ops, _: on_event(t, k, ops)
     return _run_events(g, ops, params, hook)[0]
-
-
-def _run_events(
-    g: Graph, ops: np.ndarray, params: SimParams, on_event=None, weights=None, census_types=0
-) -> tuple[SimReport, list[tuple[float, int, tuple[int, ...]]]]:
-    """The event loop behind simulate and simulate_coupled.
-
-    ops is the array returned by _validate_initial; it is copied, never
-    written to (the Python loop evolves a list made from it). All draws come
-    from random.Random(params.seed) in a fixed order per event: the holding
-    time, then the edge index among the currently active edges, then the
-    direction coin (below 1/2 copies the lower-index endpoint onto the
-    higher, otherwise the reverse). Identical seeds give identical runs. An
-    edge is live iff its endpoints' exact difference is nonzero and below
-    eps (_live). If weights (a float64 array, one entry per edge) is given,
-    it is evolved in place by the coupled rule: the fired edge is set to
-    exactly 0.0 and every other edge at the updated vertex gains (if the
-    vertex is its higher endpoint) or loses the vertex's change of opinion.
-    After each event, on_event(t, n_events, opinions, weights) is called
-    with the live lists. The opinion and extremist traces are sampled at
-    event indices 1, 2, 4, ... plus the initial and final states. With
-    census_types J > 0 (weights given, eps > 0) the weights' census is taken
-    at the same points. Returns the report and the census trace: one (t,
-    n_events, row) per trace point, the row holding the J + 2 counts of
-    edge_process.census (types 0..J, then the boundary), or [] without
-    census_types.
-
-    The compiled kernel of _kernel.c runs whenever it can be built: one C
-    call seeds the generator, runs the whole replicate and keeps every
-    trace, census included, up to date on each event. It pauses only for
-    on_event, every _kernel.LOG_CHUNK events, whose hooks are replayed from
-    the kernel's event log. It is bit-exact with the Python loop, which is
-    the reference and the fallback: its samples count the opinions and bin
-    the weights with edge_process.census, which raises on a weight of a type
-    above J. The kernel counts such a weight nowhere, so its row sums to
-    less than the edge count, and edge_process raises the same error after
-    the run.
-    """
-    lib = _kernel.load()
-    if lib is not None:
-        return _compiled_events(lib["ct_run_events"], g, ops, params, on_event, weights, census_types)
-
-    ops = ops.tolist()
-    w = None if weights is None else weights.tolist()
-    edges = _edge_lists(g)
-    e1, e2, inc_start, inc_edge = edges
-    eps = params.epsilon
-    track_extremists = eps > 0.5
-    opinion_trace = []
-    extremist_trace = []
-    census_trace = []
-    if census_types:
-        from . import edge_process  # imports this module, so only once it is loaded
-
-    def sample(t: float, k: int) -> None:
-        opinion_trace.append((t, len(set(ops))))
-        if track_extremists:
-            extremist_trace.append((t, extremist_count(ops, eps)))
-        if census_types:
-            cen = edge_process.census(w, eps)
-            census_trace.append((t, k, (*cen.counts, cen.boundary_count)))
-
-    rng = random.Random(params.seed)
-    expo = rng.expovariate
-    randrange = rng.randrange
-    rand = rng.random
-    active = [f for f in range(g.n_edges) if _live(ops[e1[f]], ops[e2[f]], eps)]
-    pos = [-1] * g.n_edges
-    for p, f in enumerate(active):
-        pos[f] = p
-
-    t = 0.0
-    events = 0
-    t_max = params.t_max
-    max_events = _event_limit(params.max_events)
-
-    sample(t, events)
-    next_trace = 1
-    stop = _kernel.LIMIT
-    while active and events < max_events:
-        n = len(active)
-        dt = expo(2.0 * n)
-        if t_max is not None and t + dt > t_max:
-            t = t_max
-            stop = _kernel.T_MAX
-            break
-        t += dt
-        f = active[randrange(n)]
-        events += 1
-        tgt = _apply_event(ops, w, edges, eps, f if rand() < 0.5 else ~f, t, events, on_event)
-        for h in inc_edge[inc_start[tgt] : inc_start[tgt + 1]]:
-            live = _live(ops[e1[h]], ops[e2[h]], eps)
-            p = pos[h]
-            if live and p < 0:
-                pos[h] = len(active)
-                active.append(h)
-            elif not live and p >= 0:
-                last = active[-1]
-                active[p] = last
-                pos[last] = p
-                active.pop()
-                pos[h] = -1
-        if events == next_trace:
-            sample(t, events)
-            next_trace *= 2
-
-    if opinion_trace[-1][0] != t:
-        sample(t, events)
-    if weights is not None:
-        weights[:] = w
-    # the loop breaks at t_max only while an edge is active
-    reason = _kernel.STOP_REASONS[stop if active else _kernel.ABSORBED]
-    report = SimReport(np.array(ops), t, events, not active, opinion_trace, extremist_trace, reason)
-    return report, census_trace
 
 
 def _event_limit(max_events: int | None) -> int:
@@ -311,22 +192,44 @@ def _kernel_run(
     )
 
 
-def _compiled_events(
-    run_events, g: Graph, ops: np.ndarray, params: SimParams, on_event, weights, census_types
-) -> tuple[SimReport, list]:
-    """Run the compiled kernel over one replicate; returns what _run_events does.
+def _run_events(
+    g: Graph, ops: np.ndarray, params: SimParams, on_event=None, weights=None, census_types=0
+) -> tuple[SimReport, list[tuple[float, int, tuple[int, ...]]]]:
+    """The event loop behind simulate and simulate_coupled, run by the kernel.
 
-    The buffers made per call are array.array objects: buffer_info() gives
-    an address in about 0.1 us, where numpy's .ctypes.data takes about 3 us,
-    as long as a short run's whole loop. The scratch buffers are this
-    thread's kept set (_kernel.scratch), whose addresses are taken once,
-    when it is allocated. The kernel keeps the traces and the
-    census itself, so without on_event one call runs the whole replicate.
-    With on_event each call runs to the end of a log chunk, the kernel logs
-    each event, and the hook is driven by replaying the log on lists with
-    _apply_event; at the end the lists must equal the kernel's opinions and
-    weights bit for bit.
+    ops is the array returned by _validate_initial; it is copied, never
+    written to. All draws come from random.Random(params.seed)'s generator,
+    which the kernel reproduces word for word, in a fixed order per event:
+    the holding time, then the edge index among the currently active edges,
+    then the direction coin (below 1/2 copies the lower-index endpoint onto
+    the higher, otherwise the reverse). Identical seeds give identical runs.
+    An edge is live iff its endpoints' exact difference is nonzero and below
+    eps (_live). If weights (a contiguous float64 array, one entry per edge)
+    is given, it is evolved in place by the coupled rule (_apply_event).
+    After each event, on_event(t, n_events, opinions, weights) is called
+    with the live lists. The opinion and extremist traces are sampled at
+    event indices 1, 2, 4, ... plus the initial and final states. With
+    census_types J > 0 (weights given, eps > 0) the weights' census is taken
+    at the same points. Returns the report and the census trace: one (t,
+    n_events, row) per trace point, the row holding the J + 2 counts of
+    edge_process.census (types 0..J, then the boundary), or [] without
+    census_types. The kernel counts a weight of a type above J nowhere, so
+    its row sums to less than the edge count, and edge_process raises.
+
+    One C call seeds the generator, runs the whole replicate and keeps every
+    trace, census included, up to date on each event. The buffers made per
+    call are array.array objects: buffer_info() gives an address in about
+    0.1 us, where numpy's .ctypes.data takes about 3 us, as long as a short
+    run's whole loop. The scratch buffers are this thread's kept set
+    (_kernel.scratch), whose addresses are taken once, when it is allocated.
+    With on_event each call runs to the end of a log chunk
+    (_kernel.LOG_CHUNK events), the kernel logs each event, and the hook is
+    driven by replaying the log on lists with _apply_event; at the end the
+    lists must equal the kernel's opinions and weights bit for bit. The
+    Python loop in tests/reference_loop.py is the reference the kernel is
+    held to.
     """
+    run_events = _kernel.load()["ct_run_events"]
     n, m = g.n_vertices, g.n_edges
     if weights is not None and not (
         weights.dtype == np.float64 and weights.shape == (m,) and weights.flags.c_contiguous

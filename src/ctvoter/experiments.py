@@ -5,16 +5,16 @@ i = grid_index * reps + replicate (the replicate itself when the grid is a
 single threshold), and each replicate splits its seed once more into an
 initial-configuration stream and an event stream.
 Records are keyed by replicate index, so serial and parallel execution
-produce identical reports. With the compiled kernel, one call runs all the
+produce identical reports. One call of the compiled kernel runs all the
 replicates of a cell (a threshold, or a piece of one with several
-workers), initial draws included; without it each replicate runs through
-run_replicate.
+workers), initial draws included.
 """
 
 from __future__ import annotations
 
 import array
 import ctypes
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -121,6 +121,9 @@ def _record(eps, index, rep_seed, nu: int, extremists: int, events: int, wall: f
 
 
 def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
+    """(record, final) of one replicate through run_replicate, as _run_chunk
+    gives it for a cell of that replicate alone; args is (g, eps, index,
+    rep_seed, t_max, want_final). The tests' reference runs cells by it."""
     g, eps, index, rep_seed, t_max, want_final = args
     start = time.perf_counter()
     _, report = run_replicate(g, eps, rep_seed, t_max=t_max)
@@ -140,16 +143,10 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     t_max, which _run_grid has checked; keep_final asks for the first
     replicate's final opinions. One call of the compiled ct_run_replicates
     runs them all, initial draws included. Each record's wall time is the
-    call's over the cell's length. Without the compiled kernel each
-    replicate runs through _replicate_worker.
+    call's over the cell's length.
     """
     g, eps, t_max, first, seeds, keep_final = cell
-    lib = _kernel.load()
-    if lib is None:
-        return [
-            _replicate_worker((g, eps, first + r, seed, t_max, keep_final and r == 0))
-            for r, seed in enumerate(seeds)
-        ]
+    run_replicates = _kernel.load()["ct_run_replicates"]
     start = time.perf_counter()
     n, reps = g.n_vertices, len(seeds)
     seed_words = array.array("Q", seeds)
@@ -159,7 +156,7 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     with _kernel.scratch(n, g.n_edges) as (_, (work, table, _, _)):
         limit = _event_limit(DEFAULT_MAX_EVENTS)
         run = _kernel_run(g, eps, t_max, limit, ops=ops.buffer_info()[0], work=work, table=table)
-        lib["ct_run_replicates"](
+        run_replicates(
             ctypes.addressof(run), seed_words.buffer_info()[0], reps, out.buffer_info()[0],
             None if final is None else final.buffer_info()[0],
         )
@@ -177,8 +174,7 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
 def _run_batch(cells, workers: int):
     """(record, final) of every replicate of the cells, in order, run on a
     pool of `workers` threads. The kernel call releases the GIL, so the
-    threads run cells at once in one address space; the Python loop holds
-    it, so without the kernel the threads take turns."""
+    threads run cells at once in one address space."""
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return [r for results in pool.map(_run_chunk, cells) for r in results]
 
@@ -192,7 +188,9 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
     non-empty, its thresholds valid and distinct (0.0 and -0.0 are one), and
     t_max, reps, workers and master_seed (in [0, 2**64)) valid; all of that
     is checked before graph() is called, and the graph's connectivity, which
-    also loads the kernel, before any replicate runs. The grid is cut into
+    also loads the kernel, before any replicate runs. workers is capped at
+    the CPU count, as a cell's kernel call keeps one core busy and each
+    thread keeps its own scratch set. The grid is cut into
     cells (_run_chunk): one per threshold, or, with workers > 1, pieces of
     each threshold of about len(grid) * reps / (4 * workers) replicates, so
     that the threads' load stays even.
@@ -205,6 +203,7 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
         raise ValueError("reps must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, os.cpu_count() or 1)
     for eps in grid:
         SimParams(eps, master_seed, t_max=t_max)
     g = graph()

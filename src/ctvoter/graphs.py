@@ -298,34 +298,15 @@ def _incidence(g: Graph) -> tuple[np.ndarray, ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0; one search per Graph.
-
-    The compiled kernel searches the CSR incidence (_kernel.reaches_all);
-    without it, _reaches_all searches the adjacency tuples.
-    """
+    """True iff every vertex is reachable from vertex 0; one search per Graph,
+    run by the compiled kernel over the CSR incidence (_kernel.reaches_all)."""
     return g.derived("connected", _search)
 
 
 def _search(g: Graph) -> bool:
     from . import _kernel  # it imports this module
 
-    found = _kernel.reaches_all(g)
-    return _reaches_all(g) if found is None else found
-
-
-def _reaches_all(g: Graph) -> bool:
-    seen = [False] * g.n_vertices
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for u in g.adjacency[v]:
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                stack.append(u)
-    return count == g.n_vertices
+    return _kernel.reaches_all(g)
 
 
 def is_bipartite(g: Graph) -> bool:

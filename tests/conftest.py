@@ -92,7 +92,8 @@ def golden_run(case):
 
 @pytest.fixture
 def python_loop(monkeypatch):
-    """Run the Python event loop, as when the compiled kernel is unavailable."""
-    from ctvoter import _kernel
+    """Run the Python reference loop of tests/reference_loop.py in place of
+    the compiled kernel's entry points."""
+    import reference_loop
 
-    monkeypatch.setattr(_kernel, "load", lambda: None)
+    reference_loop.use(monkeypatch)

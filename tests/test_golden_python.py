@@ -1,7 +1,8 @@
-"""The golden digests of tests/test_golden.py, on the Python event loop.
+"""The golden digests of tests/test_golden.py, on the Python reference loop.
 
-test_golden.py runs with the compiled loop wherever it can be built; here the
-same tests run with it disabled, so the pinned outputs hold for both.
+test_golden.py runs the compiled kernel; here the same tests run on the loop
+of tests/reference_loop.py (the initial draws stay the kernel's), so the
+pinned outputs hold for both.
 """
 
 import pytest

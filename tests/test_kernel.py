@@ -1,10 +1,11 @@
 """The compiled event loop against the Python reference loop, and its build.
 
 Every comparison is bit for bit: the report JSON (floats written by repr),
-the final opinions' and weights' bytes, and the census trace. The build tests
-point the library cache at a temporary directory and break the compiler or
-the loader to check the fallback and the reuse of a cached build; one runs
-the comparisons again on a build instrumented by AddressSanitizer.
+the final opinions' and weights' bytes, and the census trace, against the
+loop of tests/reference_loop.py. The build tests point the library cache at
+a temporary directory and break the source, the compiler or the loader to
+check the refusal and the reuse of a cached build; one runs the comparisons
+again on a build instrumented by AddressSanitizer.
 """
 
 import array
@@ -12,12 +13,10 @@ import ctypes
 import dataclasses
 import hashlib
 import json
-import logging
 import math
 import os
 import random
 import re
-import shutil
 import subprocess
 import sys
 import threading
@@ -50,7 +49,7 @@ from ctvoter import _kernel, dynamics, edge_process, experiments, graphs
 from ctvoter.common import MASK64, ceil_recip
 from ctvoter.dynamics import DEFAULT_MAX_EVENTS, _live
 
-import test_golden
+import reference_loop
 from conftest import (
     GOLDEN_CASES,
     golden_run,
@@ -97,8 +96,8 @@ GRAPHS = {
 
 @pytest.fixture(scope="module")
 def compiled():
-    if _kernel.load() is None:
-        pytest.skip("compiled event kernel unavailable")
+    """The kernel, built and loaded; a build that fails fails the test."""
+    return _kernel.load()
 
 
 @pytest.fixture
@@ -135,7 +134,7 @@ def _outputs(g, init, params) -> tuple:
 def _assert_backends_agree(monkeypatch, g, init, params):
     compiled_out = _outputs(g, init, params)
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "load", lambda: None)
+        reference_loop.use(m)
         python_out = _outputs(g, init, params)
     assert compiled_out == python_out, (params, list(init))
 
@@ -226,7 +225,7 @@ def test_liveness_matches_exact_oracle(compiled, eps, b, steps, swap):
     params = SimParams(eps, 1, max_events=1)
     assert simulate(g, [u, v], params).events == live
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernel, "load", lambda: None)
+        reference_loop.use(m)
         assert simulate(g, [u, v], params).events == live
 
 
@@ -364,7 +363,7 @@ def test_seed_word_edges_agree(compiled, monkeypatch, seed):
         return json.dumps(simulate(g, random_initial(g, seed), SimParams(0.75, seed)).to_dict())
 
     kernel = report()
-    monkeypatch.setattr(_kernel, "load", lambda: None)
+    reference_loop.use(monkeypatch)
     assert report() == kernel
 
 
@@ -456,8 +455,8 @@ def test_pooled_batch_matches_serial(compiled):
 @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
 def test_pooled_batch_pickles_no_graph(compiled, monkeypatch, request, backend):
     """The workers share the caller's graph: with pickling a Graph made to
-    fail, a grid on three threads, more than the cores, each graph built
-    afresh, still gives the serial records."""
+    fail, a grid asked for three workers, which the pool caps at the CPU
+    count, each graph built afresh, still gives the serial records."""
     if backend == "python_loop":
         request.getfixturevalue(backend)
 
@@ -470,6 +469,26 @@ def test_pooled_batch_pickles_no_graph(compiled, monkeypatch, request, backend):
         for w in (3, 1)
     )
     assert pooled == serial
+
+
+@pytest.mark.parametrize("cores", [2, None])
+def test_pool_is_capped_at_the_cpu_count(compiled, monkeypatch, cores):
+    """A million workers make a pool of at most the CPU count (one thread
+    when the count is unknown), whose cells give the serial records."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    pool, sizes = experiments.ThreadPoolExecutor, []
+
+    def spy(max_workers):
+        assert max_workers <= (cores or 1), "the pool was not capped"
+        sizes.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", spy)
+    g = GRAPHS["torus:5x6"]
+    capped, serial = (
+        _comparable(experiments._run_grid(lambda: g, (0.3, 0.75), 9, 5, w, 3.0)) for w in (10**6, 1)
+    )
+    assert capped == serial and sizes == [cores or 1, 1]
 
 
 def _spy_batches(monkeypatch) -> list:
@@ -736,8 +755,8 @@ def test_kernel_leaves_the_loops_generator_words(compiled, monkeypatch, case):
         loop[k] = generators[0].getstate()[1]
 
     with monkeypatch.context() as m:
-        m.setattr(_kernel, "load", lambda: None)
-        m.setattr(dynamics.random, "Random", Captured)
+        reference_loop.use(m)
+        m.setattr(reference_loop.random, "Random", Captured)
         assert simulate(g, init, params, on_event=record).events == report.events
     loop[report.events] = generators[0].getstate()[1]
     assert len(generators) == 1
@@ -779,17 +798,17 @@ def _search_cases() -> list:
 
 @pytest.mark.parametrize("backend", ["kernel", "python_loop"])
 def test_reaches_all_matches_the_python_search(compiled, request, backend):
-    """is_connected, by ct_reaches_all or without the kernel by _reaches_all,
-    against _reaches_all, each on a graph that has not been searched."""
+    """is_connected, by ct_reaches_all or on the reference by its Python
+    search, and ct_reaches_all itself, against the Python search, each on a
+    graph that has not been searched."""
     if backend == "python_loop":
         request.getfixturevalue(backend)
     cases = _search_cases()
-    expected = [graphs._reaches_all(g) for g in cases]
+    expected = [reference_loop.reaches_all(g) for g in cases]
     assert set(expected) == {True, False}
     fresh = [make_graph(g.n_vertices, g.edges) for g in cases]
     assert [graphs.is_connected(g) for g in fresh] == expected
-    searched = [_kernel.reaches_all(g) for g in cases]
-    assert searched == (expected if backend == "kernel" else [None] * len(cases))
+    assert [_kernel.reaches_all(g) for g in cases] == expected
 
 
 def _coupled_bytes(g, seed: int, max_events=None) -> tuple:
@@ -1039,7 +1058,7 @@ def test_census_type_above_the_limit(compiled, case, edge, steps, sign, seed):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(edge_process, "weights_from_opinions", weights_from_opinions)
         kernel = _coupled_outcome(g, ops, params)
-        m.setattr(_kernel, "load", lambda: None)
+        reference_loop.use(m)
         assert _coupled_outcome(g, ops, params) == kernel
     if steps > 0:
         assert kernel == f"weight of type above {j_cap} for eps={eps!r}"
@@ -1090,38 +1109,67 @@ def test_cache_name_follows_source_and_flags(tmp_path, monkeypatch):
     assert _kernel.library_path() != base
 
 
-@pytest.mark.parametrize(
-    "breakage", ["source missing", "compiler missing", "compiler fails", "loader fails"]
-)
-def test_fallback_gives_golden_digests(fresh_cache, monkeypatch, caplog, breakage):
+BREAKAGES = {
+    # breakage: the step and the cause that the OSError names
+    "source missing": r"cannot read the event kernel source: .*no-such-source\.c",
+    "compiler missing": r"cannot compile the event kernel with .*no-such-cc: .*no-such-cc",
+    "compiler fails": r"(?s)cannot compile the event kernel with cc \(exit \d+\):\n.*no-such-flag",
+    "loader fails": r"cannot load the event kernel: cannot load .*_kernel-",
+}
+
+
+def _break(m, breakage: str, cache: Path) -> None:
     if breakage == "source missing":
-        monkeypatch.setattr(_kernel, "SOURCE", fresh_cache / "no-such-source.c")
+        m.setattr(_kernel, "SOURCE", cache / "no-such-source.c")
     elif breakage == "compiler missing":
-        monkeypatch.setattr(_kernel, "COMPILER", str(fresh_cache / "no-such-cc"))
+        m.setattr(_kernel, "COMPILER", str(cache / "no-such-cc"))
     elif breakage == "compiler fails":
-        monkeypatch.setattr(_kernel, "FLAGS", _kernel.FLAGS + ("-no-such-flag",))
+        m.setattr(_kernel, "FLAGS", _kernel.FLAGS + ("-no-such-flag",))
     else:
         def refuse(path):
             raise OSError(f"cannot load {path}")
 
-        monkeypatch.setattr(_kernel.ctypes, "CDLL", refuse)
-    with caplog.at_level(logging.WARNING, logger=_kernel.__name__):
-        for case, digests in zip(GOLDEN_CASES, test_golden.DIGESTS):
-            test_golden.test_golden_digests(case, digests)
-    assert _kernel.load() is None
-    warnings = [r for r in caplog.records if r.name == _kernel.__name__]
-    assert len(warnings) == 1 and "Python loop" in warnings[0].getMessage()
+        m.setattr(_kernel.ctypes, "CDLL", refuse)
+
+
+@pytest.mark.parametrize("breakage", BREAKAGES)
+def test_broken_build_refuses(fresh_cache, monkeypatch, breakage):
+    """Each breakage makes load() raise one OSError that names its cause, and
+    a load after the repair succeeds, so a failure is not cached."""
+    with monkeypatch.context() as m:
+        _break(m, breakage, fresh_cache)
+        for _ in range(2):
+            with pytest.raises(OSError, match=BREAKAGES[breakage]):
+                _kernel.load()
+    assert sorted(_kernel.load()) == sorted(_kernel.SIGNATURES)
+
+
+@pytest.mark.parametrize("breakage", BREAKAGES)
+def test_cli_exits_2_on_a_broken_build(fresh_cache, monkeypatch, capsys, breakage):
+    """simulate exits 2 with one i/o error line and writes no report; index
+    and urn never load the kernel and still exit 0."""
+    from ctvoter import cli
+
+    out = fresh_cache / "out"
+    _break(monkeypatch, breakage, fresh_cache)
+    argv = ["simulate", "--graph", "path:10", "--eps", "0.5", "--seed", "1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("i/o error:")]) == 1
+    assert re.search(BREAKAGES[breakage], err)
+    assert not (out / "report.json").exists()
+    assert cli.main(["index", "--graph", "cycle:5", "--eps", "0.6"]) == 0
+    assert cli.main(["urn", "--balls", "5", "--boxes", "6"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cached_library_is_reused(fresh_cache, monkeypatch):
-    if shutil.which(_kernel.COMPILER) is None:
-        pytest.skip("no C compiler")
-    assert _kernel.load() is not None
+    _kernel.load()
     (built,) = fresh_cache.glob("_kernel-*.so")
     stamp = built.stat().st_mtime_ns
     _kernel.load.cache_clear()
     monkeypatch.setattr(_kernel, "COMPILER", str(fresh_cache / "no-such-cc"))
-    assert _kernel.load() is not None
+    _kernel.load()
     assert [p.name for p in fresh_cache.iterdir()] == [built.name]
     assert built.stat().st_mtime_ns == stamp
 
@@ -1130,26 +1178,20 @@ def _build_and_run(cache_dir: str) -> str:
     _kernel.CACHE_DIR = Path(cache_dir)
     # importing this module drew HOOK_INIT, which loaded the default cache's build
     _kernel.load.cache_clear()
-    if _kernel.load() is None:
-        return "unavailable"
     g = torus_graph(6, 6)
     report = simulate(g, random_initial(g, 1), SimParams(0.5, 2, t_max=3.0))
     return json.dumps(report.to_dict())
 
 
 def test_concurrent_builds_share_one_cache(fresh_cache):
-    if shutil.which(_kernel.COMPILER) is None:
-        pytest.skip("no C compiler")
     with ProcessPoolExecutor(max_workers=2, mp_context=get_context("spawn")) as pool:
         futures = [pool.submit(_build_and_run, str(fresh_cache)) for _ in range(2)]
         results = [f.result(timeout=120) for f in futures]
-    assert results[0] == results[1] != "unavailable"
+    assert results[0] == results[1]
     assert [p.name for p in fresh_cache.iterdir()] == [_kernel.library_path().name]
 
 
 def test_source_compiles_without_warnings(tmp_path):
-    if shutil.which(_kernel.COMPILER) is None:
-        pytest.skip("no C compiler")
     out = tmp_path / "kernel.so"
     cmd = [_kernel.COMPILER, "-Wall", "-Wextra", "-Werror", *_kernel.FLAGS]
     result = subprocess.run(
@@ -1182,14 +1224,11 @@ from ctvoter import _kernel
 
 _kernel.FLAGS = _kernel.FLAGS + ("-fsanitize=address", "-fno-omit-frame-pointer")
 _kernel.CACHE_DIR = Path({cache!r})
-if _kernel.load() is None:
-    raise RuntimeError("the instrumented event kernel did not build or load")
+_kernel.load()
 """
 
 
 def test_kernel_is_memory_safe_under_asan(tmp_path):
-    if shutil.which(_kernel.COMPILER) is None:
-        pytest.skip("no C compiler")
     found = subprocess.run(
         [_kernel.COMPILER, "-print-file-name=libasan.so"], capture_output=True, text=True
     )

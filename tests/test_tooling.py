@@ -5,12 +5,9 @@ import importlib
 import inspect
 import os
 import re
-import shutil
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
@@ -47,8 +44,7 @@ def test_every_kernel_entry_point_is_typed_with_its_parameter_count():
     counts = {name: len(params.split(",")) for name, params in found}
     assert counts and counts == {name: len(a) for name, a in _kernel.SIGNATURES.items()}
     lib = _kernel.load()
-    if lib is not None:
-        assert {name: len(f.argtypes) for name, f in lib.items()} == counts
+    assert {name: len(f.argtypes) for name, f in lib.items()} == counts
 
 
 def test_run_batch_takes_the_two_arguments_the_benchmark_passes():
@@ -69,6 +65,51 @@ def test_kernel_allocates_nothing():
     code = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
     assert re.findall(r"\b(?:malloc|calloc|realloc|free)\b", code) == []
     assert not hasattr(_kernel, "NO_MEMORY")
+
+
+def _is_load_call(node) -> bool:
+    """True iff node is a call of _kernel.load() or, inside _kernel, load()."""
+    func = node.func if isinstance(node, ast.Call) else None
+    if isinstance(func, ast.Attribute):
+        return func.attr == "load" and isinstance(func.value, ast.Name) and func.value.id == "_kernel"
+    return isinstance(func, ast.Name) and func.id == "load"
+
+
+def test_one_event_loop_in_the_package():
+    """The compiled kernel is the package's only event loop: dynamics imports
+    no random and names neither expovariate nor randrange, and no function
+    under src/ctvoter compares _kernel.load(), or a name bound to it, with
+    None. Read by ast, so comments and docstrings do not count."""
+    from ctvoter import _kernel, dynamics
+
+    tree = ast.parse(Path(inspect.getsourcefile(dynamics)).read_text())
+    imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert "random" not in imported
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"expovariate", "randrange"}
+    checks = []
+    for path in sorted(Path(_kernel.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                t.id
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Assign) and _is_load_call(n.value)
+                for t in n.targets
+                if isinstance(t, ast.Name)
+            }
+            for n in ast.walk(fn):
+                if not isinstance(n, ast.Compare):
+                    continue
+                sides = [n.left, *n.comparators]
+                if any(isinstance(x, ast.Constant) and x.value is None for x in sides) and any(
+                    _is_load_call(x) or isinstance(x, ast.Name) and x.id in bound for x in sides
+                ):
+                    checks.append(f"{path.name}:{n.lineno} in {fn.name}")
+    assert checks == []
 
 
 def _calls_by_function(tree):
@@ -130,11 +171,11 @@ def test_statics_and_cli_state_each_rule_once():
 
 NO_NUMPY_RANDOM = """
 import sys
-from ctvoter import SimParams, _kernel, path_graph, random_initial, simulate_coupled
+from ctvoter import SimParams, path_graph, random_initial, simulate_coupled
 
 g = path_graph(50)
 result = simulate_coupled(g, random_initial(g, 1), SimParams(0.3, 2))
-assert _kernel.load() is not None and result.census_trace
+assert result.census_trace
 print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
 """
 
@@ -144,8 +185,6 @@ def test_compiled_run_never_imports_numpy_random():
     numpy.random's import (7 to 10 ms of a large graph's set-up)."""
     from ctvoter import _kernel
 
-    if shutil.which(_kernel.COMPILER) is None:
-        pytest.skip("no C compiler")
     src = Path(_kernel.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
