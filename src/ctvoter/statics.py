@@ -3,9 +3,9 @@
 The opinion index of a graph at threshold eps is the maximum number of
 distinct opinions an absorbing configuration can hold: every edge must join
 equal opinions or opinions separated by more than eps. The exact oracle
-searches equal-opinion partitions, pruned, and tests each by coloring its
-quotient graph; the bounds come from proper colorings (lower) and clique
-peeling (upper).
+maximises, over maps of the vertices into complete_index(n, eps) parts, the
+total number of connected components the parts induce; the bounds come from
+proper colorings (lower) and clique peeling (upper).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .graphs import (
     clique_peel,
     greedy_coloring,
     is_proper_coloring,
-    _k_coloring,
     _maximum_cliques,
     _neighbor_masks,
     EXACT_CHROMATIC_LIMIT,
@@ -206,42 +205,29 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     return least((1 << g.n_vertices) - 1)
 
 
-def _greedy_clique_from(qadj: list[int], start: int) -> int:
-    """Size of the clique grown from start, adding the lowest common neighbour each step."""
-    size, cand = 1, qadj[start]
-    while cand:
-        v = (cand & -cand).bit_length() - 1
-        size += 1
-        cand &= (cand - 1) & qadj[v]
-    return size
-
-
 def brute_force_index(g: Graph, eps: float) -> int:
-    """Exact opinion index by pruned search over partitions, oracle for N <= 8.
+    """Exact opinion index by depth-first search over K-part maps, oracle for N <= 8.
 
-    Every partition of the vertex set into equal-opinion classes induces a
-    quotient graph (edge between classes joined by a graph edge). Separations
-    must strictly exceed eps: k_allow, the largest k < n with k*eps < 1, is
-    complete_index(n, eps) - 1, exact on the true binary value of eps. Given
-    an ordering of the class values, label each class in turn by the least
-    number of eps-steps above the first value: at least its predecessor's
-    label, and one above every earlier quotient neighbour's. The partition is
-    realizable iff some ordering keeps every label at most k_allow, and that
-    holds iff the quotient has a proper coloring with k_allow + 1 colors:
-    such an ordering's labels are one (a class is labelled above every
-    earlier neighbour), and conversely, with the classes ordered by color,
-    each label is at most its class's color, by induction along the order.
-    So each partition is tested by graphs._k_coloring, the search behind
-    the exact chromatic number.
+    Let K = complete_index(n, eps): the largest number of values in [0, 1]
+    pairwise more than eps apart, exact on the true binary value of eps. The
+    index is the largest sum of comp(G[V_i]) over maps V -> {0..K-1}, where
+    V_i is the set of vertices mapped to i and comp counts the connected
+    components of the subgraph it induces.
+    - Lower. Put part i at level i/(K-1) (one level if K = 1), offset each
+      of its components within the level by a distinct tiny amount, and push
+      the top part down from 1. Every edge joins equal values or levels more than eps apart,
+      since K-1 < 1/eps exactly, so the state is absorbing.
+    - Upper. In an absorbing state give each value the length p of the
+      longest chain of values below it whose steps each exceed eps; then
+      p <= K-1. Adjacent vertices with unequal values have unequal p, so
+      the part V_i = {p = i} holds at most comp(G[V_i]) values.
 
-    For each class count m from n down, a depth-first search gives the
-    vertices their class labels in order (restricted-growth strings with
-    exactly m classes), ORing each vertex's edges to lower-index vertices
-    into the quotient and undoing that on backtrack. A branch is cut once a
-    greedy clique through the class just extended has more than k_allow + 1
-    classes. The cut is exact: later vertices only add quotient edges and
-    classes, so every partition below keeps that clique, which no k_allow + 1
-    colors can color.
+    Vertices are placed in index order. Each joins a part already in use or
+    the first unused one, so no two maps differ by renaming parts. Each part
+    keeps its components as vertex bitmasks; a vertex merges the components
+    of its part that it touches, adding 1 - (number merged) to the count.
+    Parts are tried fewest merged first, and a branch stops once even a new
+    component for every vertex left cannot beat the best count.
     """
     check_epsilon(eps)
     n = g.n_vertices
@@ -249,37 +235,31 @@ def brute_force_index(g: Graph, eps: float) -> int:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} vertices")
     if eps == 0 or g.n_edges == 0:
         return n
-    k_allow = complete_index(n, eps) - 1
-    lower = [[] for _ in range(n)]
-    for i, j in g.edges:
-        lower[j].append(i)
-    labels = [0] * n
+    k = complete_index(n, eps)
+    masks = _neighbor_masks(g)
+    parts: list[list[int]] = [[] for _ in range(k)]  # components, as vertex bitmasks
+    best = 0
 
-    def search(qadj: list[int], m: int, i: int, used: int) -> bool:
-        if i == n:
-            return _k_coloring(qadj, k_allow + 1) is not None
-        # exactly m classes: once the vertices left are as many as the classes
-        # still unopened, each must open one
-        first = used if m - used == n - i else 0
-        for c in range(first, min(used, m - 1) + 1):
-            saved = qadj.copy()
-            bit = 1 << c
-            for j in lower[i]:
-                b = labels[j]
-                if b != c:
-                    qadj[c] |= 1 << b
-                    qadj[b] |= bit
-            if qadj[c] == saved[c] or _greedy_clique_from(qadj, c) - 1 <= k_allow:
-                labels[i] = c
-                if search(qadj, m, i + 1, max(used, c + 1)):
-                    return True
-            qadj[:] = saved
-        return False
+    def search(v: int, count: int, used: int) -> None:
+        nonlocal best
+        if v == n:
+            best = count  # the cut below lets only a better count get here
+            return
+        m = masks[v]
+        options = sorted((len([w for w in parts[c] if w & m]), c) for c in range(min(used + 1, k)))
+        for merged, c in options:
+            if count - merged + n - v <= best:
+                break
+            comps = parts[c]
+            # components are disjoint, so their sum is their union
+            parts[c] = [w for w in comps if not w & m] + [sum([w for w in comps if w & m], 1 << v)]
+            search(v + 1, count + 1 - merged, max(used, c + 1))
+            parts[c] = comps
+            if best == n:
+                return
 
-    for m in range(n, 1, -1):
-        if search([0] * m, m, 0, 0):
-            return m
-    return 1
+    search(0, 0, 0)
+    return best
 
 
 def index_bounds(g: Graph, eps: float) -> IndexBounds:

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -34,7 +35,8 @@ from ctvoter.graphs import (
     clique_peel,
     enumerate_peels,
 )
-from ctvoter.statics import BRUTE_FORCE_LIMIT, _greedy_clique_from, peel_value
+import ctvoter.statics as statics
+from ctvoter.statics import BRUTE_FORCE_LIMIT, peel_value
 
 from conftest import EPS_GRID, petersen_graph, random_connected_graph, small_graph_family
 
@@ -304,8 +306,8 @@ def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
     is feasible exactly when the final label is at most k_allow (the largest
     k with k*eps < 1). Candidates are tried lowest-label first; a class whose
     label would exceed k_allow prunes the branch, since labels only grow
-    down the order. Written apart from graphs._k_coloring, which
-    brute_force_index uses in its place.
+    down the order. Written apart from graphs._k_coloring, the search
+    behind chromatic_number_exact.
     """
     full = (1 << m) - 1
     labels = [0] * m
@@ -334,6 +336,16 @@ def _exists_ordering(qadj: list[int], m: int, k_allow: int) -> bool:
         return False
 
     return rec(0, 0)
+
+
+def _greedy_clique_from(qadj: list[int], start: int) -> int:
+    """Size of the clique grown from start, adding the lowest common neighbour each step."""
+    size, cand = 1, qadj[start]
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        size += 1
+        cand &= (cand - 1) & qadj[v]
+    return size
 
 
 def _greedy_clique_size(qadj: list[int], m: int) -> int:
@@ -447,6 +459,43 @@ class TestBruteForce:
     def test_pruned_search_matches_oracle_on_random_graphs(self, g, eps):
         assert brute_force_index(g, eps) == _oracle_brute_force(g, eps)
 
+    @given(
+        graphs_on(6, BRUTE_FORCE_LIMIT),
+        st.sampled_from(_ORACLE_EPS),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_exact_values_ignore_vertex_labels(self, g, eps, rng):
+        # the searches visit vertices in label order, and the benchmark's
+        # index workload relabels its graphs by seed
+        perm = list(range(g.n_vertices))
+        rng.shuffle(perm)
+        h = make_graph(g.n_vertices, [(perm[i], perm[j]) for i, j in g.edges])
+        assert brute_force_index(h, eps) == brute_force_index(g, eps)
+        mode = "exact-enumerate"
+        assert clique_upper_bound(h, eps, mode) == clique_upper_bound(g, eps, mode)
+
+    def test_search_meets_each_map_once_up_to_renaming_parts(self, monkeypatch):
+        # the search reads masks[v] once per node at depth v, and those nodes
+        # are restricted-growth strings of length v with at most K parts
+        reads = collections.Counter()
+
+        class CountedMasks(list):
+            def __getitem__(self, v):
+                reads[v] += 1
+                return super().__getitem__(v)
+
+        monkeypatch.setattr(statics, "_neighbor_masks", lambda g: CountedMasks(_neighbor_masks(g)))
+        for n in range(2, BRUTE_FORCE_LIMIT + 1):
+            for eps in (0.2, 0.3, 0.5):
+                reads.clear()
+                brute_force_index(complete_graph(n), eps)
+                k = complete_index(n, eps)
+                assert reads[0] == 1, (n, eps)  # the root
+                for v, count in reads.items():
+                    strings = sum(map(len, _partitions_by_class_count(v)[: k + 1]))
+                    assert count <= strings, (n, eps, v)
+
     def test_cached_partitions_equal_fresh_ones(self):
         stirling = {(0, 0): 1}
         for n in range(BRUTE_FORCE_LIMIT + 1):
@@ -479,8 +528,8 @@ def _assert_coloring_iff_ordering(masks: list[int]) -> None:
 
 
 class TestColoringIsOrdering:
-    """brute_force_index's leaf test, a k_allow + 1 coloring, against the
-    search over value orderings it replaced."""
+    """graphs._k_coloring, the search behind chromatic_number_exact, against
+    _exists_ordering, the search over value orderings written apart from it."""
 
     def test_every_labelled_graph(self):
         for m in range(1, 6):

@@ -169,6 +169,24 @@ def test_statics_and_cli_state_each_rule_once():
     }
 
 
+def test_only_the_exact_chromatic_number_runs_the_colouring_search():
+    """Within src/ctvoter only graphs.chromatic_number_exact calls
+    _k_coloring, and no other module names it: the exact index maximises
+    components over K-part maps and runs no colouring search of its own."""
+    from ctvoter import graphs
+
+    callers = set()
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+        assert path.name == "graphs.py" or "_k_coloring" not in names, path.name
+        found = _calls_by_function(tree)
+        callers |= {f"{path.stem}.{f}" for f, calls in found.items() if "_k_coloring" in calls}
+    assert callers == {"graphs.chromatic_number_exact"}
+
+
 NO_NUMPY_RANDOM = """
 import sys
 from ctvoter import SimParams, path_graph, random_initial, simulate_coupled
