@@ -120,13 +120,15 @@ def is_absorbing(g: Graph, config, epsilon: float) -> bool:
     """True iff every edge has equal endpoints or separation at least epsilon.
 
     _live decides each edge whose rounded difference d is nonzero with |d| <=
-    |epsilon|, found over the endpoint arrays; every other edge is not live,
+    epsilon, found over the endpoint arrays; every other edge is not live,
     since a nonzero exact difference rounds to a nonzero d, and rounding
-    keeps |d| <= |epsilon| for an exact difference of at most |epsilon|.
+    keeps |d| <= epsilon for an exact difference of at most epsilon. config
+    must hold one opinion in [0, 1] per vertex, and epsilon lie in [0, 1].
     """
-    x = np.asarray(config, dtype=np.float64)
+    check_epsilon(epsilon)
+    x = _validate_initial(g, config)
     d = x[g.e1] - x[g.e2]
-    edges = np.flatnonzero((d != 0.0) & (np.abs(d) <= abs(epsilon)))
+    edges = np.flatnonzero((d != 0.0) & (np.abs(d) <= epsilon))
     pairs = zip(x[g.e1[edges]].tolist(), x[g.e2[edges]].tolist())
     return not any(_live(a, b, epsilon) for a, b in pairs)
 
@@ -137,6 +139,7 @@ def extremist_count(config, epsilon: float) -> int:
     Meaningful only for epsilon > 1/2, where centrists can interact with every
     extremist; rejected otherwise.
     """
+    check_epsilon(epsilon)
     if epsilon <= 0.5:
         raise ValueError("extremist_count requires epsilon > 1/2")
     lo = 1.0 - epsilon

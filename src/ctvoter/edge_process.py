@@ -41,9 +41,12 @@ def weights_from_opinions(g: Graph, config) -> np.ndarray:
     """Per-edge signed difference config[j] - config[i] under the canonical i < j orientation.
 
     One float64 subtraction per edge, as in Python arithmetic, so the
-    weights are bit for bit those of the scalar expression.
+    weights are bit for bit those of the scalar expression. Only the length
+    of config is checked: one opinion per vertex.
     """
     x = np.asarray(config, dtype=np.float64)
+    if x.shape != (g.n_vertices,):
+        raise ValueError("configuration length != vertex count")
     # take gathers by the int32 indices without first converting them to intp
     return x.take(g.e2) - x.take(g.e1)
 

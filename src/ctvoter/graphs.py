@@ -383,7 +383,7 @@ def chromatic_number_exact(g: Graph) -> Coloring:
         return Coloring((0,) * n, 1)
     upper = greedy_coloring(g)
     masks = _neighbor_masks(g)
-    lower = len(_greedy_maximal_clique(masks, (1 << n) - 1))
+    lower = _greedy_maximal_clique(masks, (1 << n) - 1).bit_count()
     for k in range(lower, upper.n_colors):
         colors = _k_coloring(masks, k)
         if colors is not None:
@@ -422,20 +422,21 @@ def _k_coloring(masks: list[int], k: int) -> list[int] | None:
     return colors if rec((1 << n) - 1, 0) else None
 
 
-def _greedy_maximal_clique(masks: list[int], vertex_mask: int) -> frozenset[int]:
-    """Grow a clique inside vertex_mask, preferring high residual degree."""
-    members = _mask_to_set(vertex_mask)
-    if not members:
-        return frozenset()
-    deg = {v: bin(masks[v] & vertex_mask).count("1") for v in members}
-    start = max(members, key=lambda v: (deg[v], -v))
+def _greedy_maximal_clique(masks: list[int], vertex_mask: int) -> int:
+    """Grow a clique inside the non-empty vertex_mask, returned as a bitmask.
+
+    It starts at the vertex with the most neighbours in vertex_mask and adds
+    the candidate with the most neighbours among the candidates; ties go to
+    the lower index.
+    """
+    start = max(_mask_to_set(vertex_mask), key=lambda v: ((masks[v] & vertex_mask).bit_count(), -v))
     clique = 1 << start
     cand = masks[start] & vertex_mask
     while cand:
-        v = max(_mask_to_set(cand), key=lambda u: (bin(masks[u] & cand).count("1"), -u))
+        v = max(_mask_to_set(cand), key=lambda u: ((masks[u] & cand).bit_count(), -u))
         clique |= 1 << v
         cand &= masks[v]
-    return frozenset(_mask_to_set(clique))
+    return clique
 
 
 def _mask_to_set(mask: int) -> list[int]:
@@ -491,31 +492,28 @@ def max_clique(g: Graph) -> frozenset[int]:
 def clique_peel(g: Graph) -> CliquePeel:
     """Peel a greedily found maximal clique per step until no vertices remain.
 
-    Any choice of maximal clique yields a valid coexistence upper bound; the
-    minimum over maximum-clique peels is statics.clique_upper_bound's
-    exact-enumerate mode.
+    Any choice of maximal clique yields a valid coexistence upper bound;
+    statics.clique_upper_bound takes the minimum over maximum-clique peels
+    instead on graphs of at most PEEL_ENUM_LIMIT vertices.
     """
     masks = _neighbor_masks(g)
     remaining = (1 << g.n_vertices) - 1
     cliques = []
     while remaining:
         w = _greedy_maximal_clique(masks, remaining)
-        wmask = 0
-        for v in w:
-            wmask |= 1 << v
-        remaining &= ~wmask
-        cliques.append((w, len(w)))
+        remaining &= ~w
+        cliques.append((frozenset(_mask_to_set(w)), w.bit_count()))
     return CliquePeel(tuple(cliques))
 
 
 def enumerate_peels(g: Graph) -> list[CliquePeel]:
     """All maximum-clique peel sequences of g (N <= 12), the tests' oracle.
 
-    statics.clique_upper_bound finds the least peel value without this list;
-    the tests hold it to the minimum over these sequences. Once a residual
-    is edgeless every maximum clique is a single vertex and all removal
-    orders are equivalent, so one canonical (index-ordered) tail is emitted
-    instead of every permutation.
+    statics.clique_upper_bound finds the least peel value without this list
+    on graphs of at most PEEL_ENUM_LIMIT vertices; the tests hold it to the
+    minimum over these sequences. Once a residual is edgeless every maximum
+    clique is a single vertex and all removal orders are equivalent, so one
+    canonical (index-ordered) tail is emitted instead of every permutation.
     """
     if g.n_vertices > PEEL_ENUM_LIMIT:
         raise ValueError(f"peel enumeration limited to {PEEL_ENUM_LIMIT} vertices")

@@ -169,14 +169,15 @@ def peel_value(peel, eps: float) -> int:
     return sum(min(size, cap) for size in sizes)
 
 
-def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
+def clique_upper_bound(g: Graph, eps: float) -> int:
     """Clique-peeling upper bound on the opinion index.
 
-    greedy peels one greedily chosen maximal clique per step (any choice gives
-    a valid bound). exact-enumerate (N <= 12) is the minimum peel_value over
-    every maximum-clique peel sequence, the minimum the peeling theorem refers
-    to. It is found without listing the sequences: the value is a sum over
-    the peeled cliques, and the cliques a peel may take next depend only on
+    Beyond PEEL_ENUM_LIMIT vertices it is the value of the greedy peel, one
+    greedily chosen maximal clique per step (any choice gives a valid bound).
+    Up to that size it is the minimum peel_value over every maximum-clique
+    peel sequence, the minimum the peeling theorem refers to. It is found
+    without listing the sequences: the value is a sum over the peeled
+    cliques, and the cliques a peel may take next depend only on
     the vertices left, so the least value f(R) that peeling can add from a
     residual vertex set R is the least complete_index(|W|, eps) + f(R - W)
     over the maximum cliques W of R, memoised per R. f(R) = |R| once the
@@ -186,12 +187,8 @@ def clique_upper_bound(g: Graph, eps: float, mode: str = "greedy") -> int:
     graphs.enumerate_peels lists the sequences themselves, as a test oracle.
     """
     check_epsilon(eps)
-    if mode == "greedy":
-        return peel_value(clique_peel(g), eps)
-    if mode != "exact-enumerate":
-        raise ValueError(f"unknown mode {mode!r}")
     if g.n_vertices > PEEL_ENUM_LIMIT:
-        raise ValueError(f"exact peel minimum limited to {PEEL_ENUM_LIMIT} vertices")
+        return peel_value(clique_peel(g), eps)
     cap = complete_index(g.n_vertices, eps)
     masks = _neighbor_masks(g)
 
@@ -265,7 +262,6 @@ def brute_force_index(g: Graph, eps: float) -> int:
 def index_bounds(g: Graph, eps: float) -> IndexBounds:
     """Assemble lower/upper bounds and, on tiny graphs, the exact index."""
     lower, witness = index_lower_bound(g, eps)
-    mode = "exact-enumerate" if g.n_vertices <= PEEL_ENUM_LIMIT else "greedy"
-    upper = clique_upper_bound(g, eps, mode)
+    upper = clique_upper_bound(g, eps)
     exact = brute_force_index(g, eps) if g.n_vertices <= BRUTE_FORCE_LIMIT else None
     return IndexBounds(lower=lower, upper=upper, exact=exact, witness_lower=witness)

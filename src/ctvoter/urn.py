@@ -20,6 +20,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .common import check_seed
+
 
 @dataclass(frozen=True)
 class UrnState:
@@ -47,8 +49,10 @@ def play_random(initial: UrnState, seed: int) -> tuple[UrnState, int]:
     """Play with uniformly random choices; returns the final state and steps.
 
     If after the box-1 to box-0 move every box j != 0 is empty, the step ends
-    with no second move (there is no interacting edge to pick).
+    with no second move (there is no interacting edge to pick). seed must be
+    an int in [0, 2**64), as common.check_seed says.
     """
+    check_seed(seed)
     counts = list(initial.counts)
     j_top = len(counts) - 1
     if j_top < 1:

@@ -66,7 +66,7 @@ def test_02_bound_sandwich():
             for eps in EPS_GRID:
                 lower, witness = index_lower_bound(g, eps)
                 exact = brute_force_index(g, eps)
-                upper = clique_upper_bound(g, eps, "exact-enumerate")
+                upper = clique_upper_bound(g, eps)
                 assert lower <= exact <= upper, (name, eps, lower, exact, upper)
                 assert is_absorbing(g, witness, eps)
                 assert count_opinions(witness) == lower

@@ -84,6 +84,23 @@ class TestAbsorbingAndCounts:
         replay(g, x, 0.01, [(0, 1), (5, -1)])
         assert "edges" not in g.__dict__
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([0.1, 0.2], "length != vertex count"),
+            ([0.1, 0.2, 0.3, 0.4], "length != vertex count"),
+            ([0.1, math.nan, 0.2], r"lie in \[0, 1\]"),
+            ([0.1, 2.0, 0.2], r"lie in \[0, 1\]"),
+            ([0.1, -0.5, 0.2], r"lie in \[0, 1\]"),
+        ],
+        ids=repr,
+    )
+    def test_is_absorbing_rejects_a_bad_configuration(self, config, message):
+        # each of these was once read as it stood: an IndexError, the first
+        # three entries, or an absorbing verdict on NaN and 2.0
+        with pytest.raises(ValueError, match=message):
+            is_absorbing(path_graph(3), config, 0.5)
+
     def test_count_opinions(self):
         assert count_opinions(np.array([0.2, 0.2, 0.7])) == 2
         assert count_opinions([0.5] * 9) == 1

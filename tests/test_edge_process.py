@@ -54,6 +54,12 @@ class TestWeights:
         w = weights_from_opinions(path_graph(2), [1.0, 0.0])
         assert w.tolist() == [-1.0]
 
+    @pytest.mark.parametrize("config", [[0.1] * 3, [0.1] * 5, [[0.1] * 4]], ids=repr)
+    def test_rejects_a_configuration_of_the_wrong_shape(self, config):
+        # a short one used to raise IndexError, a long one to drop its extra entries
+        with pytest.raises(ValueError, match="length != vertex count"):
+            weights_from_opinions(path_graph(4), config)
+
     @settings(max_examples=200, deadline=None)
     @given(
         name=st.sampled_from(sorted(WEIGHT_GRAPHS)),

@@ -16,8 +16,10 @@ from ctvoter import (
     complete_index,
     consensus_experiment,
     degree_bound_check,
+    extremist_count,
     greedy_coloring,
     index_lower_bound,
+    is_absorbing,
     make_graph,
     path_graph,
     replay,
@@ -52,6 +54,8 @@ def test_epsilon_range_rule_everywhere(eps):
         lambda: classify_edge(0.1, eps),
         lambda: complete_index(3, eps),
         lambda: coloring_construction(g, greedy_coloring(g), eps),
+        lambda: is_absorbing(g, [0.1, 0.2, 0.3], eps),
+        lambda: extremist_count([0.1, 0.2, 0.9], eps),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"epsilon out of range \[0, 1\]"):

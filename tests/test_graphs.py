@@ -19,6 +19,9 @@ from ctvoter import (
     simulate_coupled,
 )
 from ctvoter.graphs import (
+    CliquePeel,
+    _mask_to_set,
+    _neighbor_masks,
     chromatic_number_exact,
     clique_peel,
     complete_graph,
@@ -300,6 +303,66 @@ class TestCliquePeel:
     def test_enumeration_size_limit(self):
         with pytest.raises(ValueError, match="limited"):
             enumerate_peels(torus_graph(3, 5))
+
+
+def _greedy_maximal_clique(masks: list[int], vertex_mask: int) -> frozenset[int]:
+    """Grow a clique inside vertex_mask, preferring high residual degree."""
+    members = _mask_to_set(vertex_mask)
+    if not members:
+        return frozenset()
+    deg = {v: bin(masks[v] & vertex_mask).count("1") for v in members}
+    start = max(members, key=lambda v: (deg[v], -v))
+    clique = 1 << start
+    cand = masks[start] & vertex_mask
+    while cand:
+        v = max(_mask_to_set(cand), key=lambda u: (bin(masks[u] & cand).count("1"), -u))
+        clique |= 1 << v
+        cand &= masks[v]
+    return frozenset(_mask_to_set(clique))
+
+
+def _oracle_peel(g):
+    """The greedy peel built on the set-returning clique search above, which
+    counted bits by bin(...).count("1"), as graphs.clique_peel once was."""
+    masks = _neighbor_masks(g)
+    remaining = (1 << g.n_vertices) - 1
+    cliques = []
+    while remaining:
+        w = _greedy_maximal_clique(masks, remaining)
+        for v in w:
+            remaining &= ~(1 << v)
+        cliques.append((w, len(w)))
+    return CliquePeel(tuple(cliques))
+
+
+@st.composite
+def _any_graph(draw):
+    """Any graph on 1..40 vertices: edgeless, disconnected and dense ones too."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return make_graph(n, [e for e in pairs if rng.random() < density])
+
+
+class TestGreedyPeelOracle:
+    """clique_peel takes the same cliques, in the same order, as the peel on
+    the set-returning clique search: the bitmask search makes the same
+    choices, so the greedy upper bound and every digest stay put."""
+
+    def test_small_family(self, tiny_family):
+        for name, g in tiny_family:
+            assert clique_peel(g) == _oracle_peel(g), name
+
+    @given(_any_graph())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, g):
+        assert clique_peel(g) == _oracle_peel(g)
+
+    @pytest.mark.parametrize("spec", ["path:300", "cycle:301", "torus:12x12", "complete:20"])
+    def test_named_graphs(self, spec):
+        g = parse_graph_spec(spec)
+        assert clique_peel(g) == _oracle_peel(g)
 
 
 class TestValidation:

@@ -160,26 +160,24 @@ class TestIndexLowerBound:
 
 class TestCliqueUpperBound:
     def test_k6_tight(self):
-        assert clique_upper_bound(complete_graph(6), 0.4, "exact-enumerate") == 3
+        assert clique_upper_bound(complete_graph(6), 0.4) == 3
 
     def test_c5_not_tight(self):
         g = cycle_graph(5)
-        assert clique_upper_bound(g, 0.6, "exact-enumerate") == 5
+        assert clique_upper_bound(g, 0.6) == 5
         assert brute_force_index(g, 0.6) == 4
 
     def test_p4(self):
-        assert clique_upper_bound(path_graph(4), 0.4, "exact-enumerate") == 4
+        assert clique_upper_bound(path_graph(4), 0.4) == 4
 
     def test_eps_zero_gives_n(self):
         for g in (path_graph(5), complete_graph(4)):
-            assert clique_upper_bound(g, 0.0, "greedy") == g.n_vertices
+            assert peel_value(clique_peel(g), 0.0) == g.n_vertices
 
     def test_greedy_at_least_exact(self, tiny_family):
         for _, g in tiny_family:
             for eps in (0.35, 0.6):
-                assert clique_upper_bound(g, eps, "greedy") >= clique_upper_bound(
-                    g, eps, "exact-enumerate"
-                )
+                assert peel_value(clique_peel(g), eps) >= clique_upper_bound(g, eps)
 
 
 @st.composite
@@ -213,7 +211,7 @@ class TestExactPeelMinimum:
     @settings(max_examples=150, deadline=None)
     def test_matches_enumeration(self, g, eps):
         want = _enumerated_minimum(enumerate_peels(g), eps)
-        assert clique_upper_bound(g, eps, "exact-enumerate") == want
+        assert clique_upper_bound(g, eps) == want
 
     @pytest.mark.parametrize(
         "spec", ["cycle:11", "cycle:12", "petersen", "torus:3x3", "k4+path", "k5+c5"]
@@ -235,7 +233,7 @@ class TestExactPeelMinimum:
         peels = enumerate_peels(g)
         for eps in (0.2, 0.3, 1 / 3, 0.5, 0.6):
             want = _enumerated_minimum(peels, eps)
-            assert clique_upper_bound(g, eps, "exact-enumerate") == want, eps
+            assert clique_upper_bound(g, eps) == want, eps
 
     def test_matches_enumeration_where_peels_differ(self):
         # the named graphs above give every peel the same value; on these
@@ -247,12 +245,16 @@ class TestExactPeelMinimum:
             for eps in (1.0, 0.5):
                 differ += len({peel_value(p, eps) for p in peels}) > 1
                 want = _enumerated_minimum(peels, eps)
-                assert clique_upper_bound(g, eps, "exact-enumerate") == want, (seed, eps)
+                assert clique_upper_bound(g, eps) == want, (seed, eps)
         assert differ >= 10
 
-    def test_size_limit(self):
-        with pytest.raises(ValueError, match="limited"):
-            clique_upper_bound(cycle_graph(13), 0.5, "exact-enumerate")
+    def test_beyond_the_enumeration_limit_the_bound_is_the_greedy_peel(self):
+        # beyond PEEL_ENUM_LIMIT = 12 vertices there is no exact minimum to
+        # take, so the bound is the greedy peel's value
+        for spec in ("cycle:13", "torus:3x5", "torus:4x4"):
+            g = parse_graph_spec(spec)
+            for eps in (0.2, 0.3, 0.5, 0.6):
+                assert clique_upper_bound(g, eps) == peel_value(clique_peel(g), eps), (spec, eps)
 
 
 def _clique_term(eps: float):
@@ -407,8 +409,7 @@ class TestCompleteIndexOracles:
                 want_greedy = sum(term(size) for size in greedy.sizes())
                 want_exact = min(sum(term(size) for size in p.sizes()) for p in peels)
                 assert peel_value(greedy, eps) == want_greedy, (name, eps)
-                assert clique_upper_bound(g, eps, "greedy") == want_greedy, (name, eps)
-                assert clique_upper_bound(g, eps, "exact-enumerate") == want_exact, (name, eps)
+                assert clique_upper_bound(g, eps) == want_exact, (name, eps)
 
     def test_empty_peel_is_worth_nothing(self):
         for eps in _ORACLE_EPS:
@@ -472,8 +473,7 @@ class TestBruteForce:
         rng.shuffle(perm)
         h = make_graph(g.n_vertices, [(perm[i], perm[j]) for i, j in g.edges])
         assert brute_force_index(h, eps) == brute_force_index(g, eps)
-        mode = "exact-enumerate"
-        assert clique_upper_bound(h, eps, mode) == clique_upper_bound(g, eps, mode)
+        assert clique_upper_bound(h, eps) == clique_upper_bound(g, eps)
 
     def test_search_meets_each_map_once_up_to_renaming_parts(self, monkeypatch):
         # the search reads masks[v] once per node at depth v, and those nodes
@@ -554,7 +554,7 @@ class TestBoundSandwich:
             for eps in EPS_GRID:
                 lower, _ = index_lower_bound(g, eps)
                 exact = brute_force_index(g, eps)
-                upper = clique_upper_bound(g, eps, "exact-enumerate")
+                upper = clique_upper_bound(g, eps)
                 assert lower <= exact <= upper, (name, eps, lower, exact, upper)
 
     def test_bipartite_iff_full_retention(self, tiny_family):

@@ -187,6 +187,29 @@ def test_only_the_exact_chromatic_number_runs_the_colouring_search():
     assert callers == {"graphs.chromatic_number_exact"}
 
 
+def test_bits_are_counted_one_way_and_the_peel_size_rule_lives_in_one_place():
+    """No module of src/ctvoter calls bin(), so every bit count is
+    int.bit_count(); within statics only clique_upper_bound names
+    PEEL_ENUM_LIMIT, so it alone picks the exact or the greedy peel."""
+    from ctvoter import graphs, statics
+
+    for path in sorted(Path(graphs.__file__).parent.glob("*.py")):
+        lines = [
+            n.lineno
+            for n in ast.walk(ast.parse(path.read_text()))
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "bin"
+        ]
+        assert lines == [], path.name
+    tree = ast.parse(Path(inspect.getsourcefile(statics)).read_text())
+    naming = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "PEEL_ENUM_LIMIT" for n in ast.walk(fn))
+    }
+    assert naming == {"clique_upper_bound"}
+
+
 NO_NUMPY_RANDOM = """
 import sys
 from ctvoter import SimParams, path_graph, random_initial, simulate_coupled

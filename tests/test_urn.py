@@ -100,6 +100,17 @@ class TestRandomPlay:
         assert final.counts[1] == 0
         assert steps <= start.total()  # box 0 only ever gains balls
 
+    @pytest.mark.parametrize("seed", [1.5, "1", None, True], ids=repr)
+    def test_rejects_non_int_seed(self, seed):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            play_random(uniform_start(2, 4), seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=repr)
+    def test_rejects_seed_out_of_range(self, seed):
+        # -7 would replay seed 7's game through random.Random
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            play_random(uniform_start(2, 4), seed)
+
 
 class TestDominationLink:
     def test_path_empty_edges_bounded_by_game_maximum(self):
