@@ -137,8 +137,8 @@ static void twist(uint32_t *mt)
 }
 
 /* genrand_uint32's tempering of all MT_N state words into out, in one loop
- * that GCC -O2 vectorises; without restrict it would need an overlap check,
- * which -O2 does not add, and stayed scalar. */
+ * that GCC vectorises; without restrict it would need an overlap check,
+ * which -O2 does not add, and stayed scalar there. */
 static void temper(const uint32_t *restrict mt, uint32_t *restrict out)
 {
     for (int k = 0; k < MT_N; k++) {

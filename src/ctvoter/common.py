@@ -4,6 +4,8 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 # SplitMix64 increment and mixing constants.
@@ -22,6 +24,17 @@ def spawn_seed(master: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return (z ^ (z >> 31)) & MASK64
+
+
+def spawn_seeds(master: int, first: int, count: int) -> np.ndarray:
+    """[spawn_seed(master, i) for i in range(first, first + count)], bit for
+    bit, as a uint64 array computed in one pass; NumPy's uint64 arithmetic
+    wraps modulo 2**64, as spawn_seed's masks do."""
+    z = np.arange(count, dtype=np.uint64) + np.uint64((first + 1) & MASK64)
+    z = z * np.uint64(_GOLDEN) + np.uint64(master & MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def check_epsilon(eps: float) -> float:

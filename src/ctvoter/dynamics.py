@@ -137,27 +137,34 @@ def extremist_count(config, epsilon: float) -> int:
     """Number of vertices with opinion outside the open interval (1-eps, eps).
 
     Meaningful only for epsilon > 1/2, where centrists can interact with every
-    extremist; rejected otherwise.
+    extremist; rejected otherwise. Every opinion must lie in [0, 1], NaN
+    rejected, as is_absorbing requires.
     """
     check_epsilon(epsilon)
     if epsilon <= 0.5:
         raise ValueError("extremist_count requires epsilon > 1/2")
-    lo = 1.0 - epsilon
-    return sum(1 for v in config if v <= lo or v >= epsilon)
+    x = _check_unit_range(np.asarray(config, dtype=np.float64))
+    return int(np.count_nonzero((x <= 1.0 - epsilon) | (x >= epsilon)))
+
+
+def _check_unit_range(ops: np.ndarray) -> np.ndarray:
+    """ops, if every entry lies in [0, 1]; ValueError otherwise. The range is
+    checked on the array's min and max, so NaN fails too."""
+    if ops.size and not (0.0 <= ops.min() and ops.max() <= 1.0):
+        raise ValueError("opinions must lie in [0, 1]")
+    return ops
 
 
 def _validate_initial(g: Graph, init) -> np.ndarray:
     """init as a C-contiguous float64 array of one opinion per vertex, each in [0, 1].
 
-    The range is checked on the array's min and max, so NaN fails too. The
-    result may share memory with init, so it is never written to.
+    The range is checked by _check_unit_range, so NaN fails too. The result
+    may share memory with init, so it is never written to.
     """
     ops = np.asarray(init, dtype=np.float64, order="C")
     if ops.shape != (g.n_vertices,):
         raise ValueError("initial configuration length != vertex count")
-    if not (0.0 <= ops.min() and ops.max() <= 1.0):
-        raise ValueError("opinions must lie in [0, 1]")
-    return ops
+    return _check_unit_range(ops)
 
 
 def simulate(g: Graph, init, params: SimParams, on_event=None) -> SimReport:

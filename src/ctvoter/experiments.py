@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import array
 import ctypes
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _kernel
-from .common import check_seed, spawn_seed, strict_json
+from .common import check_seed, spawn_seed, spawn_seeds, strict_json
 from .dynamics import (
     DEFAULT_MAX_EVENTS,
     SimParams,
@@ -102,22 +103,33 @@ def run_replicate(
     return init, simulate(g, init, params)
 
 
-def _record(eps, index, rep_seed, nu: int, extremists: int, events: int, wall: float, stop: str):
-    """The ReplicateRecord of a replicate, given its final counts and stop reason."""
-    absorbed = stop == "absorbed"
-    theta_count = extremists if eps > 0.5 and absorbed else None
-    return ReplicateRecord(
-        replicate=index,
-        seed=rep_seed,
-        nu=nu,
-        absorbed=absorbed,
-        consensus=nu == 1,
-        theta_inf_zero=None if theta_count is None else theta_count == 0,
-        events=events,
-        wall_time=wall,
-        theta_inf_count=theta_count,
-        stop_reason=stop,
-    )
+def _records(eps, first, seeds, events, stops, nus, extremists, wall) -> list[ReplicateRecord]:
+    """The ReplicateRecords of replicates first, first + 1, ... at eps, from
+    their columns: seeds, event counts, stop reasons, final opinion counts and
+    extremist counts, and the wall time of each.
+
+    A record is absorbed iff its run stopped absorbed, and consensus iff one
+    opinion is left. Only an absorbed run at eps > 1/2 keeps its extremist
+    count, as theta; the count of any other run is not read.
+    """
+    absorbed = [stop == "absorbed" for stop in stops]
+    if eps > 0.5:
+        theta = [ext if done else None for done, ext in zip(absorbed, extremists)]
+    else:
+        theta = [None] * len(absorbed)
+    return list(map(
+        ReplicateRecord,
+        range(first, first + len(absorbed)),
+        seeds,
+        nus,
+        absorbed,
+        [nu == 1 for nu in nus],
+        [None if count is None else count == 0 for count in theta],
+        events,
+        itertools.repeat(wall),
+        theta,
+        stops,
+    ))
 
 
 def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
@@ -131,7 +143,9 @@ def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
     nu = count_opinions(final)
     extremists = extremist_count(final, eps) if eps > 0.5 and report.absorbed else 0
     wall = time.perf_counter() - start
-    record = _record(eps, index, rep_seed, nu, extremists, report.events, wall, report.stop_reason)
+    (record,) = _records(
+        eps, index, [rep_seed], [report.events], [report.stop_reason], [nu], [extremists], wall
+    )
     return record, [float(v) for v in final] if want_final else None
 
 
@@ -139,35 +153,37 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     """(record, final) of the replicates of a cell, in order.
 
     A cell (g, eps, t_max, first, seeds, keep_final) is the replicates first,
-    first + 1, ... with seeds `seeds` on one graph at one threshold and
-    t_max, which _run_grid has checked; keep_final asks for the first
-    replicate's final opinions. One call of the compiled ct_run_replicates
-    runs them all, initial draws included. Each record's wall time is the
-    call's over the cell's length.
+    first + 1, ... with seeds `seeds` (a sequence of ints in [0, 2**64), or a
+    uint64 array, which goes to the kernel as it is) on one graph at one
+    threshold and t_max, which _run_grid has checked; keep_final asks for the
+    first replicate's final opinions. One call of the compiled
+    ct_run_replicates runs them all, initial draws included, and _records
+    reads its columns. Each record's wall time is the call's over the cell's
+    length.
     """
     g, eps, t_max, first, seeds, keep_final = cell
     run_replicates = _kernel.load()["ct_run_replicates"]
     start = time.perf_counter()
-    n, reps = g.n_vertices, len(seeds)
-    seed_words = array.array("Q", seeds)
+    n = g.n_vertices
+    seed_words = np.ascontiguousarray(seeds, dtype=np.uint64)
+    reps = len(seed_words)
     ops = array.array("d", [0.0]) * n
-    out = array.array("q", [0]) * (4 * reps)  # events, stop code, nu, extremists
+    out = np.empty((reps, 4), dtype=np.int64)  # events, stop code, nu, extremists
     final = array.array("d", [0.0]) * n if keep_final else None
     with _kernel.scratch(n, g.n_edges) as (_, (work, table, _, _)):
         limit = _event_limit(DEFAULT_MAX_EVENTS)
         run = _kernel_run(g, eps, t_max, limit, ops=ops.buffer_info()[0], work=work, table=table)
         run_replicates(
-            ctypes.addressof(run), seed_words.buffer_info()[0], reps, out.buffer_info()[0],
+            ctypes.addressof(run), seed_words.ctypes.data, reps, out.ctypes.data,
             None if final is None else final.buffer_info()[0],
         )
     wall = (time.perf_counter() - start) / reps
-    counts = zip(seeds, out[::4], out[1::4], out[2::4], out[3::4])
-    results = [
-        (_record(eps, first + r, seed, nu, ext, events, wall, _kernel.STOP_REASONS[stop]), None)
-        for r, (seed, events, stop, nu, ext) in enumerate(counts)
-    ]
+    events, stops, nus, extremists = out.T.tolist()
+    stops = [_kernel.STOP_REASONS[stop] for stop in stops]
+    records = _records(eps, first, seed_words.tolist(), events, stops, nus, extremists, wall)
+    results = [(record, None) for record in records]
     if final is not None:
-        results[0] = (results[0][0], final.tolist())
+        results[0] = (records[0], final.tolist())
     return results
 
 
@@ -183,17 +199,18 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
     """(record, final) of reps replicates per threshold, to t_max or absorption.
 
     graph is a zero-argument builder of the graph. Replicate index =
-    grid_index * reps + r with seed spawn_seed(master_seed, index); final is
-    the list of final opinions for r == 0, None otherwise. grid must be
-    non-empty, its thresholds valid and distinct (0.0 and -0.0 are one), and
-    t_max, reps, workers and master_seed (in [0, 2**64)) valid; all of that
-    is checked before graph() is called, and the graph's connectivity, which
-    also loads the kernel, before any replicate runs. workers is capped at
-    the CPU count, as a cell's kernel call keeps one core busy and each
-    thread keeps its own scratch set. The grid is cut into
-    cells (_run_chunk): one per threshold, or, with workers > 1, pieces of
-    each threshold of about len(grid) * reps / (4 * workers) replicates, so
-    that the threads' load stays even.
+    grid_index * reps + r with seed spawn_seed(master_seed, index), all
+    spawned in one pass by spawn_seeds; final is the list of final opinions
+    for r == 0, None otherwise. grid must be non-empty, its thresholds valid
+    and distinct (0.0 and -0.0 are one), and t_max, reps, workers and
+    master_seed (in [0, 2**64)) valid; all of that is checked before graph()
+    is called, and the graph's connectivity, which also loads the kernel,
+    before any replicate runs. workers is capped at the CPU count, as a
+    cell's kernel call keeps one core busy and each thread keeps its own
+    scratch set. The grid is cut into cells (_run_chunk): one per threshold,
+    or, with workers > 1, pieces of each threshold of about
+    len(grid) * reps / (4 * workers) replicates, so that the threads' load
+    stays even.
     """
     if not grid:
         raise ValueError("empty threshold grid")
@@ -210,7 +227,7 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
     if not is_connected(g):
         raise ValueError("dynamics require a connected graph")
     size = max(1, reps if workers <= 1 else len(grid) * reps // (workers * 4))
-    seeds = [spawn_seed(master_seed, index) for index in range(len(grid) * reps)]
+    seeds = spawn_seeds(master_seed, 0, len(grid) * reps)
     cells = [
         (g, eps, t_max, k * reps + r, seeds[k * reps + r : k * reps + min(r + size, reps)], r == 0)
         for k, eps in enumerate(grid)

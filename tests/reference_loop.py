@@ -121,11 +121,12 @@ def reaches_all(g) -> bool:
 
 
 def run_chunk(cell):
-    """What experiments._run_chunk returns, one _replicate_worker per replicate."""
+    """What experiments._run_chunk returns, one _replicate_worker per replicate;
+    the seeds may be a uint64 array, as _run_grid's are."""
     g, eps, t_max, first, seeds, keep_final = cell
     return [
         experiments._replicate_worker((g, eps, first + r, seed, t_max, keep_final and r == 0))
-        for r, seed in enumerate(seeds)
+        for r, seed in enumerate(np.asarray(seeds, dtype=np.uint64).tolist())
     ]
 
 

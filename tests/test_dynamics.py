@@ -112,6 +112,16 @@ class TestAbsorbingAndCounts:
         with pytest.raises(ValueError):
             extremist_count([0.1], 0.5)
 
+    def test_extremist_count_counts_the_closed_ends(self):
+        # 0.25 <= 1 - eps and 0.75 >= eps both count; 0.5 is a centrist
+        assert extremist_count(np.array([0.0, 0.25, 0.5, 0.75, 1.0]), 0.75) == 4
+
+    @pytest.mark.parametrize("config", [[math.nan, 0.5], [2.0, -1.0]], ids=repr)
+    def test_extremist_count_rejects_a_bad_configuration(self, config):
+        # NaN was once counted as a centrist, and 2.0 and -1.0 as extremists
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            extremist_count(config, 0.75)
+
     def test_extremist_initial_mean(self):
         # mean over seeds of theta_0 should sit near 2*(1-eps)*N
         n, eps, reps = 100, 0.75, 400

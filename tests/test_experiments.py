@@ -27,7 +27,7 @@ from ctvoter import (
     sweep_experiment,
     write_snapshot,
 )
-from ctvoter.common import strict_json
+from ctvoter.common import spawn_seeds, strict_json
 from ctvoter.experiments import (
     mean_and_radius,
     records_to_csv,
@@ -69,6 +69,15 @@ class TestSeedSplitting:
         assert spawn_seed(0, 0) != spawn_seed(0, 1)
         assert spawn_seed(1, 0) != spawn_seed(0, 0)
         assert all(0 <= spawn_seed(s, i) < 2**64 for s in (0, 7, 2**63) for i in range(3))
+
+    @pytest.mark.parametrize("master", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("first", [0, 2**63 - 5, 2**63, 2**64 - 5])
+    def test_spawn_seeds_is_spawn_seed_in_one_pass(self, master, first):
+        # the ranges cross 2**63, where int64 would overflow, and 2**64
+        seeds = spawn_seeds(master, first, 10).tolist()
+        assert seeds == [spawn_seed(master, i) for i in range(first, first + 10)]
+        assert all(type(seed) is int for seed in seeds)
+        assert spawn_seeds(master, first, 0).tolist() == []
 
     def test_run_replicate_deterministic(self):
         g = path_graph(12)
@@ -122,6 +131,13 @@ class TestConsensusExperiment:
         assert [r.replicate for r in rep.records] == list(range(12))
         assert all(r.absorbed for r in rep.records)
         assert all(r.seed == spawn_seed(3, r.replicate) for r in rep.records)
+
+    def test_record_fields_are_python_values(self):
+        # the kernel's columns and the uint64 seeds are read back as ints and bools
+        rep = consensus_experiment(path_graph(8), 0.9, 5, master_seed=2**64 - 1)
+        types = {(type(r.seed), type(r.nu), type(r.events), type(r.consensus)) for r in rep.records}
+        assert types == {(int, int, int, bool)}
+        json.dumps(report_to_doc(rep))
 
 
 class TestCoexistenceExperiment:

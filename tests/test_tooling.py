@@ -210,6 +210,16 @@ def test_bits_are_counted_one_way_and_the_peel_size_rule_lives_in_one_place():
     assert naming == {"clique_upper_bound"}
 
 
+def test_kernel_flags_keep_ieee_rounding():
+    """The kernel must round as Python does: no contraction into fused
+    multiply-adds, and no flag that licenses value-changing math."""
+    from ctvoter import _kernel
+
+    assert "-ffp-contract=off" in _kernel.FLAGS
+    unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-march=native"}
+    assert not unsafe & set(_kernel.FLAGS)
+
+
 NO_NUMPY_RANDOM = """
 import sys
 from ctvoter import SimParams, path_graph, random_initial, simulate_coupled
