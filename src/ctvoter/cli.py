@@ -112,12 +112,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("consensus", help="consensus-probability experiment (eps > 1/2)")
     _add_graph_flags(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", required=True, help="a threshold or comma-separated thresholds")
     _add_batch_flags(p, reps=100)
 
     p = sub.add_parser("coexistence", help="opinion-retention experiment on a path")
     p.add_argument("--graph", help="graph spec: path:N")
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", required=True, help="a threshold or comma-separated thresholds")
     _add_batch_flags(p, reps=100)
 
     p = sub.add_parser("sweep", help="threshold sweep on a torus, optional snapshots")
@@ -171,20 +171,39 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _parse_thresholds(flag: str, text: str) -> list[float]:
+    """The thresholds of a comma-separated list, each checked, none repeated
+    (0 and -0 are one); empty entries are skipped."""
+    try:
+        grid = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise UsageError(f"bad {flag} {text!r}") from None
+    if not grid:
+        raise UsageError(f"empty {flag}")
+    for eps in grid:
+        check_epsilon(eps)
+    if len(set(grid)) != len(grid):
+        raise UsageError(f"duplicate threshold in {flag} {text!r}")
+    return grid
+
+
 def _cmd_consensus(args) -> int:
     _check_batch(args)
-    if check_epsilon(args.eps) <= 0.5:
+    grid = _parse_thresholds("--eps", args.eps)
+    if min(grid) <= 0.5:
         raise UsageError("consensus experiment requires epsilon > 1/2")
+    eps = grid[0] if len(grid) == 1 else grid  # one threshold reports flat
     g = _resolve_graph(args)
     seed = _resolve_seed(args)
-    report = experiments.consensus_experiment(g, args.eps, args.reps, seed, workers=args.workers)
+    report = experiments.consensus_experiment(g, eps, args.reps, seed, workers=args.workers)
     _emit_report(report, _out_dir(args))
     return 0
 
 
 def _cmd_coexistence(args) -> int:
     _check_batch(args)
-    eps = check_epsilon(args.eps)
+    grid = _parse_thresholds("--eps", args.eps)
+    eps = grid[0] if len(grid) == 1 else grid  # one threshold reports flat
     (n,) = _driver_sizes(args, "path:N")
     seed = _resolve_seed(args)
     report = experiments.coexistence_experiment(n, eps, args.reps, seed, workers=args.workers)
@@ -204,16 +223,7 @@ def _cmd_sweep(args) -> int:
     # written so that NaN fails too; inf is allowed and means no limit
     if not args.t_max >= 0:
         raise UsageError("--t-max must be >= 0")
-    try:
-        grid = [float(x) for x in args.eps_grid.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"bad --eps-grid {args.eps_grid!r}") from None
-    if not grid:
-        raise UsageError("empty --eps-grid")
-    for eps in grid:
-        check_epsilon(eps)
-    if len(set(grid)) != len(grid):
-        raise UsageError(f"duplicate threshold in --eps-grid {args.eps_grid!r}")
+    grid = _parse_thresholds("--eps-grid", args.eps_grid)
     if args.snapshot and len({_snapshot_name(eps) for eps in grid}) != len(grid):
         raise UsageError(f"thresholds in --eps-grid {args.eps_grid!r} share a snapshot file name")
     seed = _resolve_seed(args)

@@ -3,11 +3,12 @@
 Replicate seeds derive from the master seed via spawn_seed(master, i), with
 i = grid_index * reps + replicate (the replicate itself when the grid is a
 single threshold), and each replicate splits its seed once more into an
-initial-configuration stream and an event stream.
-Records are keyed by replicate index, so serial and parallel execution
-produce identical reports. One call of the compiled kernel runs all the
-replicates of a cell (a threshold, or a piece of one with several
-workers), initial draws included.
+initial-configuration stream and an event stream. Every driver runs its
+whole threshold grid in one _run_grid call and aggregates each threshold's
+block of records (_grid_report). Records are keyed by replicate index, so
+serial and parallel execution produce identical reports. One call of the
+compiled kernel runs all the replicates of a cell (a threshold, or a piece
+of one with several workers), initial draws included.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from __future__ import annotations
 import array
 import ctypes
 import itertools
+import numbers
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -236,76 +239,93 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
     return _run_batch(cells, workers)
 
 
-def _absorbing_runs(graph, label: str, eps: float, reps: int, master_seed: int, workers: int):
-    """Records of reps runs to absorption at eps on graph() (a builder, as
-    for _run_grid), and the ExperimentSpec that reports them."""
-    records = [rec for rec, _ in _run_grid(graph, (eps,), reps, master_seed, workers)]
+def _thresholds(eps) -> tuple:
+    """eps as a grid: (eps,) for one threshold, else a tuple of its floats."""
+    return (eps,) if isinstance(eps, numbers.Real) else tuple(float(e) for e in eps)
+
+
+def _grid_report(graph, label, eps, reps, master_seed, workers, aggregate, t_max=None, outputs=()):
+    """The report of reps runs per threshold of eps on graph() (a builder, as
+    for _run_grid), to t_max or absorption, all in one _run_grid call, and
+    the final opinions of each threshold's first replicate.
+
+    aggregate(eps, records) gives the aggregates of one threshold from its
+    block of records. One threshold (a number) reports them as they are; a
+    sequence of thresholds, one block each, reports them under per_epsilon,
+    keyed by repr(eps).
+    """
+    grid = _thresholds(eps)
+    results = _run_grid(graph, grid, reps, master_seed, workers, t_max)
+    records = [rec for rec, _ in results]
+    if isinstance(eps, numbers.Real):
+        aggregates = aggregate(eps, records)
+    else:
+        aggregates = {"per_epsilon": {
+            repr(e): aggregate(e, records[k * reps : (k + 1) * reps]) for k, e in enumerate(grid)
+        }}
     spec = ExperimentSpec(
         graph=label,
-        epsilon_grid=(eps,),
+        epsilon_grid=grid,
         reps=reps,
         master_seed=master_seed,
-        stop={"to_absorption": True},
+        stop={"to_absorption": True} if t_max is None else {"t_max": t_max},
+        outputs=outputs,
     )
-    return records, spec
+    return ExperimentReport(spec, records, aggregates), [final for _, final in results[::reps]]
 
 
 def consensus_experiment(
-    g: Graph, eps: float, reps: int, master_seed: int, workers: int = 1
+    g: Graph, eps: float | Sequence[float], reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
-    """Absorbing runs at eps > 1/2: consensus frequency and extremist outcomes.
+    """Absorbing runs at eps > 1/2 (one threshold or a sequence of them, as
+    for _grid_report): consensus frequency and extremist outcomes.
 
     Also verifies, per replicate, that the absorbed extremist count is 0 or N
     (any other value would leave an active centrist-extremist edge).
     """
-    if eps <= 0.5:
+    if any(e <= 0.5 for e in _thresholds(eps)):
         raise ValueError("consensus experiment requires epsilon > 1/2")
-    label = f"n={g.n_vertices},m={g.n_edges}"
-    records, spec = _absorbing_runs(lambda: g, label, eps, reps, master_seed, workers)
     n = g.n_vertices
-    valid_count = 0
-    theta_zero_flags = []
-    consensus_flags = []
-    for rec in records:
-        theta_zero_flags.append(1.0 if rec.theta_inf_zero else 0.0)
-        consensus_flags.append(1.0 if rec.consensus else 0.0)
-        if rec.theta_inf_count in (0, n):
-            valid_count += 1
-    consensus_freq, consensus_radius = mean_and_radius(consensus_flags)
-    theta_freq, theta_radius = mean_and_radius(theta_zero_flags)
-    aggregates = {
-        "consensus_freq": consensus_freq,
-        "consensus_radius": consensus_radius,
-        "theta_zero_freq": theta_freq,
-        "theta_zero_radius": theta_radius,
-        "theta_in_0N_count": valid_count,
-        "theorem_lower_bound": 2 * eps - 1,
-    }
-    return ExperimentReport(spec, records, aggregates)
+
+    def aggregate(eps, records):
+        consensus_freq, consensus_radius = mean_and_radius([rec.consensus for rec in records])
+        theta_freq, theta_radius = mean_and_radius([bool(rec.theta_inf_zero) for rec in records])
+        return {
+            "consensus_freq": consensus_freq,
+            "consensus_radius": consensus_radius,
+            "theta_zero_freq": theta_freq,
+            "theta_zero_radius": theta_radius,
+            "theta_in_0N_count": sum(rec.theta_inf_count in (0, n) for rec in records),
+            "theorem_lower_bound": 2 * eps - 1,
+        }
+
+    label = f"n={n},m={g.n_edges}"
+    return _grid_report(lambda: g, label, eps, reps, master_seed, workers, aggregate)[0]
 
 
 def coexistence_experiment(
-    n: int, eps: float, reps: int, master_seed: int, workers: int = 1
+    n: int, eps: float | Sequence[float], reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
-    """Absorbing runs on the n-vertex path; opinion-retention statistics."""
-    records, spec = _absorbing_runs(
-        lambda: path_graph(n), f"path:{n}", eps, reps, master_seed, workers
-    )
-    nus = [rec.nu for rec in records]
-    threshold = (1 - COEXISTENCE_FRACTION_COEFF * eps) * n
-    violations = [1.0 if nu < threshold else 0.0 for nu in nus]
-    mean_nu, mean_radius = mean_and_radius(nus)
-    violation_freq, violation_radius = mean_and_radius(violations)
-    aggregates = {
-        "min_nu": min(nus),
-        "mean_nu": mean_nu,
-        "mean_nu_radius": mean_radius,
-        "violation_threshold": threshold,
-        "violation_freq": violation_freq,
-        "violation_radius": violation_radius,
-        "violation_bound": COEXISTENCE_PREFACTOR * float(np.exp(-eps * n)),
-    }
-    return ExperimentReport(spec, records, aggregates)
+    """Absorbing runs on the n-vertex path at eps (one threshold or a
+    sequence of them, as for _grid_report); opinion-retention statistics."""
+
+    def aggregate(eps, records):
+        nus = [rec.nu for rec in records]
+        threshold = (1 - COEXISTENCE_FRACTION_COEFF * eps) * n
+        mean_nu, mean_radius = mean_and_radius(nus)
+        violation_freq, violation_radius = mean_and_radius([nu < threshold for nu in nus])
+        return {
+            "min_nu": min(nus),
+            "mean_nu": mean_nu,
+            "mean_nu_radius": mean_radius,
+            "violation_threshold": threshold,
+            "violation_freq": violation_freq,
+            "violation_radius": violation_radius,
+            "violation_bound": COEXISTENCE_PREFACTOR * float(np.exp(-eps * n)),
+        }
+
+    label = f"path:{n}"
+    return _grid_report(lambda: path_graph(n), label, eps, reps, master_seed, workers, aggregate)[0]
 
 
 def sweep_experiment(
@@ -319,59 +339,52 @@ def sweep_experiment(
 ) -> tuple[ExperimentReport, dict[float, np.ndarray]]:
     """Torus runs to model time t_max across a threshold grid.
 
-    Returns the combined report (replicate index = grid_index * reps + r) and
-    one snapshot configuration per epsilon (the first replicate's final
-    state), ready for write_snapshot. Each threshold may appear once in the
-    grid (0.0 and -0.0 are one threshold).
+    Returns the combined report (replicate index = grid_index * reps + r),
+    with per_epsilon aggregates whatever the grid's length, and one snapshot
+    configuration per epsilon (the first replicate's final state), ready for
+    write_snapshot. Each threshold may appear once in the grid (0.0 and -0.0
+    are one threshold).
     """
-    grid = tuple(float(e) for e in eps_grid)
-    results = _run_grid(lambda: torus_graph(width, height), grid, reps, master_seed, workers, t_max)
-    records = [rec for rec, _ in results]
-    snapshots: dict[float, np.ndarray] = {}
-    per_eps = {}
-    for k, eps in enumerate(grid):
-        block = results[k * reps : (k + 1) * reps]
-        snapshots[eps] = np.array(block[0][1])
-        mean_nu, radius = mean_and_radius([rec.nu for rec, _ in block])
-        per_eps[repr(eps)] = {
+
+    def aggregate(eps, records):
+        mean_nu, radius = mean_and_radius([rec.nu for rec in records])
+        return {
             "mean_nu": mean_nu,
             "mean_nu_radius": radius,
-            "absorbed_count": sum(1 for rec, _ in block if rec.absorbed),
+            "absorbed_count": sum(rec.absorbed for rec in records),
         }
-    spec = ExperimentSpec(
-        graph=f"torus:{width}x{height}",
-        epsilon_grid=grid,
-        reps=reps,
-        master_seed=master_seed,
-        stop={"t_max": t_max},
-        outputs=("snapshots",),
+
+    report, finals = _grid_report(
+        lambda: torus_graph(width, height), f"torus:{width}x{height}", tuple(eps_grid), reps,
+        master_seed, workers, aggregate, t_max, ("snapshots",),
     )
-    return ExperimentReport(spec, records, {"per_epsilon": per_eps}), snapshots
+    return report, dict(zip(report.spec.epsilon_grid, map(np.array, finals)))
 
 
 def degree_bound_check(
-    g: Graph, eps: float, reps: int, master_seed: int, workers: int = 1
+    g: Graph, eps: float | Sequence[float], reps: int, master_seed: int, workers: int = 1
 ) -> ExperimentReport:
-    """Frequency of non-absorbing initial states against the 2*eps*|E| bound.
+    """Frequency of non-absorbing initial states against the 2*eps*|E| bound,
+    at eps (one threshold or a sequence of them, as for _grid_report).
 
     Also records the retained fraction nu/N per absorbing run, exploratory
     output for the bounded-degree retention conjecture (no pass/fail).
     """
+
+    def aggregate(eps, records):
+        # a replicate whose initial state was already absorbing runs zero events
+        freq, radius = mean_and_radius([rec.events != 0 for rec in records])
+        frac_mean, frac_radius = mean_and_radius([rec.nu / g.n_vertices for rec in records])
+        return {
+            "initial_nonabsorbing_freq": freq,
+            "initial_nonabsorbing_radius": radius,
+            "union_bound": min(1.0, 2 * eps * g.n_edges),
+            "nu_fraction_mean": frac_mean,
+            "nu_fraction_radius": frac_radius,
+        }
+
     label = f"n={g.n_vertices},m={g.n_edges}"
-    records, spec = _absorbing_runs(lambda: g, label, eps, reps, master_seed, workers)
-    # a replicate whose initial state was already absorbing runs zero events
-    nonabsorbing = [0.0 if rec.events == 0 else 1.0 for rec in records]
-    freq, radius = mean_and_radius(nonabsorbing)
-    fractions = [rec.nu / g.n_vertices for rec in records]
-    frac_mean, frac_radius = mean_and_radius(fractions)
-    aggregates = {
-        "initial_nonabsorbing_freq": freq,
-        "initial_nonabsorbing_radius": radius,
-        "union_bound": min(1.0, 2 * eps * g.n_edges),
-        "nu_fraction_mean": frac_mean,
-        "nu_fraction_radius": frac_radius,
-    }
-    return ExperimentReport(spec, records, aggregates)
+    return _grid_report(lambda: g, label, eps, reps, master_seed, workers, aggregate)[0]
 
 
 def write_snapshot(config, width: int, height: int, path) -> None:

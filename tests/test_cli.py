@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ctvoter import cli, experiments, graphs
+from ctvoter import cli, experiments, graphs, spawn_seed
 from ctvoter.cli import main
 
 
@@ -294,6 +294,64 @@ class TestExperimentCommands:
             assert spec in err or "torus:WxH" in err
 
 
+class TestThresholdLists:
+    """consensus and coexistence read --eps as one threshold or a
+    comma-separated list; a list runs as one batch, threshold k holding
+    replicates k * reps + r, with its aggregates under per_epsilon."""
+
+    CASES = {
+        "consensus": (["consensus", "--graph", "path:6"], ["0.6", "0.8"], 5),
+        "coexistence": (["coexistence", "--graph", "path:10"], ["0.05", "0.1"], 3),
+    }
+
+    def run(self, capsys, out_dir, command, eps, *flags):
+        head, _, reps = self.CASES[command]
+        argv = [*head, "--eps", eps, "--reps", str(reps), "--seed", "1", *flags]
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == 0, err
+        return out, (out_dir / "records.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_list_is_one_batch_of_blocks(self, capsys, tmp_path, monkeypatch, command):
+        _, grid, reps = self.CASES[command]
+        batches = []
+        run_batch = experiments._run_batch
+
+        def counted(cells, workers):
+            batches.append(cells)
+            return run_batch(cells, workers)
+
+        monkeypatch.setattr(experiments, "_run_batch", counted)
+        out, rows = self.run(capsys, tmp_path / "grid", command, ",".join(grid))
+        assert len(batches) == 1
+        doc = json.loads(out)
+        count = len(grid) * reps
+        assert doc["spec"]["epsilon_grid"] == [float(eps) for eps in grid]
+        assert [rec["replicate"] for rec in doc["records"]] == list(range(count))
+        assert [rec["seed"] for rec in doc["records"]] == [spawn_seed(1, i) for i in range(count)]
+        assert len(rows) == 1 + count
+        per_eps = doc["aggregates"]["per_epsilon"]
+        assert list(per_eps) == [repr(float(eps)) for eps in grid]
+        single_out, single_rows = self.run(capsys, tmp_path / "single", command, grid[0])
+        single = json.loads(single_out)
+        assert doc["records"][:reps] == single["records"]
+        assert rows[: 1 + reps] == single_rows
+        assert per_eps[repr(float(grid[0]))] == single["aggregates"]
+        assert "per_epsilon" not in single["aggregates"]
+
+    @pytest.mark.parametrize("command", CASES)
+    def test_list_output_serial_equals_parallel(self, capsys, tmp_path, command):
+        _, grid, _ = self.CASES[command]
+        outs = [
+            self.run(capsys, tmp_path / name, command, ",".join(grid), "--workers", workers)[0]
+            for name, workers in (("serial", "1"), ("parallel", "2"))
+        ]
+        assert outs[0] == outs[1]
+        for fname in ("report.json", "records.csv"):
+            serial, parallel = (tmp_path / name / fname for name in ("serial", "parallel"))
+            assert serial.read_bytes() == parallel.read_bytes()
+
+
 class TestFlagsBeforeGraph:
     @pytest.fixture
     def no_graph(self, monkeypatch, no_compute):
@@ -327,6 +385,13 @@ class TestFlagsBeforeGraph:
             ("consensus", ["--eps", "0.4"], "epsilon > 1/2"),
             ("coexistence", ["--eps", "1.5"], "epsilon out of range"),
             ("coexistence", ["--eps", "nan"], "epsilon out of range"),
+            ("consensus", ["--eps", "0.6,0.8,0.60"], "duplicate threshold in --eps"),
+            ("consensus", ["--eps", " , "], "empty --eps"),
+            ("consensus", ["--eps", "0.8,0.5"], "epsilon > 1/2"),
+            ("consensus", ["--eps", "0.8,x"], "bad --eps"),
+            ("coexistence", ["--eps", "0,0.1,-0"], "duplicate threshold in --eps"),
+            ("coexistence", ["--eps", ","], "empty --eps"),
+            ("coexistence", ["--eps", "0.1,1.5"], "epsilon out of range"),
             *(
                 (command, [*flags, "--seed", seed], "seed must lie in")
                 for seed in ("-1", str(2**64))

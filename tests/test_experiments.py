@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,10 @@ from ctvoter import (
     clique_upper_bound,
     coexistence_experiment,
     coloring_construction,
+    complete_graph,
     complete_index,
     consensus_experiment,
+    cycle_graph,
     degree_bound_check,
     extremist_count,
     greedy_coloring,
@@ -25,6 +28,7 @@ from ctvoter import (
     replay,
     spawn_seed,
     sweep_experiment,
+    torus_graph,
     write_snapshot,
 )
 from ctvoter.common import spawn_seeds, strict_json
@@ -138,6 +142,90 @@ class TestConsensusExperiment:
         types = {(type(r.seed), type(r.nu), type(r.events), type(r.consensus)) for r in rep.records}
         assert types == {(int, int, int, bool)}
         json.dumps(report_to_doc(rep))
+
+
+    def test_rejects_low_eps_in_a_grid_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_run_grid", lambda *args: pytest.fail("runs started"))
+        with pytest.raises(ValueError, match="epsilon > 1/2"):
+            consensus_experiment(path_graph(5), (0.8, 0.5), 10, 1)
+
+    # the theorem's bound through one batch per graph: two thresholds, REPS
+    # replicates each, seeds and the gate (5 standard errors of the binomial
+    # law at p = 2 eps - 1) fixed before the first run
+    BOUND_GRID = (0.6, 0.8)
+    BOUND_REPS = 4000
+    BOUND_CASES = {
+        "complete:8": (lambda: complete_graph(8), 171),
+        "cycle:12": (lambda: cycle_graph(12), 172),
+        "torus:4x4": (lambda: torus_graph(4, 4), 173),
+        # a triangle with a pendant path and a pendant star: degrees 1 to 3
+        "irregular:8": (
+            lambda: make_graph(8, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (4, 6), (4, 7)]),
+            174,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", BOUND_CASES)
+    def test_extremists_die_out_at_rate_two_eps_minus_one(self, case):
+        """Over uniform initial opinions P(theta_inf = 0) = 2 eps - 1 exactly
+        on any connected graph (test_law.py derives it), and consensus
+        contains that event."""
+        build, seed = self.BOUND_CASES[case]
+        rep = consensus_experiment(build(), self.BOUND_GRID, self.BOUND_REPS, master_seed=seed)
+        assert len(rep.records) == len(self.BOUND_GRID) * self.BOUND_REPS
+        for eps in self.BOUND_GRID:
+            agg = rep.aggregates["per_epsilon"][repr(eps)]
+            p = 2 * eps - 1
+            se = math.sqrt(p * (1 - p) / self.BOUND_REPS)
+            assert agg["theorem_lower_bound"] == p
+            assert agg["theta_in_0N_count"] == self.BOUND_REPS
+            assert abs(agg["theta_zero_freq"] - p) < 5 * se, (eps, agg["theta_zero_freq"], se)
+            assert agg["consensus_freq"] >= p - 5 * se, (eps, agg["consensus_freq"], se)
+
+
+def timeless(records):
+    """records with their wall times, which no run repeats, set to 0."""
+    return [dataclasses.replace(rec, wall_time=0.0) for rec in records]
+
+
+class TestThresholdGrids:
+    """A driver given a sequence of thresholds runs them in one batch:
+    threshold k holds replicates k * reps + r, and its block reports as a run
+    of that threshold alone would, under per_epsilon."""
+
+    DRIVERS = {
+        "consensus": (lambda eps: consensus_experiment(path_graph(6), eps, 4, 11), (0.9, 0.6)),
+        "coexistence": (lambda eps: coexistence_experiment(9, eps, 4, 11), (0.1, 0.0, 0.3)),
+        "degree_bound": (lambda eps: degree_bound_check(cycle_graph(7), eps, 4, 11), (0.2, 0.05)),
+    }
+
+    @pytest.mark.parametrize("name", DRIVERS)
+    def test_blocks_and_per_epsilon(self, monkeypatch, name):
+        run, grid = self.DRIVERS[name]
+        calls = []
+        run_grid = experiments._run_grid
+
+        def counted(*args):
+            calls.append(args[1])
+            return run_grid(*args)
+
+        monkeypatch.setattr(experiments, "_run_grid", counted)
+        report = run(grid)
+        assert calls == [grid]
+        assert report.spec.epsilon_grid == grid
+        indices = range(4 * len(grid))
+        assert [rec.replicate for rec in report.records] == list(indices)
+        assert [rec.seed for rec in report.records] == [spawn_seed(11, i) for i in indices]
+        assert list(report.aggregates) == ["per_epsilon"]
+        assert list(report.aggregates["per_epsilon"]) == [repr(eps) for eps in grid]
+        single = run(grid[0])
+        assert single.spec.epsilon_grid == grid[:1]
+        assert timeless(report.records[:4]) == timeless(single.records)
+        assert report.aggregates["per_epsilon"][repr(grid[0])] == single.aggregates
+        # a one-element sequence is a grid: per_epsilon, as sweep reports it
+        one = run(grid[:1])
+        assert timeless(one.records) == timeless(single.records)
+        assert one.aggregates == {"per_epsilon": {repr(grid[0]): single.aggregates}}
 
 
 class TestCoexistenceExperiment:

@@ -22,7 +22,15 @@ import statistics
 import numpy as np
 import pytest
 
-from ctvoter import SimParams, complete_graph, cycle_graph, path_graph, simulate, spawn_seed
+from ctvoter import (
+    SimParams,
+    complete_graph,
+    cycle_graph,
+    extremist_count,
+    path_graph,
+    simulate,
+    spawn_seed,
+)
 from ctvoter.dynamics import _live
 
 RUNS = 20_000
@@ -133,3 +141,43 @@ def test_simulate_follows_the_exact_law(case):
     for values, exact in ((events, mean_events), (times, mean_time)):
         se = statistics.stdev(values) / math.sqrt(RUNS)
         assert abs(statistics.fmean(values) - exact) < STANDARD_ERRORS * se, (exact, se)
+
+
+# ε > 1/2 and at least two fixed states per graph, each holding centrists and
+# extremists on both sides; few distinct opinions keep the reachable sets small
+IDENTITY_CASES = {
+    "path:4": (path_graph(4), 0.6, [(0.1, 0.5, 0.95, 0.3), (0.45, 0.2, 0.7, 0.55)]),
+    "cycle:5": (cycle_graph(5), 0.75, [(0.1, 0.5, 0.9, 0.5, 0.1), (0.3, 0.9, 0.3, 0.6, 0.6)]),
+    "complete:4": (complete_graph(4), 0.55, [(0.0, 0.5, 0.9, 0.48), (0.2, 0.2, 0.47, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("case", IDENTITY_CASES)
+def test_extremists_die_out_with_the_centrist_fraction(case):
+    """P(θ∞ = 0 | x) = c(x)/N exactly, on any connected graph at ε > 1/2.
+
+    Call a vertex centrist if its opinion lies in (1 − ε, ε), the complement
+    of what extremist_count counts, and let c be the number of centrists.
+    A centrist is live with every extremist neighbour: their opinions differ
+    by less than ε, as ε > 1/2. A jump across a centrist–extremist edge
+    copies one endpoint's opinion onto the other, so it moves c by +1 or −1,
+    each with probability 1/2 on the direction coin; every other jump leaves
+    c alone (two centrists or two extremists stay so). So c is a bounded
+    martingale of the jump chain. At absorption no centrist–extremist edge
+    is left, so on a connected graph c∞ ∈ {0, N}, that is θ∞ = N − c∞ ∈
+    {N, 0}, and optional stopping gives N · P(θ∞ = 0 | x) = E[c∞] = c(x).
+    Averaged over uniform initial opinions this is 2ε − 1, the
+    theorem_lower_bound of the consensus report, and consensus contains
+    {θ∞ = 0}. exact_law solves the chain, so the identity holds to solver
+    precision.
+    """
+    g, eps, states = IDENTITY_CASES[case]
+    for init in states:
+        n = len(init)
+        centrists = n - extremist_count(init, eps)
+        assert 0 < centrists < n
+        law, _, _ = exact_law(g, eps, init)
+        thetas = {final: extremist_count(final, eps) for final in law}
+        assert set(thetas.values()) <= {0, n}
+        p_zero = sum(p for final, p in law.items() if thetas[final] == 0)
+        assert abs(p_zero - centrists / n) < 1e-12, (init, p_zero, centrists / n)

@@ -130,8 +130,10 @@ def _calls_by_function(tree):
 def test_only_run_grid_checks_the_grid():
     """experiments._run_grid checks the grid before it builds the graph and
     checks its connectivity; no driver repeats any of it, and none checks a
-    threshold itself."""
-    from ctvoter import experiments
+    threshold itself. Every driver runs its grid through the one helper that
+    calls _run_grid, and only _run_grid starts a batch. In cli one function
+    parses a threshold list, for --eps and --eps-grid alike."""
+    from ctvoter import cli, experiments
 
     source = Path(inspect.getsourcefile(experiments)).read_text()
     found = _calls_by_function(ast.parse(source))
@@ -142,6 +144,21 @@ def test_only_run_grid_checks_the_grid():
         "run_replicate",
     }
     assert [f for f, names in found.items() if "check_epsilon" in names] == []
+    assert {f for f, names in found.items() if "_run_grid" in names} == {"_grid_report"}
+    assert {f for f, names in found.items() if "_run_batch" in names} == {"_run_grid"}
+    assert {f for f, names in found.items() if "_grid_report" in names} == {
+        "consensus_experiment",
+        "coexistence_experiment",
+        "sweep_experiment",
+        "degree_bound_check",
+    }
+    found = _calls_by_function(ast.parse(Path(inspect.getsourcefile(cli)).read_text()))
+    assert {f for f, names in found.items() if "float" in names} == {"_parse_thresholds"}
+    assert {f for f, names in found.items() if "_parse_thresholds" in names} == {
+        "_cmd_consensus",
+        "_cmd_coexistence",
+        "_cmd_sweep",
+    }
 
 
 def test_statics_and_cli_state_each_rule_once():
