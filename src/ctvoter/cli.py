@@ -73,20 +73,18 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _out_dir(args) -> Path | None:
+def _emit(args, doc: str, name: str, to_csv, data) -> Path | None:
+    """Print the JSON document doc and, under --out, write it to report.json
+    and to_csv(data) to name, the command's data file; the output directory,
+    or None without --out."""
+    sys.stdout.write(doc)
     if args.out is None:
         return None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(doc)
+    (out / name).write_text(to_csv(data))
     return out
-
-
-def _emit_report(report, out: Path | None) -> None:
-    doc = experiments.report_to_json(report)
-    sys.stdout.write(doc)
-    if out is not None:
-        (out / "report.json").write_text(doc)
-        (out / "records.csv").write_text(experiments.records_to_csv(report.records))
 
 
 @functools.cache
@@ -147,11 +145,7 @@ def _cmd_simulate(args) -> int:
         g, args.eps, seed, t_max=args.t_max, max_events=args.max_events
     )
     doc = strict_json(report.to_dict())
-    sys.stdout.write(doc)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "report.json").write_text(doc)
-        (out / "final_opinions.csv").write_text(dynamics.opinions_to_csv(report.final_opinions))
+    _emit(args, doc, "final_opinions.csv", dynamics.opinions_to_csv, report.final_opinions)
     return 0
 
 
@@ -160,14 +154,7 @@ def _cmd_index(args) -> int:
     g = _resolve_graph(args)
     bounds = statics.index_bounds(g, eps)
     doc = strict_json(bounds.to_dict())
-    sys.stdout.write(doc)
-    out = _out_dir(args)
-    if out is not None:
-        (out / "report.json").write_text(doc)
-        if bounds.witness_lower is not None:
-            (out / "witness_lower.csv").write_text(
-                dynamics.opinions_to_csv(bounds.witness_lower)
-            )
+    _emit(args, doc, "witness_lower.csv", dynamics.opinions_to_csv, bounds.witness_lower)
     return 0
 
 
@@ -196,7 +183,8 @@ def _cmd_consensus(args) -> int:
     g = _resolve_graph(args)
     seed = _resolve_seed(args)
     report = experiments.consensus_experiment(g, eps, args.reps, seed, workers=args.workers)
-    _emit_report(report, _out_dir(args))
+    doc = experiments.report_to_json(report)
+    _emit(args, doc, "records.csv", experiments.records_to_csv, report.records)
     return 0
 
 
@@ -207,7 +195,8 @@ def _cmd_coexistence(args) -> int:
     (n,) = _driver_sizes(args, "path:N")
     seed = _resolve_seed(args)
     report = experiments.coexistence_experiment(n, eps, args.reps, seed, workers=args.workers)
-    _emit_report(report, _out_dir(args))
+    doc = experiments.report_to_json(report)
+    _emit(args, doc, "records.csv", experiments.records_to_csv, report.records)
     return 0
 
 
@@ -230,8 +219,8 @@ def _cmd_sweep(args) -> int:
     report, snapshots = experiments.sweep_experiment(
         width, height, grid, args.t_max, args.reps, seed, workers=args.workers
     )
-    out = _out_dir(args)
-    _emit_report(report, out)
+    doc = experiments.report_to_json(report)
+    out = _emit(args, doc, "records.csv", experiments.records_to_csv, report.records)
     if args.snapshot:
         for eps, config in snapshots.items():
             experiments.write_snapshot(config, width, height, out / _snapshot_name(eps))

@@ -135,7 +135,7 @@ def _records(eps, first, seeds, events, stops, nus, extremists, wall) -> list[Re
     ))
 
 
-def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
+def _replicate_worker(args) -> tuple[ReplicateRecord, np.ndarray | None]:
     """(record, final) of one replicate through run_replicate, as _run_chunk
     gives it for a cell of that replicate alone; args is (g, eps, index,
     rep_seed, t_max, want_final). The tests' reference runs cells by it."""
@@ -149,20 +149,20 @@ def _replicate_worker(args) -> tuple[ReplicateRecord, list | None]:
     (record,) = _records(
         eps, index, [rep_seed], [report.events], [report.stop_reason], [nu], [extremists], wall
     )
-    return record, [float(v) for v in final] if want_final else None
+    return record, final if want_final else None
 
 
-def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
+def _run_chunk(cell) -> list[tuple[ReplicateRecord, np.ndarray | None]]:
     """(record, final) of the replicates of a cell, in order.
 
     A cell (g, eps, t_max, first, seeds, keep_final) is the replicates first,
     first + 1, ... with seeds `seeds` (a sequence of ints in [0, 2**64), or a
     uint64 array, which goes to the kernel as it is) on one graph at one
     threshold and t_max, which _run_grid has checked; keep_final asks for the
-    first replicate's final opinions. One call of the compiled
-    ct_run_replicates runs them all, initial draws included, and _records
-    reads its columns. Each record's wall time is the call's over the cell's
-    length.
+    first replicate's final opinions, which the kernel copies into a float64
+    array. One call of the compiled ct_run_replicates runs them all, initial
+    draws included, and _records reads its columns. Each record's wall time
+    is the call's over the cell's length.
     """
     g, eps, t_max, first, seeds, keep_final = cell
     run_replicates = _kernel.load()["ct_run_replicates"]
@@ -172,22 +172,19 @@ def _run_chunk(cell) -> list[tuple[ReplicateRecord, list | None]]:
     reps = len(seed_words)
     ops = array.array("d", [0.0]) * n
     out = np.empty((reps, 4), dtype=np.int64)  # events, stop code, nu, extremists
-    final = array.array("d", [0.0]) * n if keep_final else None
+    final = np.empty(n) if keep_final else None
     with _kernel.scratch(n, g.n_edges) as (_, (work, table, _, _)):
         limit = _event_limit(DEFAULT_MAX_EVENTS)
         run = _kernel_run(g, eps, t_max, limit, ops=ops.buffer_info()[0], work=work, table=table)
         run_replicates(
             ctypes.addressof(run), seed_words.ctypes.data, reps, out.ctypes.data,
-            None if final is None else final.buffer_info()[0],
+            None if final is None else final.ctypes.data,
         )
     wall = (time.perf_counter() - start) / reps
     events, stops, nus, extremists = out.T.tolist()
     stops = [_kernel.STOP_REASONS[stop] for stop in stops]
     records = _records(eps, first, seed_words.tolist(), events, stops, nus, extremists, wall)
-    results = [(record, None) for record in records]
-    if final is not None:
-        results[0] = (records[0], final.tolist())
-    return results
+    return [(records[0], final)] + [(record, None) for record in records[1:]]
 
 
 def _run_batch(cells, workers: int):
@@ -203,15 +200,15 @@ def _run_grid(graph, grid, reps: int, master_seed: int, workers: int, t_max=None
 
     graph is a zero-argument builder of the graph. Replicate index =
     grid_index * reps + r with seed spawn_seed(master_seed, index), all
-    spawned in one pass by spawn_seeds; final is the list of final opinions
-    for r == 0, None otherwise. grid must be non-empty, its thresholds valid
-    and distinct (0.0 and -0.0 are one), and t_max, reps, workers and
-    master_seed (in [0, 2**64)) valid; all of that is checked before graph()
-    is called, and the graph's connectivity, which also loads the kernel,
-    before any replicate runs. workers is capped at the CPU count, as a
-    cell's kernel call keeps one core busy and each thread keeps its own
-    scratch set. The grid is cut into cells (_run_chunk): one per threshold,
-    or, with workers > 1, pieces of each threshold of about
+    spawned in one pass by spawn_seeds; final is the float64 array of final
+    opinions for r == 0, None otherwise. grid must be non-empty, its
+    thresholds valid and distinct (0.0 and -0.0 are one), and t_max, reps,
+    workers and master_seed (in [0, 2**64)) valid; all of that is checked
+    before graph() is called, and the graph's connectivity, which also loads
+    the kernel, before any replicate runs. workers is capped at the CPU
+    count, as a cell's kernel call keeps one core busy and each thread keeps
+    its own scratch set. The grid is cut into cells (_run_chunk): one per
+    threshold, or, with workers > 1, pieces of each threshold of about
     len(grid) * reps / (4 * workers) replicates, so that the threads' load
     stays even.
     """
@@ -280,8 +277,10 @@ def consensus_experiment(
     """Absorbing runs at eps > 1/2 (one threshold or a sequence of them, as
     for _grid_report): consensus frequency and extremist outcomes.
 
-    Also verifies, per replicate, that the absorbed extremist count is 0 or N
-    (any other value would leave an active centrist-extremist edge).
+    Also counts the replicates whose absorbed extremist count is 0 or N
+    (theta_in_0N_count); any other value would leave an active
+    centrist-extremist edge, so on a connected graph that is every absorbed
+    replicate.
     """
     if any(e <= 0.5 for e in _thresholds(eps)):
         raise ValueError("consensus experiment requires epsilon > 1/2")
@@ -311,7 +310,7 @@ def coexistence_experiment(
 
     def aggregate(eps, records):
         nus = [rec.nu for rec in records]
-        threshold = (1 - COEXISTENCE_FRACTION_COEFF * eps) * n
+        threshold = max(0.0, (1 - COEXISTENCE_FRACTION_COEFF * eps) * n)
         mean_nu, mean_radius = mean_and_radius(nus)
         violation_freq, violation_radius = mean_and_radius([nu < threshold for nu in nus])
         return {
@@ -321,7 +320,7 @@ def coexistence_experiment(
             "violation_threshold": threshold,
             "violation_freq": violation_freq,
             "violation_radius": violation_radius,
-            "violation_bound": COEXISTENCE_PREFACTOR * float(np.exp(-eps * n)),
+            "violation_bound": min(1.0, COEXISTENCE_PREFACTOR * float(np.exp(-eps * n))),
         }
 
     label = f"path:{n}"
@@ -341,9 +340,9 @@ def sweep_experiment(
 
     Returns the combined report (replicate index = grid_index * reps + r),
     with per_epsilon aggregates whatever the grid's length, and one snapshot
-    configuration per epsilon (the first replicate's final state), ready for
-    write_snapshot. Each threshold may appear once in the grid (0.0 and -0.0
-    are one threshold).
+    configuration per epsilon (the first replicate's final state, the
+    kernel's float64 array), ready for write_snapshot. Each threshold may
+    appear once in the grid (0.0 and -0.0 are one threshold).
     """
 
     def aggregate(eps, records):
@@ -358,7 +357,7 @@ def sweep_experiment(
         lambda: torus_graph(width, height), f"torus:{width}x{height}", tuple(eps_grid), reps,
         master_seed, workers, aggregate, t_max, ("snapshots",),
     )
-    return report, dict(zip(report.spec.epsilon_grid, map(np.array, finals)))
+    return report, dict(zip(report.spec.epsilon_grid, finals))
 
 
 def degree_bound_check(
@@ -388,14 +387,20 @@ def degree_bound_check(
 
 
 def write_snapshot(config, width: int, height: int, path) -> None:
-    """Binary PGM (P5), pixel = round-half-up(opinion * 255), row-major."""
-    values = [float(v) for v in config]
-    if width * height != len(values):
-        raise ValueError(f"{width}x{height} does not match {len(values)} opinions")
+    """Binary PGM (P5), pixel = round-half-up(opinion * 255), row-major.
+
+    A pixel is opinion * 255 + 0.5 in float64, truncated toward zero, so an
+    opinion just outside [0, 1] still writes 0 or 255; ValueError if the
+    size does not match or a pixel falls outside 0..255, NaN included.
+    """
+    pixels = np.trunc(np.asarray(config, dtype=np.float64) * 255 + 0.5)
+    if width * height != pixels.size:
+        raise ValueError(f"{width}x{height} does not match {pixels.size} opinions")
+    if not np.all((pixels >= 0) & (pixels <= 255)):
+        raise ValueError("an opinion gives a pixel outside 0..255")
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    pixels = bytes(int(v * 255 + 0.5) for v in values)
     with open(path, "wb") as fh:
-        fh.write(header + pixels)
+        fh.write(header + pixels.astype(np.uint8).tobytes())
 
 
 def report_to_doc(report: ExperimentReport) -> dict:

@@ -198,6 +198,19 @@ class TestExperimentCommands:
             assert aggregates["mean_nu_radius"] is None
             assert aggregates["violation_radius"] is None
 
+    def test_coexistence_bounds_are_clamped_on_short_paths(self, capsys):
+        """3 exp(-eps N) is reported as at most 1 and (1 - 12 eps) N as at
+        least 0: on path:10 they would read 1.82 and 1.10, 4.0 and -2.0."""
+        code, out, _ = run_cli(
+            capsys, "coexistence", "--graph", "path:10", "--eps", "0.05,0.1",
+            "--reps", "3", "--seed", "1",
+        )
+        assert code == 0
+        per_eps = json.loads(out)["aggregates"]["per_epsilon"]
+        assert [per_eps[e]["violation_bound"] for e in ("0.05", "0.1")] == [1.0, 1.0]
+        thresholds = [per_eps[e]["violation_threshold"] for e in ("0.05", "0.1")]
+        assert thresholds == [pytest.approx(4.0), 0.0]
+
     def test_sweep_with_snapshots(self, capsys, tmp_path):
         out_dir = tmp_path / "sweep"
         code, _, _ = run_cli(

@@ -1,9 +1,13 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctvoter import experiments
 from ctvoter import (
@@ -333,7 +337,67 @@ class TestInitialExtremists:
         assert abs(float(np.mean(counts)) - expected) <= margin
 
 
+def _per_pixel_snapshot(config, width: int, height: int, path) -> None:
+    """The per-pixel writer write_snapshot replaced, kept as its oracle:
+    int(opinion * 255 + 0.5) for each pixel, in Python floats."""
+    values = [float(v) for v in config]
+    if width * height != len(values):
+        raise ValueError(f"{width}x{height} does not match {len(values)} opinions")
+    header = f"P5\n{width} {height}\n255\n".encode("ascii")
+    pixels = bytes(int(v * 255 + 0.5) for v in values)
+    with open(path, "wb") as fh:
+        fh.write(header + pixels)
+
+
+def _snapshot_bytes(writer, config, width, height, directory):
+    """The file writer writes, or None where it raises ValueError or OverflowError."""
+    path = Path(directory) / "snapshot.pgm"
+    path.unlink(missing_ok=True)
+    try:
+        writer(config, width, height, path)
+    except (ValueError, OverflowError):
+        return None
+    return path.read_bytes()
+
+
+def _agrees_with_the_per_pixel_writer(config, width, height, directory):
+    expected = _snapshot_bytes(_per_pixel_snapshot, config, width, height, directory)
+    if expected is None:
+        with pytest.raises(ValueError):
+            write_snapshot(config, width, height, Path(directory) / "snapshot.pgm")
+    else:
+        assert _snapshot_bytes(write_snapshot, config, width, height, directory) == expected
+
+
 class TestSnapshots:
+    # pixels at the edges of the round-half-up rule and of 0..255
+    EDGES = (0.0, 1.0, 0.5 / 255, -0.5 / 255, -1.4 / 255, 255.49 / 255, float(np.nextafter(1, 2)))
+
+    @pytest.mark.parametrize("value", EDGES, ids=repr)
+    def test_edge_values_match_the_per_pixel_writer(self, tmp_path, value):
+        for config in ([value], [0.25, value, 0.75, value]):
+            _agrees_with_the_per_pixel_writer(config, len(config), 1, tmp_path)
+            assert _snapshot_bytes(write_snapshot, config, len(config), 1, tmp_path) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.floats(-2 / 255, 256 / 255) | st.sampled_from([math.nan, math.inf, -math.inf]),
+            min_size=1,
+            max_size=12,
+        ),
+        height=st.integers(1, 3),
+        array=st.booleans(),
+    )
+    def test_matches_the_per_pixel_writer(self, values, height, array):
+        """The same bytes as the per-pixel writer, or ValueError exactly where
+        it raised ValueError (a pixel outside 0..255, NaN, a size mismatch)
+        or OverflowError (an infinite opinion)."""
+        config = np.array(values) if array else values
+        width = max(1, len(values) // height)
+        with tempfile.TemporaryDirectory() as directory:
+            _agrees_with_the_per_pixel_writer(config, width, height, directory)
+
     def test_black_and_white(self, tmp_path):
         p = tmp_path / "black.pgm"
         write_snapshot([0.0] * 6, 3, 2, p)

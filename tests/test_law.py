@@ -28,8 +28,10 @@ from ctvoter import (
     cycle_graph,
     extremist_count,
     path_graph,
+    random_initial,
     simulate,
     spawn_seed,
+    torus_graph,
 )
 from ctvoter.dynamics import _live
 
@@ -181,3 +183,39 @@ def test_extremists_die_out_with_the_centrist_fraction(case):
         assert set(thetas.values()) <= {0, n}
         p_zero = sum(p for final, p in law.items() if thetas[final] == 0)
         assert abs(p_zero - centrists / n) < 1e-12, (init, p_zero, centrists / n)
+
+
+IDENTITY_RUNS = 4_000
+# one fixed state per graph, random_initial(g, IDENTITY_STATE_SEED), and run r
+# seeded spawn_seed(IDENTITY_RUN_SEED, r); seeds and gate fixed before the first run
+IDENTITY_STATE_SEED = 2026
+IDENTITY_RUN_SEED = 2027
+SEEDED_IDENTITY_CASES = {
+    "complete:6": (complete_graph(6), 0.7),
+    "torus:4x4": (torus_graph(4, 4), 0.6),
+    "cycle:9": (cycle_graph(9), 0.8),
+    "path:12": (path_graph(12), 0.65),
+}
+
+
+@pytest.mark.parametrize("case", SEEDED_IDENTITY_CASES)
+def test_seeded_runs_reach_consensus_with_the_centrist_fraction(case):
+    """Seeded simulate runs from one fixed state x hit θ∞ = 0 with frequency
+    c(x)/N within 5 standard errors of the binomial at c(x)/N, on graphs too
+    large for exact_law; the identity is derived in
+    test_extremists_die_out_with_the_centrist_fraction."""
+    g, eps = SEEDED_IDENTITY_CASES[case]
+    init = random_initial(g, IDENTITY_STATE_SEED)
+    n = g.n_vertices
+    centrists = n - extremist_count(init, eps)
+    assert 0 < centrists < n
+    hits = 0
+    for r in range(IDENTITY_RUNS):
+        report = simulate(g, init, SimParams(eps, spawn_seed(IDENTITY_RUN_SEED, r)))
+        assert report.absorbed
+        theta = extremist_count(report.final_opinions, eps)
+        assert theta in (0, n), theta
+        hits += theta == 0
+    p = centrists / n
+    se = math.sqrt(p * (1 - p) / IDENTITY_RUNS)
+    assert abs(hits / IDENTITY_RUNS - p) < STANDARD_ERRORS * se, (hits / IDENTITY_RUNS, p, se)

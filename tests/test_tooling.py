@@ -161,6 +161,37 @@ def test_only_run_grid_checks_the_grid():
     }
 
 
+def test_results_leave_by_one_writer_without_per_value_loops():
+    """In cli one function writes report.json, for every command. In
+    experiments no final-opinion vector goes through .tolist() or a
+    comprehension, and write_snapshot computes its pixels in NumPy, with no
+    comprehension or generator expression."""
+    from ctvoter import cli, experiments
+
+    found = _calls_by_function(ast.parse(Path(inspect.getsourcefile(cli)).read_text()))
+    assert len([f for f, names in found.items() if "report.json" in names]) == 1
+    tree = ast.parse(Path(inspect.getsourcefile(experiments)).read_text())
+    finals = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "tolist"
+        and "final" in ast.unparse(node.func.value)
+    ]
+    finals += [
+        ast.unparse(node.iter)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.comprehension) and "final" in ast.unparse(node.iter)
+    ]
+    assert finals == []
+    (snapshot,) = [
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "write_snapshot"
+    ]
+    loops = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.For, ast.While)
+    assert [ast.unparse(n) for n in ast.walk(snapshot) if isinstance(n, loops)] == []
+
+
 def test_statics_and_cli_state_each_rule_once():
     """statics writes the complete-graph index min(n, ceil(1/eps)) in
     complete_index alone, with no Fraction of its own (the comparison witness
